@@ -19,7 +19,6 @@ from .base import (
     DiarizationAdapter,
     DownloaderAdapter,
     DownloadResult,
-    MediaInfo,
     SemanticEncoderAdapter,
     SpeakerEmbeddingAdapter,
     StemAdapter,
@@ -41,7 +40,6 @@ __all__ = [
     "DiarizationAdapter",
     "DownloadResult",
     "DownloaderAdapter",
-    "MediaInfo",
     "SemanticEncoderAdapter",
     "SpeakerEmbeddingAdapter",
     "StemAdapter",

@@ -71,14 +71,6 @@ class AdapterDescriptor:
 
 
 @dataclass(frozen=True)
-class MediaInfo:
-    """Probe result for an acquired media file."""
-
-    container_format: str
-    duration_s: float | None = None
-
-
-@dataclass(frozen=True)
 class DownloadResult:
     """What a downloader learned while fetching; fields may be unknown."""
 
@@ -95,10 +87,6 @@ class DownloaderAdapter(Protocol):
 
 @runtime_checkable
 class DecoderAdapter(Protocol):
-    def probe(self, path: str) -> MediaInfo:
-        """Container format and duration without full decode."""
-        ...
-
     def decode(self, path: str) -> tuple[np.ndarray, int]:
         """Return (samples, rate); samples 1-D mono or [channels, n]."""
         ...

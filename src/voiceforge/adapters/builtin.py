@@ -10,7 +10,7 @@ import numpy as np
 
 from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16
 from ..errors import AcquisitionError, ConfigurationError, FormatError
-from .base import DownloadResult, MediaInfo
+from .base import DownloadResult
 
 
 def _container_from_name(name: str) -> str | None:
@@ -37,14 +37,7 @@ class UrllibDownloader:
 class WavFileDecoder:
     """Decoder for PCM16 WAV files on disk."""
 
-    def probe(self, path: str) -> MediaInfo:
-        samples, rate = self._decode(path)
-        return MediaInfo(container_format="wav", duration_s=samples.size / rate)
-
     def decode(self, path: str) -> tuple[np.ndarray, int]:
-        return self._decode(path)
-
-    def _decode(self, path: str) -> tuple[np.ndarray, int]:
         with open(path, "rb") as fh:
             payload = fh.read()
         if payload[:4] != b"RIFF":

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..audio import AudioClip, decode_wav_pcm16, dequantize_pcm16, encode_wav_pcm16, quantize_pcm16
 from ..errors import ConfigurationError, FormatError
-from .base import DownloadResult, MediaInfo
+from .base import DownloadResult
 
 MOCKAV_MAGIC = b"MOCKAV00"
 SILENCE_EPS = 1e-4
@@ -135,16 +135,6 @@ class MockDecoder:
             raise FormatError("truncated MOCKAV payload")
         rate, n_samples, seed = struct.unpack_from("<IQQ", payload, 8)
         return rate, n_samples, seed
-
-    def probe(self, path: str) -> MediaInfo:
-        payload = self._read(path)
-        if payload[:8] == MOCKAV_MAGIC:
-            rate, n_samples, _ = self._parse_mockav(payload)
-            return MediaInfo(container_format="mockav", duration_s=n_samples / rate)
-        if payload[:4] == b"RIFF":
-            samples, rate = decode_wav_pcm16(payload)
-            return MediaInfo(container_format="wav", duration_s=samples.size / rate)
-        raise FormatError(f"mock decoder cannot probe {path}")
 
     def decode(self, path: str) -> tuple[np.ndarray, int]:
         payload = self._read(path)

@@ -9,7 +9,6 @@ metadata chunks, as long as the audio payload is 16-bit PCM.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -165,12 +164,6 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
     return dequantize_pcm16(q), rate
 
 
-def wav_duration_s(payload: bytes) -> float:
-    """Duration of a PCM16 WAV payload without materializing samples."""
-    samples, rate = decode_wav_pcm16(payload)
-    return samples.size / rate
-
-
 def load_wav(path, source_id: str = "", offset_s: float = 0.0) -> AudioClip:
     with open(path, "rb") as fh:
         samples, rate = decode_wav_pcm16(fh.read())
@@ -180,7 +173,3 @@ def load_wav(path, source_id: str = "", offset_s: float = 0.0) -> AudioClip:
 def save_wav(clip: AudioClip, path) -> None:
     with open(path, "wb") as fh:
         fh.write(encode_wav_pcm16(clip))
-
-
-def content_digest(data: bytes, n_hex: int = 16) -> str:
-    return hashlib.sha256(data).hexdigest()[:n_hex]

@@ -56,7 +56,6 @@ class OutputFormat(str, Enum):
 class PreprocessConfig:
     denoise_strength: float | None = None
     stems: StemModel | None = None
-    preset: str = ""
     segmentation: SegmentationPolicy = field(default_factory=SegmentationPolicy)
 
 
@@ -188,13 +187,12 @@ def _parse_source(r: _Reader, data: Any) -> SourceSpec | None:
 
 
 def _parse_preprocessing(r: _Reader, data: Any) -> PreprocessConfig:
-    sec = r.section(data, "preprocessing", ("denoise", "stems", "preset", "segmentation"))
+    sec = r.section(data, "preprocessing", ("denoise", "stems", "segmentation"))
     strength = r.get(sec, "preprocessing", "denoise", "float", default=None)
     if strength is not None and not 0.0 <= strength <= 1.0:
         r.bad("preprocessing.denoise", f"must be in [0, 1], got {strength}")
         strength = None
     stems = r.enum(sec, "preprocessing", "stems", StemModel, default=None)
-    preset = r.get(sec, "preprocessing", "preset", "str", default="")
     seg_sec = r.section(
         sec.get("segmentation"),
         "preprocessing.segmentation",
@@ -214,9 +212,7 @@ def _parse_preprocessing(r: _Reader, data: Any) -> PreprocessConfig:
     except ValidationError as exc:
         r.bad("preprocessing.segmentation", str(exc))
         policy = SegmentationPolicy()
-    return PreprocessConfig(
-        denoise_strength=strength, stems=stems, preset=preset or "", segmentation=policy
-    )
+    return PreprocessConfig(denoise_strength=strength, stems=stems, segmentation=policy)
 
 
 def _parse_asr(r: _Reader, data: Any) -> AsrConfig:

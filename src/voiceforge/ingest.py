@@ -64,7 +64,7 @@ class SourceSpec:
 class RawMediaHandle:
     """A local media file ready for decoding.
 
-    duration_s is None until something has probed the container; plain local
+    duration_s is None unless the downloader reported one; plain local
     acquisition has no decoder in hand, so it cannot promise a duration.
     """
 

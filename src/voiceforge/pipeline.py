@@ -9,6 +9,7 @@ corpus (transcribe, diarize, slice) and emit the trainer config; with
 model_ref/index_ref set, convert an existing corpus into the cloned voice
 and package it as Common Voice.
 
+Every run ends in `_package`, the one path from gated clips to a dataset.
 All intermediate artifacts live in a `<output root>.work/` sibling so the
 dataset tree contains exactly the deliverable files.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .adapters import AdapterRegistry, AdapterRole, default_registry
@@ -33,7 +34,7 @@ from .corpus import (
     write_common_voice,
     write_lj,
 )
-from .errors import ConfigurationError, StageError
+from .errors import ConfigurationError, DecodeError, StageError
 from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
 from .preprocess import (
     AudioFormat,
@@ -46,7 +47,13 @@ from .preprocess import (
 from .quality import ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import BatchResult, batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
-from .voiceprompt import build_prompt, extract_codebooks, extract_semantic_tokens, save_prompt
+from .voiceprompt import (
+    SpeakerPrompt,
+    build_prompt,
+    extract_codebooks,
+    extract_semantic_tokens,
+    save_prompt,
+)
 
 PROMPT_N_COARSE = 2
 TRAINING_CONFIG_NAME = "training_config.txt"
@@ -110,6 +117,22 @@ def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> dict[
     return {role: registry.resolve(role, config.adapters[role]) for role in _required_roles(config)}
 
 
+def _dataset_format(config: PipelineConfig) -> OutputFormat:
+    """The layout a run writes: conversion always writes Common Voice."""
+    if config.methodology is Methodology.RVC_CONVERT and config.conversion.model_ref is not None:
+        return OutputFormat.COMMON_VOICE
+    return config.output.format
+
+
+def _clip_rate_hz(config: PipelineConfig, adapters: dict[AdapterRole, object]) -> int:
+    """The rate every dataset clip must have: TTS native, training, or VC native."""
+    if config.methodology is Methodology.BARK_PROMPT:
+        return adapters[AdapterRole.TTS].native_rate_hz
+    if config.conversion.model_ref is None:
+        return config.training.target_sample_rate_hz
+    return adapters[AdapterRole.VC].native_rate_hz
+
+
 def plan(config: PipelineConfig) -> list[str]:
     """Human-readable stage list for --dry-run output."""
     steps: list[str] = [f"source: {config.source.uri} ({config.source.kind.value})"]
@@ -132,14 +155,14 @@ def plan(config: PipelineConfig) -> list[str]:
         if pp.stems is not None:
             steps.append(f"isolate vocals ({pp.stems.value})")
         steps.append(f"diarize and transcribe ({config.asr.language}, {config.asr.task.value})")
-        steps.append("slice into per-sentence clips and package as LJ")
+        steps.append("slice into per-sentence clips")
         steps.append(f"emit trainer config ({TRAINING_CONFIG_NAME})")
     else:
         steps.append(f"read input corpus {config.conversion.input_corpus}")
         steps.append(f"convert every clip with model {config.conversion.model_ref}")
     steps.append("quality-gate clips and write the quality report")
     steps.append(
-        f"package as {config.output.format.value} at {config.output.root} "
+        f"package as {_dataset_format(config).value} at {config.output.root} "
         f"(valid fraction {config.output.split.valid_fraction})"
     )
     return steps
@@ -159,50 +182,129 @@ def _acquire_decoded(
     return clip
 
 
-def _gate(
-    clips: list[tuple[str, AudioClip]], constraints: ClipConstraints, report: QualityReport
-) -> list[str]:
-    """Record issues for every clip; returns ids that passed."""
-    kept: list[str] = []
-    for clip_id, clip in clips:
-        issues = validate_clip(clip, constraints)
-        report.add(clip_id, issues)
-        if not any(issue.severity.value == "fail" for issue in issues):
-            kept.append(clip_id)
-    return kept
+def _read_dataset(config: PipelineConfig) -> list[CorpusEntry]:
+    root = Path(config.output.root)
+    if _dataset_format(config) is OutputFormat.COMMON_VOICE:
+        return read_common_voice(root)
+    return read_lj(root)
 
 
-def _verify_readback(
-    root: Path, fmt: OutputFormat, written: list[CorpusEntry], full_equality: bool
-) -> None:
-    found = read_common_voice(root) if fmt is OutputFormat.COMMON_VOICE else read_lj(root)
-    left = sorted(written, key=lambda e: e.clip_id)
-    right = sorted(found, key=lambda e: e.clip_id)
-    if full_equality:
-        mismatch = left != right
-    else:
-        key = lambda e: (e.clip_id, e.relative_audio_path, e.sentence)
-        mismatch = [key(e) for e in left] != [key(e) for e in right]
-    if mismatch:
-        raise StageError(
-            f"read-back of {root} does not match the written manifest", stage="package"
-        )
+def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) -> AudioClip:
+    """Decode one clip of a dataset: MP3 through the transcoder, or LJ's PCM16 WAV."""
+    payload = (root / entry.relative_audio_path).read_bytes()
+    try:
+        if fmt is OutputFormat.COMMON_VOICE:
+            samples, rate = transcoder.decode(payload, AudioFormat.MP3.value)
+        else:
+            samples, rate = decode_wav_pcm16(payload)
+    except Exception as exc:
+        raise DecodeError(
+            f"cannot decode {entry.relative_audio_path}: {exc}",
+            stage="decode",
+            source_id=entry.clip_id,
+        ) from exc
+    return AudioClip(samples=samples, sample_rate_hz=rate, source_id=entry.clip_id)
 
 
-def _write_dataset(
+def _package(
     config: PipelineConfig,
-    entries: list[CorpusEntry],
-    audio: dict[str, EncodedAudio],
-    fmt: OutputFormat,
-    full_equality: bool,
-) -> None:
+    adapters: dict[AdapterRole, object],
+    candidates: list[tuple[CorpusEntry, AudioClip]],
+    summary: RunSummary,
+) -> list[AudioClip]:
+    """Gate, transcode, write and read back the dataset; returns the clips written.
+
+    The audio path a candidate entry carries is replaced. The dataset format
+    alone decides the audio format, the clip path, the writer and reader, the
+    LJ rule against '|' in a transcript, and how much of each entry the
+    read-back must reproduce (LJ manifests keep only the path and sentence).
+    """
+    common_voice = _dataset_format(config) is OutputFormat.COMMON_VOICE
+    audio_format, clip_dir, extension = (
+        (AudioFormat.MP3, "clips", "mp3")
+        if common_voice
+        else (AudioFormat.WAV_PCM16, "wavs", "wav")
+    )
+    constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
+    transcoder = adapters[AdapterRole.TRANSCODE]
+    entries: list[CorpusEntry] = []
+    audio: dict[str, EncodedAudio] = {}
+    kept: list[AudioClip] = []
+    for entry, clip in candidates:
+        issues = validate_clip(clip, constraints)
+        passed = not any(issue.severity is Severity.FAIL for issue in issues)
+        if passed and not common_voice and "|" in entry.sentence:
+            issues.append(
+                Issue(
+                    code="delimiter",
+                    severity=Severity.FAIL,
+                    message="transcript contains the LJ '|' delimiter",
+                )
+            )
+            passed = False
+        summary.quality.add(entry.clip_id, issues)
+        if not passed:
+            continue
+        audio[entry.clip_id] = transcode(clip, audio_format, transcoder)
+        entries.append(
+            replace(entry, relative_audio_path=f"{clip_dir}/{entry.clip_id}.{extension}")
+        )
+        kept.append(clip)
+    if not entries:
+        raise StageError("no clip passed quality gating", stage="quality")
+
+    summary.entries_written = len(entries)
+    summary.quality.metrics.update(
+        {"clips_in": float(summary.clips_in), "entries_written": float(len(entries))}
+    )
     root = Path(config.output.root)
     root.mkdir(parents=True, exist_ok=True)
-    if fmt is OutputFormat.COMMON_VOICE:
+    if common_voice:
         write_common_voice(entries, audio, root, config.output.split)
     else:
         write_lj(entries, audio, root, config.output.split)
-    _verify_readback(root, fmt, entries, full_equality)
+
+    def shown(e: CorpusEntry):
+        return e if common_voice else (e.clip_id, e.relative_audio_path, e.sentence)
+
+    by_id = lambda e: e.clip_id
+    written = [shown(e) for e in sorted(entries, key=by_id)]
+    if written != [shown(e) for e in sorted(_read_dataset(config), key=by_id)]:
+        raise StageError(
+            f"read-back of {root} does not match the written manifest", stage="package"
+        )
+    return kept
+
+
+def _speaker_prompt(
+    config: PipelineConfig, adapters: dict[AdapterRole, object], work: Path
+) -> tuple[str, int, SpeakerPrompt, Path]:
+    """Build the prompt from the source's first segment and save it under `work`.
+
+    Returns the source id, the segment count, the prompt and its path.
+    """
+    codec = adapters[AdapterRole.CODEC]
+    source_clip = _acquire_decoded(config, adapters, work, codec.native_rate_hz)
+    segments = segment(source_clip, config.preprocessing.segmentation)
+    if not segments:
+        raise StageError(
+            f"source ({source_clip.duration_s:.1f} s) yields no full "
+            f"{config.preprocessing.segmentation.target_len_s} s segment",
+            stage="segment",
+            source_id=source_clip.source_id,
+        )
+    fine, _ = extract_codebooks(segments[0], codec, PROMPT_N_COARSE)
+    semantic = extract_semantic_tokens(
+        segments[0],
+        adapters[AdapterRole.SEMANTIC_ENCODER],
+        adapters[AdapterRole.TOKEN_QUANTIZER],
+    )
+    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source_clip.source_id)
+    assets = work / "assets"
+    assets.mkdir(parents=True, exist_ok=True)
+    path = assets / f"prompt_{prompt_digest(prompt)}.npz"
+    save_prompt(prompt, path)
+    return source_clip.source_id, len(segments), prompt, path
 
 
 def _m1_generate(
@@ -211,37 +313,18 @@ def _m1_generate(
     summary: RunSummary,
     resume: bool,
     workers: int | None,
-) -> tuple[AudioClip, str, BatchResult]:
-    """Shared front half of methodology 1: acquire through batch synthesis."""
+) -> tuple[str, str, BatchResult]:
+    """Shared front half of methodology 1: acquire through batch synthesis.
+
+    Returns the source id, the prompt digest and the batch.
+    """
     work = work_dir_for(config.output.root)
     synth_dir = work / "synth"
     if not resume and synth_dir.exists():
         shutil.rmtree(synth_dir)
     work.mkdir(parents=True, exist_ok=True)
 
-    codec = adapters[AdapterRole.CODEC]
-    source_clip = _acquire_decoded(config, adapters, work, codec.native_rate_hz)
-    segments = segment(source_clip, config.preprocessing.segmentation)
-    summary.clips_in = len(segments)
-    if not segments:
-        raise StageError(
-            f"source ({source_clip.duration_s:.1f} s) yields no full "
-            f"{config.preprocessing.segmentation.target_len_s} s segment",
-            stage="segment",
-            source_id=source_clip.source_id,
-        )
-
-    fine, _ = extract_codebooks(segments[0], codec, PROMPT_N_COARSE)
-    semantic = extract_semantic_tokens(
-        segments[0],
-        adapters[AdapterRole.SEMANTIC_ENCODER],
-        adapters[AdapterRole.TOKEN_QUANTIZER],
-    )
-    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source_clip.source_id)
-    pid = prompt_digest(prompt)
-    assets = work / "assets"
-    assets.mkdir(parents=True, exist_ok=True)
-    save_prompt(prompt, assets / f"prompt_{pid}.npz")
+    source_id, summary.clips_in, prompt, _ = _speaker_prompt(config, adapters, work)
     summary.prompts_built = 1
 
     batch = batch_synthesize(
@@ -249,6 +332,7 @@ def _m1_generate(
         prompt,
         config.generation.params,
         adapters[AdapterRole.TTS],
+        config.adapters[AdapterRole.TTS],
         work_dir=synth_dir,
         retries=config.generation.retries,
         workers=workers or config.workers,
@@ -257,7 +341,7 @@ def _m1_generate(
     summary.partial = not batch.complete
     for sentence, cause in batch.failures.items():
         summary.messages.append(f"failed sentence {sentence[:40]!r}: {cause}")
-    return source_clip, pid, batch
+    return source_id, prompt_digest(prompt), batch
 
 
 def synth_stage(
@@ -288,52 +372,29 @@ def run_methodology_1(
     registry = registry or default_registry()
     adapters = resolve_adapters(config, registry)
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    source_clip, pid, batch = _m1_generate(config, adapters, summary, resume, workers)
-    tts = adapters[AdapterRole.TTS]
+    source_id, pid, batch = _m1_generate(config, adapters, summary, resume, workers)
 
-    constraints = ClipConstraints(required_rate_hz=tts.native_rate_hz)
-    ids_and_clips = [
-        (make_clip_id(source_clip.source_id, i), record.clip)
-        for i, record in enumerate(batch.records)
-    ]
-    kept_ids = set(_gate(ids_and_clips, constraints, summary.quality))
-
-    fmt = config.output.format
-    audio_format = AudioFormat.MP3 if fmt is OutputFormat.COMMON_VOICE else AudioFormat.WAV_PCM16
-    transcoder = adapters[AdapterRole.TRANSCODE]
-    entries: list[CorpusEntry] = []
-    audio: dict[str, EncodedAudio] = {}
-    prefix = "clips" if fmt is OutputFormat.COMMON_VOICE else "wavs"
-    extension = "mp3" if fmt is OutputFormat.COMMON_VOICE else "wav"
-    kept_durations: list[float] = []
-    for (clip_id, clip), record in zip(ids_and_clips, batch.records):
-        if clip_id not in kept_ids:
-            continue
-        audio[clip_id] = transcode(clip, audio_format, transcoder)
-        kept_durations.append(clip.duration_s)
-        entries.append(
+    candidates = [
+        (
             CorpusEntry(
-                clip_id=clip_id,
-                relative_audio_path=f"{prefix}/{clip_id}.{extension}",
+                clip_id=make_clip_id(source_id, i),
+                relative_audio_path="",
                 sentence=record.sentence,
                 client_id=client_id_for(pid),
                 locale=config.output.locale,
-            )
+            ),
+            record.clip,
         )
-    if not entries:
-        raise StageError("no generated clip passed quality gating", stage="quality")
-
+        for i, record in enumerate(batch.records)
+    ]
+    kept = _package(config, adapters, candidates, summary)
     summary.quality.metrics.update(
         {
-            "clips_in": float(summary.clips_in),
             "sentences_requested": float(len(config.generation.sentences)),
             "sentences_generated": float(len(batch.records)),
-            "entries_written": float(len(entries)),
-            "mean_clip_duration_s": sum(kept_durations) / len(kept_durations),
+            "mean_clip_duration_s": sum(clip.duration_s for clip in kept) / len(kept),
         }
     )
-    summary.entries_written = len(entries)
-    _write_dataset(config, entries, audio, fmt, full_equality=fmt is OutputFormat.COMMON_VOICE)
     summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
     return summary
 
@@ -364,61 +425,26 @@ def _prepare_lj_training_set(
             source_id=source_clip.source_id,
         )
 
-    constraints = ClipConstraints(required_rate_hz=config.training.target_sample_rate_hz)
-    ids_and_clips = [
-        (make_clip_id(source_clip.source_id, i), clip) for i, (clip, _) in enumerate(pairs)
-    ]
-    kept_ids = set(_gate(ids_and_clips, constraints, summary.quality))
-    for (clip_id, _), (_, text) in zip(ids_and_clips, pairs):
-        if "|" in text and clip_id in kept_ids:
-            kept_ids.discard(clip_id)
-            summary.quality.per_clip[clip_id].append(
-                Issue(
-                    code="delimiter",
-                    severity=Severity.FAIL,
-                    message="transcript contains the LJ '|' delimiter",
-                )
-            )
-
-    transcoder = adapters[AdapterRole.TRANSCODE]
-    entries: list[CorpusEntry] = []
-    audio: dict[str, EncodedAudio] = {}
-    kept_clips: list[AudioClip] = []
-    for (clip_id, clip), (_, text) in zip(ids_and_clips, pairs):
-        if clip_id not in kept_ids:
-            continue
-        audio[clip_id] = transcode(clip, AudioFormat.WAV_PCM16, transcoder)
-        kept_clips.append(clip)
-        entries.append(
+    source_id = source_clip.source_id
+    candidates = [
+        (
             CorpusEntry(
-                clip_id=clip_id,
-                relative_audio_path=f"wavs/{clip_id}.wav",
+                clip_id=make_clip_id(source_id, i),
+                relative_audio_path="",
                 sentence=text,
-                client_id=client_id_for(source_clip.source_id),
+                client_id=client_id_for(source_id),
                 locale=config.output.locale,
-            )
+            ),
+            clip,
         )
-    if not entries:
-        raise StageError("no sliced clip passed quality gating", stage="quality")
-
-    for warning in validate_training_data(kept_clips, config.training.target_sample_rate_hz):
-        summary.messages.append(warning)
-
-    summary.quality.metrics.update(
-        {
-            "clips_in": float(summary.clips_in),
-            "entries_written": float(len(entries)),
-            "total_speech_s": float(sum(c.duration_s for c in kept_clips)),
-        }
-    )
-    summary.entries_written = len(entries)
+        for i, (clip, text) in enumerate(pairs)
+    ]
+    kept = _package(config, adapters, candidates, summary)
+    summary.messages.extend(validate_training_data(kept, config.training.target_sample_rate_hz))
+    summary.quality.metrics["total_speech_s"] = float(sum(clip.duration_s for clip in kept))
 
     root = Path(config.output.root)
-    root.mkdir(parents=True, exist_ok=True)
-    write_lj(entries, audio, root, config.output.split)
-    _verify_readback(root, OutputFormat.LJ, entries, full_equality=False)
     write_training_config(config.training, root / TRAINING_CONFIG_NAME)
-    summary.quality.save(root / QUALITY_REPORT_NAME)
     summary.messages.append(
         f"training corpus and {TRAINING_CONFIG_NAME} written to {root}; train a model on it, "
         "then set conversion.model_ref and conversion.index_ref to run the conversion phase"
@@ -437,63 +463,22 @@ def _convert_corpus(
         raise StageError(f"input corpus {input_root} has no entries", stage="convert")
 
     transcoder = adapters[AdapterRole.TRANSCODE]
-    vc = adapters[AdapterRole.VC]
-
-    converted: list[tuple[CorpusEntry, AudioClip]] = []
+    candidates: list[tuple[CorpusEntry, AudioClip]] = []
     for entry in input_entries:
-        payload = (input_root / entry.relative_audio_path).read_bytes()
-        try:
-            samples, rate = transcoder.decode(payload, AudioFormat.MP3.value)
-        except Exception as exc:
-            raise StageError(
-                f"cannot decode {entry.relative_audio_path}: {exc}",
-                stage="convert",
-                source_id=entry.clip_id,
-            ) from exc
-        clip = AudioClip(samples=samples, sample_rate_hz=rate, source_id=entry.clip_id)
-        converted.append(
-            (entry, convert_voice(clip, conv.model_ref, conv.index_ref, conv.params, vc))
-        )
-
-    constraints = ClipConstraints(required_rate_hz=vc.native_rate_hz)
-    kept_ids = set(
-        _gate([(entry.clip_id, clip) for entry, clip in converted], constraints, summary.quality)
-    )
-
-    entries: list[CorpusEntry] = []
-    audio: dict[str, EncodedAudio] = {}
-    for entry, clip in converted:
-        if entry.clip_id not in kept_ids:
-            continue
-        audio[entry.clip_id] = transcode(clip, AudioFormat.MP3, transcoder)
-        entries.append(
-            CorpusEntry(
-                clip_id=entry.clip_id,
-                relative_audio_path=f"clips/{entry.clip_id}.mp3",
-                sentence=entry.sentence,
-                client_id=client_id_for(conv.model_ref),
-                up_votes=entry.up_votes,
-                down_votes=entry.down_votes,
-                age=entry.age,
-                gender=entry.gender,
-                accents=entry.accents,
-                locale=entry.locale or config.output.locale,
-                segment=entry.segment,
-                extra=dict(entry.extra),
+        clip = _decode_clip(input_root, entry, OutputFormat.COMMON_VOICE, transcoder)
+        candidates.append(
+            (
+                replace(
+                    entry,
+                    client_id=client_id_for(conv.model_ref),
+                    locale=entry.locale or config.output.locale,
+                ),
+                convert_voice(
+                    clip, conv.model_ref, conv.index_ref, conv.params, adapters[AdapterRole.VC]
+                ),
             )
         )
-    if not entries:
-        raise StageError("no converted clip passed quality gating", stage="quality")
-
-    summary.quality.metrics.update(
-        {
-            "clips_in": float(summary.clips_in),
-            "entries_written": float(len(entries)),
-        }
-    )
-    summary.entries_written = len(entries)
-    _write_dataset(config, entries, audio, OutputFormat.COMMON_VOICE, full_equality=True)
-    summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
+    _package(config, adapters, candidates, summary)
 
 
 def run_methodology_2(
@@ -515,6 +500,7 @@ def run_methodology_2(
         _prepare_lj_training_set(config, adapters, summary, work)
     else:
         _convert_corpus(config, adapters, summary)
+    summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
     return summary
 
 
@@ -534,27 +520,14 @@ def validate_dataset(
     config: PipelineConfig, registry: AdapterRegistry | None = None
 ) -> QualityReport:
     """Re-validate an already-written dataset at the configured output root."""
-    registry = registry or default_registry()
+    adapters = resolve_adapters(config, registry or default_registry())
     root = Path(config.output.root)
-    fmt = config.output.format
-    if config.methodology is Methodology.BARK_PROMPT:
-        required_rate = registry.resolve(
-            AdapterRole.TTS, config.adapters[AdapterRole.TTS]
-        ).native_rate_hz
-    else:
-        required_rate = config.training.target_sample_rate_hz
-
-    entries = read_common_voice(root) if fmt is OutputFormat.COMMON_VOICE else read_lj(root)
-    transcoder = registry.resolve(AdapterRole.TRANSCODE, config.adapters[AdapterRole.TRANSCODE])
+    fmt = _dataset_format(config)
+    constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
+    entries = _read_dataset(config)
     report = QualityReport()
-    constraints = ClipConstraints(required_rate_hz=required_rate)
     for entry in entries:
-        payload = (root / entry.relative_audio_path).read_bytes()
-        if fmt is OutputFormat.COMMON_VOICE:
-            samples, rate = transcoder.decode(payload, AudioFormat.MP3.value)
-        else:
-            samples, rate = decode_wav_pcm16(payload)
-        clip = AudioClip(samples=samples, sample_rate_hz=rate, source_id=entry.clip_id)
+        clip = _decode_clip(root, entry, fmt, adapters[AdapterRole.TRANSCODE])
         report.add(entry.clip_id, validate_clip(clip, constraints))
     report.metrics["entries"] = float(len(entries))
     report.metrics["failing_entries"] = float(len(report.failing_clip_ids()))
@@ -605,21 +578,7 @@ def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None
     adapters = resolve_adapters(config, registry)
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
-    codec = adapters[AdapterRole.CODEC]
-    clip = _acquire_decoded(config, adapters, work, codec.native_rate_hz)
-    segments = segment(clip, config.preprocessing.segmentation)
-    if not segments:
-        raise StageError("source yields no full segment", stage="segment", source_id=clip.source_id)
-    fine, _ = extract_codebooks(segments[0], codec, PROMPT_N_COARSE)
-    semantic = extract_semantic_tokens(
-        segments[0], adapters[AdapterRole.SEMANTIC_ENCODER], adapters[AdapterRole.TOKEN_QUANTIZER]
-    )
-    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, clip.source_id)
-    assets = work / "assets"
-    assets.mkdir(parents=True, exist_ok=True)
-    path = assets / f"prompt_{prompt_digest(prompt)}.npz"
-    save_prompt(prompt, path)
-    return path
+    return _speaker_prompt(config, adapters, work)[3]
 
 
 def train_config_stage(config: PipelineConfig) -> Path:

@@ -178,14 +178,3 @@ def transcode(clip: AudioClip, format: AudioFormat, codec: TranscodeAdapter) -> 
         sample_rate_hz=clip.sample_rate_hz,
         duration_s=clip.duration_s,
     )
-
-
-def transcode_decode(encoded: EncodedAudio, codec: TranscodeAdapter) -> AudioClip:
-    """Inverse of transcode; used by read-back verification."""
-    try:
-        samples, rate = codec.decode(encoded.payload, encoded.format.value)
-    except (ConfigurationError, ValidationError, FormatError):
-        raise
-    except Exception as exc:
-        raise StageError(f"decode of {encoded.format.value} failed: {exc}", stage="transcode") from exc
-    return AudioClip(samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)

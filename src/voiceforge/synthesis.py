@@ -2,8 +2,10 @@
 
 Batch runs persist every finished clip as `<sentence sha256>.wav` and append
 one JSON line per outcome to a journal, so an interrupted run resumes by
-replaying the journal instead of regenerating audio. Because clips are
-PCM16-quantized before hitting disk both times, a resumed run is
+replaying the journal instead of regenerating audio. A journal line also
+records the context the clip was made under (prompt, generation params and
+TTS adapter id), and a clip is reused only under the same context. Because
+clips are PCM16-quantized before hitting disk both times, a resumed run is
 byte-identical to an uninterrupted one.
 """
 
@@ -12,9 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from threading import Lock
 
@@ -59,7 +60,6 @@ class GenerationRecord:
     clip: AudioClip
     params: GenerationParams
     prompt_id: str
-    created_at: float
 
     def __post_init__(self) -> None:
         if not self.sentence.strip():
@@ -159,6 +159,7 @@ def batch_synthesize(
     prompt: SpeakerPrompt,
     params: GenerationParams,
     backend: TtsAdapter,
+    backend_id: str,
     work_dir: str | Path,
     retries: int = DEFAULT_RETRIES,
     workers: int = 1,
@@ -167,8 +168,10 @@ def batch_synthesize(
 
     Clips land in `<work_dir>/clips/<sentence sha256>.wav` and the journal at
     `<work_dir>/journal.jsonl` records one {sentence_sha256, output_path,
-    status} object per attempt outcome. Reruns skip sentences whose journal
-    status is "ok" and whose clip file still exists.
+    status} object per attempt outcome; "ok" lines add a `context` digest of
+    the prompt, `params` and `backend_id` (the TTS adapter's registry id).
+    Reruns skip sentences whose journal status is "ok", whose context matches
+    this call's, and whose clip file still exists.
     """
     if not sentences:
         return BatchResult(records=[])
@@ -184,6 +187,8 @@ def batch_synthesize(
     journal_path = work_dir / JOURNAL_NAME
     journal = _read_journal(journal_path)
     pid = prompt_digest(prompt)
+    context_doc = {"prompt": pid, "params": asdict(params), "tts": backend_id}
+    context = hashlib.sha256(json.dumps(context_doc, sort_keys=True).encode("utf-8")).hexdigest()
 
     backend_lock = Lock()
 
@@ -199,9 +204,9 @@ def batch_synthesize(
         raise last_error
 
     def restore(sentence: str) -> AudioClip | None:
-        """Clip from a previous run, if the journal says it finished."""
+        """Clip from a previous run, if the journal says it finished under this context."""
         entry = journal.get(sentence_digest(sentence))
-        if not entry or entry.get("status") != "ok":
+        if not entry or entry.get("status") != "ok" or entry.get("context") != context:
             return None
         clip_path = Path(entry["output_path"])
         if not clip_path.is_file():
@@ -225,16 +230,15 @@ def batch_synthesize(
             outcome = load_wav(clip_path)  # requantized samples, as any rerun would see them
             _append_journal(
                 journal_path,
-                {"sentence_sha256": sha, "output_path": str(clip_path), "status": "ok"},
+                {
+                    "sentence_sha256": sha,
+                    "output_path": str(clip_path),
+                    "status": "ok",
+                    "context": context,
+                },
             )
         records.append(
-            GenerationRecord(
-                sentence=sentence,
-                clip=outcome,
-                params=params,
-                prompt_id=pid,
-                created_at=time.time(),
-            )
+            GenerationRecord(sentence=sentence, clip=outcome, params=params, prompt_id=pid)
         )
 
     pending: list[tuple[str, Future[AudioClip] | None, AudioClip | None]] = []

@@ -116,6 +116,8 @@ def _run_cli(args: list[str], cwd: Path, env_extra: dict[str, str]) -> subproces
 
     env = dict(os.environ)
     env.pop("VOICEFORGE_MOCK_TTS_ABORT_AFTER", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "voiceforge.cli", *args],

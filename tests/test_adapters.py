@@ -130,8 +130,6 @@ class TestMockMedia:
         assert samples.size == 32000
         again, _ = decoder.decode(str(dest))
         assert np.array_equal(samples, again)
-        info = decoder.probe(str(dest))
-        assert info.duration_s == pytest.approx(2.0)
 
     def test_decoder_rejects_unknown_container(self, tmp_path):
         path = tmp_path / "junk.bin"

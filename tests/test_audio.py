@@ -15,7 +15,6 @@ from voiceforge.audio import (
     quantize_pcm16,
     resample,
     save_wav,
-    wav_duration_s,
 )
 from voiceforge.errors import FormatError, ValidationError
 
@@ -193,10 +192,6 @@ def test_decoder_rejects_float_pcm():
     payload[20:22] = struct.pack("<H", 3)  # IEEE float format tag
     with pytest.raises(FormatError, match="PCM16"):
         decode_wav_pcm16(bytes(payload))
-
-
-def test_wav_duration_helper():
-    assert wav_duration_s(encode_wav_pcm16(_clip(n=4000, rate=8000))) == 0.5
 
 
 def test_save_and_load_wav(tmp_path):

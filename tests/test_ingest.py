@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from voiceforge.adapters.base import DownloadResult, MediaInfo
+from voiceforge.adapters.base import DownloadResult
 from voiceforge.adapters.builtin import WavFileDecoder
 from voiceforge.adapters.mocks import MockDecoder, MockDownloader
 from voiceforge.audio import encode_wav_pcm16, quantize_pcm16, AudioClip
@@ -167,9 +167,6 @@ class TestDecode:
 
     def test_channel_major_decoder_output_downmixes(self, tmp_path):
         class TwoChannelDecoder:
-            def probe(self, path: str) -> MediaInfo:
-                return MediaInfo(container_format="raw")
-
             def decode(self, path: str):
                 return np.stack([np.full(100, 0.5), np.full(100, -0.5)]), 16000
 

@@ -36,14 +36,14 @@ def _isolated_env(monkeypatch):
     monkeypatch.delenv("VOICEFORGE_MOCK_TTS_ABORT_AFTER", raising=False)
 
 
-def _m1_config(root, sentences=SENTENCES, adapters=None):
+def _m1_config(root, sentences=SENTENCES, adapters=None, seed=11):
     merged = {"downloader": "mock", "decoder": "mock"}
     merged.update(adapters or {})
     return parse_config(
         {
             "methodology": "bark_prompt",
             "source": {"uri": "mock://talk?duration=45&rate=24000&seed=7"},
-            "generation": {"seed": 11, "sentences": list(sentences)},
+            "generation": {"seed": seed, "sentences": list(sentences)},
             "output": {"root": str(root), "split": {"valid_fraction": 0.34, "seed": 5}},
             "adapters": merged,
         }
@@ -131,6 +131,8 @@ class TestPlanAndWiring:
         steps = pipeline.plan(config)
         assert any("read input corpus" in s for s in steps)
         assert any("convert every clip" in s for s in steps)
+        assert config.output.format.value == "lj"  # the rvc default
+        assert steps[-1].startswith("package as common_voice")
 
     def test_unknown_adapter_fails_before_any_work(self, tmp_path):
         root = tmp_path / "out"
@@ -214,6 +216,24 @@ class TestGenerationRun:
             if any(i["code"] == "duration_short" for i in issues)
         ]
         assert len(failing) == 1
+
+    def test_resume_under_a_new_seed_matches_a_fresh_run(self, tmp_path):
+        root = tmp_path / "out"
+
+        def tree():
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        pipeline.run(_m1_config(root, seed=42))
+        seed_42 = tree()
+        pipeline.run(_m1_config(root, seed=999), resume=True)
+        resumed = tree()
+        pipeline.run(_m1_config(root, seed=999))
+        assert resumed != seed_42
+        assert resumed == tree()
 
     def test_too_short_source_is_a_stage_error(self, tmp_path):
         config = parse_config(
@@ -314,6 +334,9 @@ class TestConversionRun:
         pipeline.run(config)
         assert (root / "train.tsv").is_file()
         assert not (root / "train.txt").exists()
+        report = pipeline.validate_dataset(config)
+        assert report.metrics["entries"] == 3.0
+        assert report.metrics["failing_entries"] == 0.0
 
     def test_empty_input_corpus_is_a_stage_error(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -20,7 +20,6 @@ from voiceforge.preprocess import (
     segment,
     separate_vocals,
     transcode,
-    transcode_decode,
 )
 
 
@@ -155,13 +154,6 @@ class TestTranscode:
         assert len(encoded.payload) == 44 + 2 * 8000
         assert encoded.sample_rate_hz == 8000
         assert encoded.duration_s == 1.0
-
-    def test_round_trip_through_codec(self):
-        clip = _clip(0.5)
-        encoded = transcode(clip, AudioFormat.MP3, MockTranscodeAdapter())
-        out = transcode_decode(encoded, MockTranscodeAdapter())
-        assert out.sample_rate_hz == clip.sample_rate_hz
-        assert out.n_samples == clip.n_samples
 
     def test_empty_clip_rejected(self):
         empty = AudioClip(samples=np.zeros(0, np.float32), sample_rate_hz=8000)

@@ -153,7 +153,7 @@ class TestBatchSynthesize:
     def test_fresh_batch_writes_clips_and_journal(self, tmp_path):
         prompt = _prompt()
         result = batch_synthesize(
-            SENTENCES, prompt, default_generation_params(), MockTtsAdapter(), tmp_path
+            SENTENCES, prompt, default_generation_params(), MockTtsAdapter(), "mock", tmp_path
         )
         assert result.complete
         assert [r.sentence for r in result.records] == SENTENCES
@@ -167,7 +167,12 @@ class TestBatchSynthesize:
 
     def test_records_hold_requantized_samples(self, tmp_path):
         result = batch_synthesize(
-            SENTENCES[:1], _prompt(), default_generation_params(), MockTtsAdapter(), tmp_path
+            SENTENCES[:1],
+            _prompt(),
+            default_generation_params(),
+            MockTtsAdapter(),
+            "mock",
+            tmp_path,
         )
         record = result.records[0]
         on_disk = load_wav(tmp_path / CLIP_DIR_NAME / f"{sentence_digest(record.sentence)}.wav")
@@ -176,7 +181,7 @@ class TestBatchSynthesize:
     def test_transient_failure_is_retried(self, tmp_path):
         backend = FlakyBackend(SENTENCES[1], failures=1)
         result = batch_synthesize(
-            SENTENCES, _prompt(), default_generation_params(), backend, tmp_path
+            SENTENCES, _prompt(), default_generation_params(), backend, "mock", tmp_path
         )
         assert result.complete
         assert backend.calls == len(SENTENCES) + 1
@@ -184,7 +189,7 @@ class TestBatchSynthesize:
     def test_persistent_failure_is_isolated(self, tmp_path):
         backend = FlakyBackend(SENTENCES[1], failures=10)
         result = batch_synthesize(
-            SENTENCES, _prompt(), default_generation_params(), backend, tmp_path, retries=2
+            SENTENCES, _prompt(), default_generation_params(), backend, "mock", tmp_path, retries=2
         )
         assert not result.complete
         assert list(result.failures) == [SENTENCES[1]]
@@ -198,15 +203,15 @@ class TestBatchSynthesize:
 
         with pytest.raises(BatchError, match="every sentence"):
             batch_synthesize(
-                SENTENCES, _prompt(), default_generation_params(), Dead(), tmp_path
+                SENTENCES, _prompt(), default_generation_params(), Dead(), "mock", tmp_path
             )
 
     def test_rerun_restores_from_journal(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
-        first = batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), tmp_path)
+        first = batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
         backend = CountingBackend()
-        second = batch_synthesize(SENTENCES, prompt, params, backend, tmp_path)
+        second = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 0
         for a, b in zip(first.records, second.records):
             assert a.sentence == b.sentence
@@ -214,27 +219,59 @@ class TestBatchSynthesize:
         journal = (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8")
         assert len(journal.splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"prompt": _prompt(source_id="other")},
+            {"params": GenerationParams(text_temp=0.85, waveform_temp=0.7, seed=999)},
+            {"backend_id": "other-tts"},
+        ],
+        ids=["prompt", "params", "backend_id"],
+    )
+    def test_rerun_under_another_context_regenerates(self, tmp_path, change):
+        context = {"prompt": _prompt(), "params": default_generation_params(), "backend_id": "mock"}
+        batch_synthesize(
+            SENTENCES,
+            context["prompt"],
+            context["params"],
+            MockTtsAdapter(),
+            context["backend_id"],
+            tmp_path,
+        )
+        context.update(change)
+        backend = CountingBackend()
+        result = batch_synthesize(
+            SENTENCES,
+            context["prompt"],
+            context["params"],
+            backend,
+            context["backend_id"],
+            tmp_path,
+        )
+        assert backend.calls == len(SENTENCES)
+        assert result.complete
+
     def test_torn_journal_line_is_redone(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
-        batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), tmp_path)
+        batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
         journal_path = tmp_path / JOURNAL_NAME
         lines = journal_path.read_text(encoding="utf-8").splitlines()
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         backend = CountingBackend()
-        result = batch_synthesize(SENTENCES, prompt, params, backend, tmp_path)
+        result = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 1
         assert result.complete
 
     def test_missing_clip_file_is_regenerated(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
-        batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), tmp_path)
+        batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
         victim = tmp_path / CLIP_DIR_NAME / f"{sentence_digest(SENTENCES[0])}.wav"
         victim.unlink()
         backend = CountingBackend()
-        result = batch_synthesize(SENTENCES, prompt, params, backend, tmp_path)
+        result = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 1
         assert result.complete
         assert victim.is_file()
@@ -243,10 +280,10 @@ class TestBatchSynthesize:
         prompt = _prompt()
         params = default_generation_params()
         serial = batch_synthesize(
-            SENTENCES, prompt, params, MockTtsAdapter(), tmp_path / "serial"
+            SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path / "serial"
         )
         threaded = batch_synthesize(
-            SENTENCES, prompt, params, MockTtsAdapter(), tmp_path / "threaded", workers=3
+            SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path / "threaded", workers=3
         )
         assert [r.sentence for r in threaded.records] == [r.sentence for r in serial.records]
         for a, b in zip(serial.records, threaded.records):
@@ -254,7 +291,7 @@ class TestBatchSynthesize:
 
     def test_empty_batch_is_trivially_complete(self, tmp_path):
         result = batch_synthesize(
-            [], _prompt(), default_generation_params(), MockTtsAdapter(), tmp_path
+            [], _prompt(), default_generation_params(), MockTtsAdapter(), "mock", tmp_path
         )
         assert result == BatchResult(records=[])
         assert result.complete
@@ -262,7 +299,12 @@ class TestBatchSynthesize:
     def test_blank_sentence_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             batch_synthesize(
-                ["ok", " "], _prompt(), default_generation_params(), MockTtsAdapter(), tmp_path
+                ["ok", " "],
+                _prompt(),
+                default_generation_params(),
+                MockTtsAdapter(),
+                "mock",
+                tmp_path,
             )
 
     def test_worker_count_validated(self, tmp_path):
@@ -272,6 +314,7 @@ class TestBatchSynthesize:
                 _prompt(),
                 default_generation_params(),
                 MockTtsAdapter(),
+                "mock",
                 tmp_path,
                 workers=0,
             )
