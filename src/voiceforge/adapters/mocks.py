@@ -59,6 +59,12 @@ def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-speech: harmonic utterances separated by silence."""
     rng = np.random.default_rng(seed)
     out = np.zeros(n_samples, dtype=np.float32)
+    # utterances are shorter than 6 s (the uniform draw below), so one time
+    # axis and two scratch buffers of that length serve every utterance
+    cap = min(n_samples, int(6.0 * rate))
+    t_axis = np.arange(cap, dtype=np.float64) / rate
+    wave_buf = np.empty(cap, dtype=np.float64)
+    tmp_buf = np.empty(cap, dtype=np.float64)
     pos = 0
     while pos < n_samples:
         utter = int(rng.uniform(2.0, 6.0) * rate)
@@ -66,38 +72,53 @@ def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
         f0 = rng.uniform(90.0, 220.0)
         seg = min(utter, n_samples - pos)
         if seg > 0:
-            t = np.arange(seg, dtype=np.float64) / rate
-            wave = np.zeros(seg, dtype=np.float64)
+            # same draws and the same float64 operations, in the same order, as
+            # 0.45 * sum(amp * sin(...)) * vibrato * env, so the output bytes hold
+            t, wave, tmp = t_axis[:seg], wave_buf[:seg], tmp_buf[:seg]
+            wave.fill(0.0)
             for k, amp in ((1, 0.5), (2, 0.25), (3, 0.12)):
-                wave += amp * np.sin(2.0 * np.pi * f0 * k * t + rng.uniform(0, 2 * np.pi))
-            vibrato = 1.0 + 0.15 * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * t)
+                np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
+                tmp += rng.uniform(0, 2 * np.pi)
+                np.sin(tmp, out=tmp)
+                tmp *= amp
+                wave += tmp
+            np.multiply(t, 2.0 * np.pi * rng.uniform(3.0, 6.0), out=tmp)
+            np.sin(tmp, out=tmp)
+            tmp *= 0.15
+            tmp += 1.0  # vibrato
+            wave *= 0.45
+            wave *= tmp
+            # fade in and out over `edge` samples; where the two ramps would
+            # overlap (a very short last utterance) the fade-out wins
             edge = max(1, int(0.02 * rate))
-            env = np.ones(seg, dtype=np.float64)
             ramp = np.linspace(0.0, 1.0, min(edge, seg))
-            env[: ramp.size] = ramp
-            env[seg - ramp.size :] = ramp[::-1]
-            out[pos : pos + seg] = (0.45 * wave * vibrato * env).astype(np.float32)
+            head = min(ramp.size, seg - ramp.size)
+            wave[:head] *= ramp[:head]
+            wave[seg - ramp.size :] *= ramp[::-1]
+            out[pos : pos + seg] = wave
         pos += utter + gap
-    return np.clip(out, -1.0, 1.0)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _voiced_spans(samples: np.ndarray, rate: int) -> list[tuple[int, int]]:
-    """Sample-index spans of non-silent audio, merged over gaps < 0.3 s."""
-    active = np.abs(samples) >= SILENCE_EPS
-    if not active.any():
-        return []
-    idx = np.flatnonzero(active)
+    """Sample-index spans of non-silent audio, merged over gaps < 0.3 s.
+
+    Two voiced samples i < j with no voiced sample between them fall into
+    one span when j - i <= int(0.3 * rate).
+    """
+    voiced = np.abs(samples) >= SILENCE_EPS
     gap = int(0.3 * rate)
-    spans: list[tuple[int, int]] = []
-    start = prev = int(idx[0])
-    for i in idx[1:]:
-        i = int(i)
-        if i - prev > gap:
-            spans.append((start, prev + 1))
-            start = i
-        prev = i
-    spans.append((start, prev + 1))
-    return spans
+    if gap == 0:  # below 4 Hz even neighbouring samples are more than `gap` apart
+        return [(i, i + 1) for i in np.flatnonzero(voiced).tolist()]
+    edges = np.diff(voiced.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)  # one past the last sample of each voiced run
+    if starts.size == 0:
+        return []
+    # run k's last voiced sample is ends[k] - 1, so the next run stays in the
+    # span unless starts[k + 1] - (ends[k] - 1) > gap
+    split = starts[1:] - ends[:-1] >= gap
+    return list(zip(starts[np.r_[True, split]].tolist(), ends[np.r_[split, True]].tolist()))
 
 
 class MockDownloader:

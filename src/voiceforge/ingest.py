@@ -146,10 +146,16 @@ def acquire_source(
 
 
 def source_id_for(path: str | Path) -> str:
-    """Stable 16-hex identifier for a media file: hash of absolute path + mtime."""
-    resolved = Path(path).resolve()
-    mtime_ns = resolved.stat().st_mtime_ns
-    return hashlib.sha256(f"{resolved}|{mtime_ns}".encode("utf-8")).hexdigest()[:16]
+    """Stable 16-hex identifier for a media file: SHA-256 of its bytes.
+
+    The id follows the content alone, so the same media gives the same clip
+    ids from any cache directory, path or modification time.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
 
 
 def decode_to_audio(

@@ -450,6 +450,23 @@ def test_end_to_end_runs_are_byte_identical(tmp_path):
         assert "sample_rate=32000" in config_text
 
 
+def test_end_to_end_runs_agree_across_cache_dirs(tmp_path):
+    # clip ids, split membership and client ids follow the source's bytes,
+    # not the directory the downloaded source is cached in
+    with _Budget(60.0):
+        for name, template in (("m1", M1_CONFIG), ("m2", M2_CONFIG)):
+            (tmp_path / f"{name}.yaml").write_text(
+                template.format(root=f"out_{name}"), encoding="utf-8"
+            )
+            trees = []
+            for cache in ("cache_a", "cache_b"):
+                env = {"VOICEFORGE_CACHE_DIR": str(tmp_path / cache)}
+                proc = _run_cli(["run", "--config", f"{name}.yaml"], tmp_path, env)
+                assert proc.returncode == 0, proc.stderr + proc.stdout
+                trees.append(_tree_bytes(tmp_path / f"out_{name}"))
+            assert trees[0] == trees[1]
+
+
 def test_killed_batch_resumes_to_identical_dataset(tmp_path):
     cache = {"VOICEFORGE_CACHE_DIR": str(tmp_path / "cache")}
     with _Budget(30.0):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from voiceforge.adapters.mocks import (
     MockTranscodeAdapter,
     MockTtsAdapter,
     MockVcAdapter,
+    _voiced_spans,
     speechlike_waveform,
 )
 from voiceforge.config import DEFAULT_ADAPTERS
@@ -41,7 +44,7 @@ from voiceforge.errors import (
     RegistryError,
 )
 from voiceforge.synthesis import default_generation_params
-from voiceforge.transcribe import AsrConfig
+from voiceforge.transcribe import AsrConfig, SpeakerTurn, TranscriptSegment
 
 
 class TestRegistry:
@@ -244,3 +247,98 @@ class TestTranscoders:
             codec.encode(np.zeros(10, np.float32), 8000, "mp3")
         with pytest.raises(ConfigurationError):
             codec.decode(payload, "mp3")
+
+
+def _voiced_spans_loop(samples: np.ndarray, rate: int) -> list[tuple[int, int]]:
+    """Reference: the original per-sample loop over every voiced index."""
+    active = np.abs(samples) >= 1e-4
+    if not active.any():
+        return []
+    idx = np.flatnonzero(active)
+    gap = int(0.3 * rate)
+    spans: list[tuple[int, int]] = []
+    start = prev = int(idx[0])
+    for i in idx[1:]:
+        i = int(i)
+        if i - prev > gap:
+            spans.append((start, prev + 1))
+            start = i
+        prev = i
+    spans.append((start, prev + 1))
+    return spans
+
+
+def _mask_samples(mask) -> np.ndarray:
+    return np.where(np.asarray(mask, dtype=bool), 0.5, 0.0).astype(np.float32)
+
+
+def test_voiced_spans_match_loop_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        rate = int(rng.integers(1, 61))
+        n = int(rng.integers(0, 120))
+        density = rng.uniform(0.02, 0.98)
+        mask = rng.random(n) < density
+        # silent samples just under the threshold, voiced ones of either sign
+        voiced = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-4, 1.0, n)
+        samples = np.where(mask, voiced, rng.uniform(-9e-5, 9e-5, n)).astype(np.float32)
+        assert _voiced_spans(samples, rate) == _voiced_spans_loop(samples, rate), (rate, n)
+
+    cases = {
+        "all silent": ([0] * 50, 10, []),
+        "empty": ([], 10, []),
+        "single voiced sample": ([0] * 7 + [1] + [0] * 7, 10, [(7, 8)]),
+        "voice at first and last sample": ([1] + [0] * 20 + [1], 10, [(0, 1), (21, 22)]),
+        # int(0.3 * 10) == 3: voiced samples 3 apart merge, 4 apart split
+        "gap equal to int(0.3*rate)": ([1, 1, 0, 0, 1, 1], 10, [(0, 6)]),
+        "gap one sample longer": ([1, 1, 0, 0, 0, 1, 1], 10, [(0, 2), (5, 7)]),
+        # int(0.3 * 3) == 0: even adjacent voiced samples are separate spans
+        "rate below 4 Hz": ([1, 1, 0, 1], 3, [(0, 1), (1, 2), (3, 4)]),
+        "rate 4 Hz": ([1, 1, 0, 1], 4, [(0, 2), (3, 4)]),
+    }
+    for name, (mask, rate, expected) in cases.items():
+        samples = _mask_samples(mask)
+        assert _voiced_spans(samples, rate) == expected, name
+        assert _voiced_spans_loop(samples, rate) == expected, name
+
+
+def _fixed_ten_seconds() -> np.ndarray:
+    rate = 16000
+    samples = speechlike_waveform(10 * rate, rate, seed=5)
+    samples[rate : rate + 1600] = 0.0  # 0.1 s hole inside an utterance: merged over
+    samples[int(2.5 * rate) : int(3.5 * rate)] = 0.0  # 1 s hole: splits the utterance
+    samples[int(2.9 * rate) : int(3.05 * rate)] = 0.25  # 0.15 s burst: too short for ASR
+    return samples
+
+
+def test_mock_asr_and_diarization_spans_are_pinned():
+    samples = _fixed_ten_seconds()
+    segments = MockAsrAdapter().transcribe(samples, 16000, AsrConfig(language="hi"))
+    assert segments == [
+        TranscriptSegment(start_s=6.25e-05, end_s=2.5, text="किताबें ज्ञान का भंडार हैं"),
+        TranscriptSegment(start_s=3.5, end_s=5.2199375, text="मुझे संगीत सुनना पसंद है"),
+        TranscriptSegment(start_s=5.9431875, end_s=8.124125, text="बच्चे बगीचे में खेल रहे हैं"),
+        TranscriptSegment(start_s=8.54375, end_s=9.9999375, text="पानी जीवन के लिए आवश्यक है"),
+    ]
+    turns = MockDiarizationAdapter(n_speakers=2).diarize(samples, 16000)
+    assert turns == [
+        SpeakerTurn(start_s=6.25e-05, end_s=2.5, speaker_label="S0"),
+        SpeakerTurn(start_s=2.9, end_s=3.05, speaker_label="S1"),
+        SpeakerTurn(start_s=3.5, end_s=5.2199375, speaker_label="S0"),
+        SpeakerTurn(start_s=5.9431875, end_s=8.124125, speaker_label="S1"),
+        SpeakerTurn(start_s=8.54375, end_s=9.9999375, speaker_label="S0"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_samples, rate, seed, sha256",
+    [
+        (441000, 44100, 1, "7a81ae092d23c065df8a64037c721f05911ddc5f03885b5e02b6930cbfb02fa0"),
+        (240000, 24000, 7, "65b6ea977916e96074d231ef3461c44fa19d9b6b501aade83335919126189fcd"),
+        (16001, 16000, 3, "5a28a909a788a909b921f139329bee3300f18186e49627e639cd78649035f393"),
+    ],
+)
+def test_speechlike_waveform_golden_bytes(n_samples, rate, seed, sha256):
+    wave = speechlike_waveform(n_samples, rate, seed)
+    assert wave.dtype == np.float32 and wave.size == n_samples
+    assert hashlib.sha256(wave.tobytes()).hexdigest() == sha256

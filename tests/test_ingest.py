@@ -104,15 +104,22 @@ class TestAcquire:
             acquire_source(spec, FailingDownloader(), cache_dir=tmp_path)
 
 
-def test_source_id_changes_with_mtime(tmp_path):
+def test_source_id_follows_content_not_path_or_mtime(tmp_path):
+    import hashlib
     import os
 
-    media = tmp_path / "a.wav"
-    media.write_bytes(b"x")
-    first = source_id_for(media)
-    assert first == source_id_for(media)
-    os.utime(media, ns=(1, 10**15))
-    assert source_id_for(media) != first
+    payload = bytes(range(256)) * 5000  # spans more than one read chunk
+    first = tmp_path / "a" / "talk.wav"
+    second = tmp_path / "b" / "copy.wav"
+    for path, mtime_ns in ((first, 10**15), (second, 2 * 10**15)):
+        path.parent.mkdir()
+        path.write_bytes(payload)
+        os.utime(path, ns=(mtime_ns, mtime_ns))
+    assert source_id_for(first) == source_id_for(second)
+    assert source_id_for(first) == hashlib.sha256(payload).hexdigest()[:16]
+
+    second.write_bytes(payload[:-1] + b"\x00")
+    assert source_id_for(second) != source_id_for(first)
 
 
 class TestDecode:
