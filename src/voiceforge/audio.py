@@ -25,6 +25,9 @@ PCM16_SCALE = 32767
 MIN_SAMPLE_RATE_HZ = 8000
 MAX_SAMPLE_RATE_HZ = 48000
 
+# Output samples per resample_poly call in `resample` (rounded down to a multiple of `up`).
+RESAMPLE_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -49,8 +52,9 @@ class AudioClip:
             raise ValidationError(f"sample_rate_hz must be a positive integer, got {self.sample_rate_hz!r}")
         if self.offset_s < 0:
             raise ValidationError(f"offset_s must be non-negative, got {self.offset_s}")
-        if samples.size and (np.max(samples) > 1.0 or np.min(samples) < -1.0):
-            raise ValidationError("samples exceed the [-1, 1] amplitude range")
+        # written so that NaN fails the comparison too
+        if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
+            raise ValidationError("samples exceed the [-1, 1] amplitude range or are NaN")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
@@ -94,35 +98,60 @@ def downmix_mean(channels: np.ndarray) -> np.ndarray:
 
 
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
-    """Polyphase resample to target_rate_hz; identity input passes through bit-exact."""
+    """Polyphase resample to target_rate_hz; identity input passes through bit-exact.
+
+    The output is filled one block of about RESAMPLE_BLOCK samples at a time,
+    each from a float64 copy of only the input window it needs, so memory
+    stays near the float32 input plus the float32 output. Each window starts
+    at a multiple of `down` and carries a margin of whole multiples of `down`
+    beyond the filter's half-length, so every kept sample is computed exactly
+    as a single call over the whole input would compute it.
+    """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
     if clip.sample_rate_hz == target_rate_hz or clip.is_empty:
         return replace(clip, sample_rate_hz=target_rate_hz)
     g = math.gcd(clip.sample_rate_hz, target_rate_hz)
     up, down = target_rate_hz // g, clip.sample_rate_hz // g
-    out = resample_poly(clip.samples.astype(np.float64), up, down)
-    # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
-    out = np.clip(out, -1.0, 1.0).astype(np.float32)
+    n_in = clip.n_samples
+    n_out = -(-n_in * up // down)
+    block = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
+    # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
+    reach = -(-10 * max(up, down) // up)
+    margin = -(-reach // down) * down
+    out = np.empty(n_out, dtype=np.float32)
+    for j0 in range(0, n_out, block):
+        j1 = min(j0 + block, n_out)
+        lo = max(0, j0 // up * down - margin)
+        hi = min(n_in, -(-j1 * down // up) + margin)
+        y = resample_poly(clip.samples[lo:hi].astype(np.float64), up, down)
+        y = y[j0 - lo // down * up : j1 - lo // down * up]
+        # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
+        np.clip(y, -1.0, 1.0, out=y)
+        out[j0:j1] = y
     return replace(clip, samples=out, sample_rate_hz=target_rate_hz)
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     """Float [-1, 1] -> int16 with symmetric scale (never emits -32768)."""
-    q = np.rint(np.asarray(samples, dtype=np.float64) * PCM16_SCALE)
-    return np.clip(q, -PCM16_SCALE, PCM16_SCALE).astype(np.int16)
+    q = np.array(samples, dtype=np.float64)
+    q *= PCM16_SCALE
+    np.rint(q, out=q)
+    np.clip(q, -PCM16_SCALE, PCM16_SCALE, out=q)
+    return q.astype(np.int16)
 
 
 def dequantize_pcm16(q: np.ndarray) -> np.ndarray:
     """int16 -> float32 in [-1, 1]; foreign -32768 values clamp to -1.0."""
-    x = np.asarray(q, dtype=np.float64) / PCM16_SCALE
-    return np.clip(x, -1.0, 1.0).astype(np.float32)
+    x = np.asarray(q).astype(np.float32)
+    x /= np.float32(PCM16_SCALE)
+    return np.maximum(x, -1, out=x)
 
 
 def encode_wav_pcm16(clip: AudioClip) -> bytes:
     """Serialize a clip as canonical RIFF/PCM16: 44-byte header + payload."""
     clip.require_non_empty("WAV encoding")
-    pcm = quantize_pcm16(clip.samples).astype("<i2").tobytes()
+    pcm = quantize_pcm16(clip.samples).astype("<i2", copy=False).tobytes()
     rate = clip.sample_rate_hz
     header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
@@ -138,13 +167,14 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
     """
     if len(payload) < 44 or payload[:4] != b"RIFF" or payload[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE payload")
+    view = memoryview(payload)  # chunk bodies are views, not copies of the payload
     pos = 12
     fmt = None
     data = None
-    while pos + 8 <= len(payload):
-        chunk_id = payload[pos : pos + 4]
-        (chunk_len,) = struct.unpack_from("<I", payload, pos + 4)
-        body = payload[pos + 8 : pos + 8 + chunk_len]
+    while pos + 8 <= len(view):
+        chunk_id = bytes(view[pos : pos + 4])
+        (chunk_len,) = struct.unpack_from("<I", view, pos + 4)
+        body = view[pos + 8 : pos + 8 + chunk_len]
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":

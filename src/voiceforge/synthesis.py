@@ -122,11 +122,18 @@ def synthesize(
             stage="synthesize",
             source_id=prompt.source_id,
         )
-    return AudioClip(
-        samples=samples,
-        sample_rate_hz=backend.native_rate_hz,
-        source_id=f"{prompt_digest(prompt)}:{sentence_digest(text)[:8]}",
-    )
+    try:
+        return AudioClip(
+            samples=samples,
+            sample_rate_hz=backend.native_rate_hz,
+            source_id=f"{prompt_digest(prompt)}:{sentence_digest(text)[:8]}",
+        )
+    except ValidationError as exc:
+        raise GenerationError(
+            f"TTS backend returned invalid audio for {text[:40]!r}: {exc}",
+            stage="synthesize",
+            source_id=prompt.source_id,
+        ) from exc
 
 
 def _read_journal(path: Path) -> dict[str, dict]:

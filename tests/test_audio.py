@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
+from voiceforge import audio
 from voiceforge.audio import (
     AudioClip,
     decode_wav_pcm16,
@@ -53,6 +57,10 @@ class TestAudioClip:
     def test_rejects_out_of_range_amplitude(self):
         with pytest.raises(ValidationError, match="amplitude"):
             AudioClip(samples=np.array([0.0, 1.5], np.float32), sample_rate_hz=8000)
+
+    def test_rejects_nan_samples(self):
+        with pytest.raises(ValidationError, match="amplitude"):
+            AudioClip(samples=np.array([0.0, np.nan, 0.5], np.float32), sample_rate_hz=8000)
 
     def test_rejects_negative_offset(self):
         with pytest.raises(ValidationError):
@@ -108,6 +116,63 @@ def test_resample_changes_rate_and_preserves_duration():
     assert float(np.abs(out.samples).max()) <= 1.0
 
 
+def _whole_array_resample(samples: np.ndarray, rate_hz: int, target_rate_hz: int) -> np.ndarray:
+    """Reference: one resample_poly call over the whole input, as before block-wise resampling."""
+    g = math.gcd(rate_hz, target_rate_hz)
+    out = resample_poly(samples.astype(np.float64), target_rate_hz // g, rate_hz // g)
+    return np.clip(out, -1.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "rate_hz,target_rate_hz",
+    [(44100, 32000), (24000, 32000), (48000, 24000), (8000, 48000), (32000, 44100)],
+)
+@pytest.mark.parametrize("block", [audio.RESAMPLE_BLOCK, 3000])
+def test_resample_matches_whole_array_oracle(monkeypatch, rate_hz, target_rate_hz, block):
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", block)
+    g = math.gcd(rate_hz, target_rate_hz)
+    up, down = target_rate_hz // g, rate_hz // g
+    one_block = max(up, block - block % up) // up * down  # input length of exactly one output block
+    lengths = [1, 2, down - 1, down, down + 1, one_block - 1, one_block, one_block + 1]
+    lengths.append(3 * one_block + 2 * down + 7)
+    rng = np.random.default_rng(rate_hz + target_rate_hz + block)
+    for n in sorted({n for n in lengths if n > 0}):
+        # full-scale square-ish content makes the filter overshoot, so the clip matters
+        samples = np.where(rng.random(n) < 0.5, -1.0, 1.0).astype(np.float32)
+        samples[: n // 2] *= rng.uniform(0.2, 1.0, n // 2).astype(np.float32)
+        out = resample(AudioClip(samples=samples, sample_rate_hz=rate_hz), target_rate_hz)
+        expected = _whole_array_resample(samples, rate_hz, target_rate_hz)
+        assert out.samples.tobytes() == expected.tobytes(), f"{n} samples"
+
+
+def test_resample_of_a_short_input_is_one_call(monkeypatch):
+    calls = []
+
+    def counting_resample_poly(x, up, down):
+        calls.append(x.size)
+        return resample_poly(x, up, down)
+
+    monkeypatch.setattr(audio, "resample_poly", counting_resample_poly)
+    clip = _clip(n=5 * 24000, rate=24000)
+    resample(clip, 32000)
+    assert calls == [clip.n_samples]
+
+
+def test_resample_memory_is_bounded_by_its_output():
+    n = 60 * 44100
+    samples = np.where(np.arange(n) % 200 < 100, -1.0, 1.0).astype(np.float32)
+    clip = AudioClip(samples=samples, sample_rate_hz=44100)
+    tracemalloc.start()
+    try:
+        out = resample(clip, 32000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.n_samples == 60 * 32000
+    # the float32 output plus a few float64 blocks, never a float64 copy of the whole input
+    assert peak < out.samples.nbytes + 10 * 2**20
+
+
 def test_quantize_is_symmetric():
     x = np.array([-1.0, 0.0, 1.0], np.float32)
     q = quantize_pcm16(x)
@@ -116,6 +181,14 @@ def test_quantize_is_symmetric():
 
 def test_dequantize_clamps_foreign_minimum():
     assert dequantize_pcm16(np.array([-32768], np.int16))[0] == -1.0
+
+
+def test_dequantize_matches_float64_formula_on_every_code():
+    q = np.arange(-32768, 32768).astype(np.int16)
+    expected = np.clip(q.astype(np.float64) / 32767, -1.0, 1.0).astype(np.float32)
+    out = dequantize_pcm16(q)
+    assert out.dtype == np.float32
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_wav_payload_size_formula():

@@ -140,6 +140,14 @@ class TestSynthesize:
         with pytest.raises(GenerationError, match="oom"):
             synthesize("text", _prompt(), default_generation_params(), Crashing())
 
+    def test_out_of_range_audio_is_a_generation_error(self):
+        class Loud(MockTtsAdapter):
+            def synthesize(self, *args):
+                return np.array([0.0, 1.5, 0.0], dtype=np.float32)
+
+        with pytest.raises(GenerationError, match="invalid audio"):
+            synthesize("text", _prompt(), default_generation_params(), Loud())
+
     def test_empty_audio_is_a_generation_error(self):
         class Mute(MockTtsAdapter):
             def synthesize(self, *args):
@@ -195,6 +203,26 @@ class TestBatchSynthesize:
         assert list(result.failures) == [SENTENCES[1]]
         assert [r.sentence for r in result.records] == [SENTENCES[0], SENTENCES[2]]
         assert backend.calls == 2 + 3
+
+    @pytest.mark.parametrize("bad_value", [1.5, np.nan])
+    def test_out_of_range_clip_is_isolated(self, tmp_path, bad_value):
+        class OneBadClip(CountingBackend):
+            def synthesize(self, text, *rest):
+                samples = super().synthesize(text, *rest)
+                if text == SENTENCES[1]:
+                    samples = np.array(samples, dtype=np.float32)
+                    samples[len(samples) // 2] = bad_value
+                return samples
+
+        backend = OneBadClip()
+        result = batch_synthesize(
+            SENTENCES, _prompt(), default_generation_params(), backend, "mock", tmp_path, retries=1
+        )
+        assert not result.complete
+        assert list(result.failures) == [SENTENCES[1]]
+        assert "amplitude" in result.failures[SENTENCES[1]]
+        assert [r.sentence for r in result.records] == [SENTENCES[0], SENTENCES[2]]
+        assert backend.calls == 2 + 2
 
     def test_all_failed_raises_batch_error(self, tmp_path):
         class Dead(MockTtsAdapter):
