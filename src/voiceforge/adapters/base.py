@@ -55,7 +55,6 @@ class AdapterDescriptor:
     role: AdapterRole
     id: str
     native_rate_hz: int | None = None
-    thread_safe: bool = False
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

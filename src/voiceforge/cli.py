@@ -18,19 +18,6 @@ EXIT_CONFIG = 1
 EXIT_STAGE = 2
 EXIT_PARTIAL = 3
 
-_STAGES = (
-    "acquire",
-    "prep",
-    "prompt",
-    "synth",
-    "train-config",
-    "convert",
-    "package",
-    "validate",
-    "run",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voiceforge",
@@ -48,15 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": "re-validate an already-written dataset",
         "run": "execute the configured methodology end to end",
     }
-    for name in _STAGES:
-        stage = sub.add_parser(name, help=helps[name])
+    for name, text in helps.items():
+        stage = sub.add_parser(name, help=text)
         stage.add_argument("--config", required=True, help="path to the YAML pipeline config")
-        stage.add_argument(
-            "--resume", action="store_true", help="reuse the synthesis journal from a prior run"
-        )
-        stage.add_argument(
-            "--workers", type=int, default=None, help="override the configured worker count"
-        )
+        if name in ("synth", "run"):
+            stage.add_argument(
+                "--resume", action="store_true", help="reuse the synthesis journal from a prior run"
+            )
         stage.add_argument(
             "--dry-run", action="store_true", help="validate the config and print the plan only"
         )
@@ -93,7 +78,7 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
         print(pipeline.prompt_stage(config))
         return EXIT_OK
     if command == "synth":
-        summary = pipeline.synth_stage(config, resume=args.resume, workers=args.workers)
+        summary = pipeline.synth_stage(config, resume=args.resume)
         _print_summary(summary)
         return EXIT_PARTIAL if summary.partial else EXIT_OK
     if command == "train-config":
@@ -105,7 +90,7 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
                 "convert needs conversion.model_ref, conversion.index_ref and "
                 "conversion.input_corpus"
             )
-        summary = pipeline.run_methodology_2(config, workers=args.workers)
+        summary = pipeline.run_methodology_2(config)
         _print_summary(summary)
         return EXIT_PARTIAL if summary.partial else EXIT_OK
     if command == "validate":
@@ -119,11 +104,11 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
             print(f"fail: {clip_id}")
         return EXIT_STAGE if failing else EXIT_OK
     if command == "package":
-        summary = pipeline.run(config, resume=True, workers=args.workers)
+        summary = pipeline.run(config, resume=True)
         _print_summary(summary)
         return EXIT_PARTIAL if summary.partial else EXIT_OK
     if command == "run":
-        summary = pipeline.run(config, resume=args.resume, workers=args.workers)
+        summary = pipeline.run(config, resume=args.resume)
         _print_summary(summary)
         return EXIT_PARTIAL if summary.partial else EXIT_OK
     raise ConfigurationError(f"unknown command {command!r}")

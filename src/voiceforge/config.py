@@ -3,42 +3,41 @@
 Validation collects every violation (with the YAML line it came from) before
 raising one ConfigurationError, so a config file never needs more than one
 fix-and-retry round to be fully diagnosed. Unknown keys are rejected.
+
+`_SCHEMA` states each key once: its type or Enum class, its default and an
+optional range check. A missing or null value reads as the default, and so
+does a bad one once it is reported. Defaults that a domain module already
+states are taken from that module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
 from .adapters.base import AdapterRole
-from .conversion import ConversionParams, TrainingConfig
+from .conversion import (
+    ConversionParams,
+    TrainingConfig,
+    default_conversion_params,
+    default_training_config,
+)
 from .corpus import SplitSpec
 from .errors import ConfigurationError, ValidationError
 from .ingest import SourceKind, SourceSpec
 from .preprocess import SegmentationPolicy, StemModel, TailPolicy
-from .synthesis import DEFAULT_RETRIES, GenerationParams
+from .synthesis import DEFAULT_RETRIES, GenerationParams, default_generation_params
 from .transcribe import AsrConfig, AsrTask
 
-_REQUIRED = object()
-
+# Every role defaults to its offline mock, except fetching and decoding real media.
 DEFAULT_ADAPTERS: dict[AdapterRole, str] = {
+    **{role: "mock" for role in AdapterRole},
     AdapterRole.DOWNLOADER: "urllib",
     AdapterRole.DECODER: "wav",
-    AdapterRole.DENOISE: "mock",
-    AdapterRole.STEMS: "mock",
-    AdapterRole.CODEC: "mock",
-    AdapterRole.SEMANTIC_ENCODER: "mock",
-    AdapterRole.TOKEN_QUANTIZER: "mock",
-    AdapterRole.TTS: "mock",
-    AdapterRole.VC: "mock",
-    AdapterRole.ASR: "mock",
-    AdapterRole.DIARIZATION: "mock",
-    AdapterRole.SPEAKER_EMBEDDING: "mock",
-    AdapterRole.TRANSCODE: "mock",
 }
 
 
@@ -54,24 +53,24 @@ class OutputFormat(str, Enum):
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    denoise_strength: float | None = None
-    stems: StemModel | None = None
-    segmentation: SegmentationPolicy = field(default_factory=SegmentationPolicy)
+    denoise_strength: float | None
+    stems: StemModel | None
+    segmentation: SegmentationPolicy
 
 
 @dataclass(frozen=True)
 class GenerationConfig:
     params: GenerationParams
-    sentences: tuple[str, ...] = ()
-    retries: int = DEFAULT_RETRIES
+    sentences: tuple[str, ...]
+    retries: int
 
 
 @dataclass(frozen=True)
 class ConversionConfig:
     params: ConversionParams
-    model_ref: str | None = None
-    index_ref: str | None = None
-    input_corpus: str | None = None
+    model_ref: str | None
+    index_ref: str | None
+    input_corpus: str | None
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class OutputConfig:
     format: OutputFormat
     root: str
     split: SplitSpec
-    locale: str = "hi"
+    locale: str
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,95 @@ class PipelineConfig:
     training: TrainingConfig
     output: OutputConfig
     adapters: dict[AdapterRole, str]
-    workers: int = 1
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One schema row: the value's type or Enum class, its default and an optional check.
+
+    `check` returns None for a good value, else the violation message.
+    """
+
+    kind: type
+    default: Any = _REQUIRED
+    check: Callable[[Any], str | None] | None = None
+
+
+def _unit_interval(value: float) -> str | None:
+    return None if 0.0 <= value <= 1.0 else f"must be in [0, 1], got {value}"
+
+
+def _temperature(value: float) -> str | None:
+    return None if 0.0 < value <= 2.0 else f"must be in (0, 2], got {value}"
+
+
+def _non_negative(value: int) -> str | None:
+    return None if value >= 0 else "must be non-negative"
+
+
+def _non_empty(value: str) -> str | None:
+    return None if value else "must be non-empty"
+
+
+_GENERATION = default_generation_params()
+_CONVERSION = default_conversion_params()
+_TRAINING = default_training_config()
+_SEGMENTATION = SegmentationPolicy()
+_ASR = AsrConfig()
+
+# Every section of the YAML document except `adapters`; a nested dict is a
+# subsection. A row's position sets the order its violations are reported in.
+_SCHEMA: dict[str, Any] = {
+    "methodology": _Key(Methodology),
+    "source": {"uri": _Key(str), "kind": _Key(SourceKind, None)},
+    "preprocessing": {
+        "denoise": _Key(float, None, _unit_interval),
+        "stems": _Key(StemModel, None),
+        "segmentation": {
+            "target_len_s": _Key(float, _SEGMENTATION.target_len_s),
+            "tail": _Key(TailPolicy, _SEGMENTATION.tail),
+            "min_tail_s": _Key(float, _SEGMENTATION.min_tail_s),
+        },
+    },
+    "asr": {
+        "language": _Key(str, _ASR.language, _non_empty),
+        "task": _Key(AsrTask, _ASR.task),
+    },
+    "generation": {
+        "text_temp": _Key(float, _GENERATION.text_temp, _temperature),
+        "waveform_temp": _Key(float, _GENERATION.waveform_temp, _temperature),
+        "seed": _Key(int, _GENERATION.seed),
+        "retries": _Key(int, DEFAULT_RETRIES, _non_negative),
+        "sentences": _Key(list, ()),
+    },
+    "conversion": {
+        "envelope_mix": _Key(float, _CONVERSION.envelope_mix),
+        "filter_radius": _Key(int, _CONVERSION.filter_radius),
+        "index_ratio": _Key(float, _CONVERSION.index_ratio),
+        "protect": _Key(float, _CONVERSION.protect),
+        "transpose_semitones": _Key(int, _CONVERSION.transpose_semitones),
+        "model_ref": _Key(str, None, _non_empty),
+        "index_ref": _Key(str, None, _non_empty),
+        "input_corpus": _Key(str, None, _non_empty),
+    },
+    "training": {
+        "target_sample_rate_hz": _Key(int, _TRAINING.target_sample_rate_hz),
+        "batch_size": _Key(int, _TRAINING.batch_size),
+        "epochs": _Key(int, _TRAINING.epochs),
+        "pretrained_gen": _Key(str, _TRAINING.pretrained_gen, _non_empty),
+        "pretrained_disc": _Key(str, _TRAINING.pretrained_disc, _non_empty),
+        "pitch_guided": _Key(bool, _TRAINING.pitch_guided),
+    },
+    "output": {
+        "format": _Key(OutputFormat, None),  # the default depends on the methodology
+        "root": _Key(str, check=_non_empty),
+        "locale": _Key(str, "hi", _non_empty),
+        "split": {"valid_fraction": _Key(float, 0.1), "seed": _Key(int, 0)},
+    },
+}
 
 
 def _line_map(node: yaml.Node | None, prefix: str = "") -> dict[str, int]:
@@ -121,7 +208,7 @@ class _Reader:
 
     def _loc(self, path: str) -> str:
         line = self.lines.get(path)
-        return f" (line {line})" if line is not None else ""
+        return "" if line is None else f" (line {line})"
 
     def bad(self, path: str, message: str) -> None:
         self.violations.append(f"{path}: {message}{self._loc(path)}")
@@ -138,233 +225,56 @@ class _Reader:
                 self.bad(full, "unknown key")
         return data
 
-    def get(self, mapping: dict, path: str, key: str, kind: str, default: Any = _REQUIRED) -> Any:
-        full = f"{path}.{key}" if path else key
-        if key not in mapping or mapping[key] is None:
-            if default is _REQUIRED:
-                self.bad(full, "is required")
-                return None
-            return default
-        value = mapping[key]
-        checks = {
-            "str": lambda v: isinstance(v, str),
-            "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "bool": lambda v: isinstance(v, bool),
-            "list": lambda v: isinstance(v, list),
-        }
-        if not checks[kind](value):
-            self.bad(full, f"must be a {kind}, got {type(value).__name__}")
-            return None if default is _REQUIRED else default
-        return float(value) if kind == "float" else value
-
-    def enum(self, mapping: dict, path: str, key: str, enum_cls, default: Any = _REQUIRED) -> Any:
-        raw = self.get(mapping, path, key, "str", default)
-        if raw is default or raw is None or isinstance(raw, enum_cls):
-            return raw
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            allowed = ", ".join(m.value for m in enum_cls)
-            self.bad(f"{path}.{key}" if path else key, f"must be one of: {allowed}")
-            return None
-
-
-def _parse_source(r: _Reader, data: Any) -> SourceSpec | None:
-    sec = r.section(data, "source", ("uri", "kind", "expected_duration_s"))
-    uri = r.get(sec, "source", "uri", "str")
-    kind = r.enum(sec, "source", "kind", SourceKind, default=None)
-    expected = r.get(sec, "source", "expected_duration_s", "float", default=None)
-    if uri is None:
-        return None
-    if kind is None:
-        kind = SourceKind.REMOTE if "://" in uri else SourceKind.LOCAL
-    try:
-        return SourceSpec(uri=uri, kind=kind, expected_duration_s=expected)
-    except ValidationError as exc:
-        r.bad("source", str(exc))
-        return None
-
-
-def _parse_preprocessing(r: _Reader, data: Any) -> PreprocessConfig:
-    sec = r.section(data, "preprocessing", ("denoise", "stems", "segmentation"))
-    strength = r.get(sec, "preprocessing", "denoise", "float", default=None)
-    if strength is not None and not 0.0 <= strength <= 1.0:
-        r.bad("preprocessing.denoise", f"must be in [0, 1], got {strength}")
-        strength = None
-    stems = r.enum(sec, "preprocessing", "stems", StemModel, default=None)
-    seg_sec = r.section(
-        sec.get("segmentation"),
-        "preprocessing.segmentation",
-        ("target_len_s", "tail", "min_tail_s"),
-    )
-    target = r.get(seg_sec, "preprocessing.segmentation", "target_len_s", "float", default=10.0)
-    tail = r.enum(
-        seg_sec, "preprocessing.segmentation", "tail", TailPolicy, default=TailPolicy.DROP_LAST
-    )
-    min_tail = r.get(seg_sec, "preprocessing.segmentation", "min_tail_s", "float", default=0.0)
-    try:
-        policy = SegmentationPolicy(
-            target_len_s=target if target is not None else 10.0,
-            tail=tail if tail is not None else TailPolicy.DROP_LAST,
-            min_tail_s=min_tail if min_tail is not None else 0.0,
-        )
-    except ValidationError as exc:
-        r.bad("preprocessing.segmentation", str(exc))
-        policy = SegmentationPolicy()
-    return PreprocessConfig(denoise_strength=strength, stems=stems, segmentation=policy)
-
-
-def _parse_asr(r: _Reader, data: Any) -> AsrConfig:
-    sec = r.section(data, "asr", ("language", "task"))
-    language = r.get(sec, "asr", "language", "str", default="hi")
-    task = r.enum(sec, "asr", "task", AsrTask, default=AsrTask.TRANSCRIBE)
-    try:
-        return AsrConfig(language=language or "hi", task=task or AsrTask.TRANSCRIBE)
-    except ValidationError as exc:
-        r.bad("asr", str(exc))
-        return AsrConfig()
-
-
-def _parse_generation(r: _Reader, data: Any) -> GenerationConfig:
-    sec = r.section(
-        data, "generation", ("text_temp", "waveform_temp", "seed", "sentences", "retries")
-    )
-    text_temp = r.get(sec, "generation", "text_temp", "float", default=0.85)
-    waveform_temp = r.get(sec, "generation", "waveform_temp", "float", default=0.7)
-    for name, temp in (("text_temp", text_temp), ("waveform_temp", waveform_temp)):
-        if temp is not None and not 0.0 < temp <= 2.0:
-            r.bad(f"generation.{name}", f"must be in (0, 2], got {temp}")
-            if name == "text_temp":
-                text_temp = 0.85
+    def read(self, data: Any, path: str, schema: dict[str, Any]) -> dict[str, Any]:
+        """The value of every key of `schema` in the mapping `data`, by key."""
+        mapping = self.section(data, path, tuple(schema))
+        values: dict[str, Any] = {}
+        for key, spec in schema.items():
+            full = f"{path}.{key}" if path else key
+            if isinstance(spec, dict):
+                values[key] = self.read(mapping.get(key), full, spec)
             else:
-                waveform_temp = 0.7
-    seed = r.get(sec, "generation", "seed", "int", default=None)
-    retries = r.get(sec, "generation", "retries", "int", default=DEFAULT_RETRIES)
-    if retries is not None and retries < 0:
-        r.bad("generation.retries", "must be non-negative")
-        retries = DEFAULT_RETRIES
-    raw_sentences = r.get(sec, "generation", "sentences", "list", default=[])
-    sentences: list[str] = []
-    for i, item in enumerate(raw_sentences or []):
-        if not isinstance(item, str) or not item.strip():
-            r.bad(f"generation.sentences[{i}]", "must be a non-empty string")
-        elif "\n" in item or "\r" in item:
-            r.bad(f"generation.sentences[{i}]", "must not contain newlines")
-        else:
-            sentences.append(item)
-    try:
-        params = GenerationParams(
-            text_temp=text_temp if text_temp is not None else 0.85,
-            waveform_temp=waveform_temp if waveform_temp is not None else 0.7,
-            seed=seed,
-        )
-    except ValidationError as exc:
-        r.bad("generation", str(exc))
-        params = GenerationParams(text_temp=0.85, waveform_temp=0.7)
-    return GenerationConfig(
-        params=params,
-        sentences=tuple(sentences),
-        retries=retries if retries is not None else DEFAULT_RETRIES,
-    )
+                values[key] = self.value(mapping.get(key), full, spec)
+        return values
 
+    def value(self, value: Any, path: str, spec: _Key) -> Any:
+        """`value` checked against `spec`; a missing or bad value reads as the default."""
+        fallback = None if spec.default is _REQUIRED else spec.default
+        if value is None:
+            if spec.default is _REQUIRED:
+                self.bad(path, "is required")
+            return fallback
+        is_enum = issubclass(spec.kind, Enum)
+        kind = str if is_enum else spec.kind
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            self.bad(path, f"must be a {kind.__name__}, got {type(value).__name__}")
+            return fallback
+        if is_enum:
+            try:
+                return spec.kind(value)
+            except ValueError:
+                allowed = ", ".join(member.value for member in spec.kind)
+                self.bad(path, f"must be one of: {allowed}")
+                return fallback
+        if kind is float:
+            value = float(value)
+        problem = spec.check(value) if spec.check else None
+        if problem is not None:
+            self.bad(path, problem)
+            return fallback
+        return value
 
-def _parse_conversion(r: _Reader, data: Any) -> ConversionConfig:
-    sec = r.section(
-        data,
-        "conversion",
-        (
-            "envelope_mix",
-            "filter_radius",
-            "index_ratio",
-            "protect",
-            "transpose_semitones",
-            "model_ref",
-            "index_ref",
-            "input_corpus",
-        ),
-    )
-    envelope = r.get(sec, "conversion", "envelope_mix", "float", default=0.25)
-    radius = r.get(sec, "conversion", "filter_radius", "int", default=3)
-    index_ratio = r.get(sec, "conversion", "index_ratio", "float", default=0.75)
-    protect = r.get(sec, "conversion", "protect", "float", default=0.33)
-    transpose = r.get(sec, "conversion", "transpose_semitones", "int", default=0)
-    model_ref = r.get(sec, "conversion", "model_ref", "str", default=None)
-    index_ref = r.get(sec, "conversion", "index_ref", "str", default=None)
-    input_corpus = r.get(sec, "conversion", "input_corpus", "str", default=None)
-    try:
-        params = ConversionParams(
-            envelope_mix=envelope if envelope is not None else 0.25,
-            filter_radius=radius if radius is not None else 3,
-            index_ratio=index_ratio if index_ratio is not None else 0.75,
-            protect=protect if protect is not None else 0.33,
-            transpose_semitones=transpose if transpose is not None else 0,
-        )
-    except ValidationError as exc:
-        r.bad("conversion", str(exc))
-        params = ConversionParams(0.25, 3, 0.75, 0.33, 0)
-    return ConversionConfig(
-        params=params, model_ref=model_ref, index_ref=index_ref, input_corpus=input_corpus
-    )
+    def build(self, path: str, cls: type, **values: Any) -> Any:
+        """`cls(**values)`, or None after reporting the domain's own check at `path`.
 
-
-def _parse_training(r: _Reader, data: Any) -> TrainingConfig:
-    sec = r.section(
-        data,
-        "training",
-        (
-            "target_sample_rate_hz",
-            "batch_size",
-            "epochs",
-            "pretrained_gen",
-            "pretrained_disc",
-            "pitch_guided",
-        ),
-    )
-    rate = r.get(sec, "training", "target_sample_rate_hz", "int", default=32000)
-    batch = r.get(sec, "training", "batch_size", "int", default=40)
-    epochs = r.get(sec, "training", "epochs", "int", default=200)
-    gen = r.get(sec, "training", "pretrained_gen", "str", default="f0G32k")
-    disc = r.get(sec, "training", "pretrained_disc", "str", default="f0D32k")
-    pitch = r.get(sec, "training", "pitch_guided", "bool", default=True)
-    try:
-        return TrainingConfig(
-            target_sample_rate_hz=rate if rate is not None else 32000,
-            batch_size=batch if batch is not None else 40,
-            epochs=epochs if epochs is not None else 200,
-            pretrained_gen=gen or "f0G32k",
-            pretrained_disc=disc or "f0D32k",
-            pitch_guided=pitch if pitch is not None else True,
-        )
-    except ValidationError as exc:
-        r.bad("training", str(exc))
-        return TrainingConfig(32000, 40, 200, "f0G32k", "f0D32k", True)
-
-
-def _parse_output(r: _Reader, data: Any, methodology: Methodology | None) -> OutputConfig | None:
-    sec = r.section(data, "output", ("format", "root", "split", "locale"))
-    default_format = (
-        OutputFormat.LJ if methodology is Methodology.RVC_CONVERT else OutputFormat.COMMON_VOICE
-    )
-    fmt = r.enum(sec, "output", "format", OutputFormat, default=default_format)
-    root = r.get(sec, "output", "root", "str")
-    locale = r.get(sec, "output", "locale", "str", default="hi")
-    split_sec = r.section(sec.get("split"), "output.split", ("valid_fraction", "seed"))
-    fraction = r.get(split_sec, "output.split", "valid_fraction", "float", default=0.1)
-    seed = r.get(split_sec, "output.split", "seed", "int", default=0)
-    try:
-        split = SplitSpec(
-            valid_fraction=fraction if fraction is not None else 0.1,
-            seed=seed if seed is not None else 0,
-        )
-    except ValidationError as exc:
-        r.bad("output.split", str(exc))
-        split = SplitSpec(valid_fraction=0.1, seed=0)
-    if root is None:
-        return None
-    return OutputConfig(
-        format=fmt or default_format, root=root, split=split, locale=locale or "hi"
-    )
+        A None never reaches a caller of parse_config: the violation makes it raise.
+        """
+        try:
+            return cls(**values)
+        except ValidationError as exc:
+            self.bad(path, str(exc))
+            return None
 
 
 def _parse_adapters(r: _Reader, data: Any) -> dict[AdapterRole, str]:
@@ -400,38 +310,66 @@ def _cross_checks(r: _Reader, methodology, generation, conversion, output) -> No
 def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConfig:
     """Validate a parsed YAML document into a PipelineConfig."""
     r = _Reader(lines or {})
-    root = r.section(
-        data,
-        "",
-        (
-            "methodology",
-            "source",
-            "preprocessing",
-            "asr",
-            "generation",
-            "conversion",
-            "training",
-            "output",
-            "adapters",
-            "workers",
-        ),
-    )
+    root = r.section(data, "", (*_SCHEMA, "adapters"))
     if not isinstance(data, dict):
         raise ConfigurationError("configuration must be a mapping", violations=r.violations)
 
-    methodology = r.enum(root, "", "methodology", Methodology)
-    source = _parse_source(r, root.get("source"))
-    preprocessing = _parse_preprocessing(r, root.get("preprocessing"))
-    asr = _parse_asr(r, root.get("asr"))
-    generation = _parse_generation(r, root.get("generation"))
-    conversion = _parse_conversion(r, root.get("conversion"))
-    training = _parse_training(r, root.get("training"))
-    output = _parse_output(r, root.get("output"), methodology)
+    def read(name: str) -> dict[str, Any]:
+        return r.read(root.get(name), name, _SCHEMA[name])
+
+    methodology = r.value(root.get("methodology"), "methodology", _SCHEMA["methodology"])
+
+    src = read("source")
+    source = None
+    if src["uri"] is not None:
+        inferred = SourceKind.REMOTE if "://" in src["uri"] else SourceKind.LOCAL
+        source = r.build("source", SourceSpec, uri=src["uri"], kind=src["kind"] or inferred)
+
+    pre = read("preprocessing")
+    preprocessing = PreprocessConfig(
+        denoise_strength=pre["denoise"],
+        stems=pre["stems"],
+        segmentation=r.build(
+            "preprocessing.segmentation", SegmentationPolicy, **pre["segmentation"]
+        ),
+    )
+    asr = r.build("asr", AsrConfig, **read("asr"))
+
+    gen = read("generation")
+    sentences: list[str] = []
+    for i, item in enumerate(gen.pop("sentences")):
+        if not isinstance(item, str) or not item.strip():
+            r.bad(f"generation.sentences[{i}]", "must be a non-empty string")
+        elif "\n" in item or "\r" in item:
+            r.bad(f"generation.sentences[{i}]", "must not contain newlines")
+        else:
+            sentences.append(item)
+    retries = gen.pop("retries")
+    generation = GenerationConfig(
+        params=r.build("generation", GenerationParams, **gen),
+        sentences=tuple(sentences),
+        retries=retries,
+    )
+
+    conv = read("conversion")
+    refs = {key: conv.pop(key) for key in ("model_ref", "index_ref", "input_corpus")}
+    conversion = ConversionConfig(params=r.build("conversion", ConversionParams, **conv), **refs)
+    training = r.build("training", TrainingConfig, **read("training"))
+
+    out = read("output")
+    split = r.build("output.split", SplitSpec, **out.pop("split"))
+    output = None
+    if out["root"] is not None:
+        default_format = (
+            OutputFormat.LJ if methodology is Methodology.RVC_CONVERT else OutputFormat.COMMON_VOICE
+        )
+        output = OutputConfig(
+            format=out["format"] or default_format,
+            root=out["root"],
+            split=split,
+            locale=out["locale"],
+        )
     adapters = _parse_adapters(r, root.get("adapters"))
-    workers = r.get(root, "", "workers", "int", default=1)
-    if workers is not None and workers < 1:
-        r.bad("workers", "must be >= 1")
-        workers = 1
 
     if methodology is not None:
         _cross_checks(r, methodology, generation, conversion, output)
@@ -449,7 +387,6 @@ def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConf
         training=training,
         output=output,
         adapters=adapters,
-        workers=workers if workers is not None else 1,
     )
 
 

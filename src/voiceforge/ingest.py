@@ -49,15 +49,12 @@ class SourceSpec:
 
     uri: str
     kind: SourceKind
-    expected_duration_s: float | None = None
 
     def __post_init__(self) -> None:
         if not self.uri:
             raise ValidationError("source uri must be non-empty")
         if self.kind is SourceKind.REMOTE and "://" not in self.uri:
             raise ValidationError(f"remote uri {self.uri!r} needs a scheme prefix")
-        if self.expected_duration_s is not None and self.expected_duration_s <= 0:
-            raise ValidationError("expected_duration_s must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,13 @@ def source_id_for(path: str | Path) -> str:
 def decode_to_audio(
     media: RawMediaHandle, target_rate_hz: int, decoder: DecoderAdapter
 ) -> AudioClip:
-    """Decode a media file to a mono AudioClip at exactly target_rate_hz."""
+    """Decode a media file to a mono AudioClip at exactly target_rate_hz.
+
+    A file whose decoded duration disagrees with the downloader's report is a
+    truncated or corrupt download. It is deleted before DecodeError is raised:
+    a cache hit carries no reported duration, so a rerun would otherwise
+    decode it unchecked.
+    """
     if not MIN_SAMPLE_RATE_HZ <= target_rate_hz <= MAX_SAMPLE_RATE_HZ:
         raise ConfigurationError(
             f"target_rate_hz must be within [{MIN_SAMPLE_RATE_HZ}, {MAX_SAMPLE_RATE_HZ}], "
@@ -184,6 +187,7 @@ def decode_to_audio(
 
     native_duration = samples.size / native_rate
     if media.duration_s is not None and abs(native_duration - media.duration_s) > DURATION_TOLERANCE_S:
+        media.path.unlink(missing_ok=True)
         raise DecodeError(
             f"decoded duration {native_duration:.3f}s disagrees with container "
             f"duration {media.duration_s:.3f}s for {media.path}",

@@ -312,7 +312,6 @@ def _m1_generate(
     adapters: dict[AdapterRole, object],
     summary: RunSummary,
     resume: bool,
-    workers: int | None,
 ) -> tuple[str, str, BatchResult]:
     """Shared front half of methodology 1: acquire through batch synthesis.
 
@@ -335,7 +334,6 @@ def _m1_generate(
         config.adapters[AdapterRole.TTS],
         work_dir=synth_dir,
         retries=config.generation.retries,
-        workers=workers or config.workers,
     )
     summary.sentences_generated = len(batch.records)
     summary.partial = not batch.complete
@@ -348,7 +346,6 @@ def synth_stage(
     config: PipelineConfig,
     registry: AdapterRegistry | None = None,
     resume: bool = False,
-    workers: int | None = None,
 ) -> RunSummary:
     """Generate (or resume generating) the batch clips without packaging them."""
     if config.methodology is not Methodology.BARK_PROMPT:
@@ -356,7 +353,7 @@ def synth_stage(
     registry = registry or default_registry()
     adapters = resolve_adapters(config, registry)
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    _m1_generate(config, adapters, summary, resume, workers)
+    _m1_generate(config, adapters, summary, resume)
     return summary
 
 
@@ -364,7 +361,6 @@ def run_methodology_1(
     config: PipelineConfig,
     registry: AdapterRegistry | None = None,
     resume: bool = False,
-    workers: int | None = None,
 ) -> RunSummary:
     """Prompted-TTS corpus generation; resumable through the synthesis journal."""
     if config.methodology is not Methodology.BARK_PROMPT:
@@ -372,7 +368,7 @@ def run_methodology_1(
     registry = registry or default_registry()
     adapters = resolve_adapters(config, registry)
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    source_id, pid, batch = _m1_generate(config, adapters, summary, resume, workers)
+    source_id, pid, batch = _m1_generate(config, adapters, summary, resume)
 
     candidates = [
         (
@@ -482,10 +478,7 @@ def _convert_corpus(
 
 
 def run_methodology_2(
-    config: PipelineConfig,
-    registry: AdapterRegistry | None = None,
-    resume: bool = False,
-    workers: int | None = None,
+    config: PipelineConfig, registry: AdapterRegistry | None = None
 ) -> RunSummary:
     """Voice-conversion workflow: LJ training prep, or corpus conversion once trained."""
     if config.methodology is not Methodology.RVC_CONVERT:
@@ -505,15 +498,12 @@ def run_methodology_2(
 
 
 def run(
-    config: PipelineConfig,
-    registry: AdapterRegistry | None = None,
-    resume: bool = False,
-    workers: int | None = None,
+    config: PipelineConfig, registry: AdapterRegistry | None = None, resume: bool = False
 ) -> RunSummary:
-    """Dispatch to the configured methodology."""
+    """Dispatch to the configured methodology; only methodology 1 has a journal to resume."""
     if config.methodology is Methodology.BARK_PROMPT:
-        return run_methodology_1(config, registry, resume=resume, workers=workers)
-    return run_methodology_2(config, registry, resume=resume, workers=workers)
+        return run_methodology_1(config, registry, resume=resume)
+    return run_methodology_2(config, registry)
 
 
 def validate_dataset(

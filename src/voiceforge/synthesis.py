@@ -14,10 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from threading import Lock
 
 import numpy as np
 
@@ -169,7 +167,6 @@ def batch_synthesize(
     backend_id: str,
     work_dir: str | Path,
     retries: int = DEFAULT_RETRIES,
-    workers: int = 1,
 ) -> BatchResult:
     """Generate one clip per sentence with fault isolation and resumption.
 
@@ -185,8 +182,6 @@ def batch_synthesize(
     for sentence in sentences:
         if not sentence.strip():
             raise ValidationError("sentences must all be non-empty")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
     work_dir = Path(work_dir)
     clip_dir = work_dir / CLIP_DIR_NAME
@@ -197,14 +192,11 @@ def batch_synthesize(
     context_doc = {"prompt": pid, "params": asdict(params), "tts": backend_id}
     context = hashlib.sha256(json.dumps(context_doc, sort_keys=True).encode("utf-8")).hexdigest()
 
-    backend_lock = Lock()
-
     def generate(sentence: str) -> AudioClip:
         last_error: Exception | None = None
         for _ in range(1 + retries):
             try:
-                with backend_lock:
-                    return synthesize(sentence, prompt, params, backend)
+                return synthesize(sentence, prompt, params, backend)
             except GenerationError as exc:
                 last_error = exc
         assert last_error is not None
@@ -222,19 +214,21 @@ def batch_synthesize(
 
     records: list[GenerationRecord] = []
     failures: dict[str, str] = {}
-
-    def handle(sentence: str, outcome: AudioClip | Exception, from_cache: bool) -> None:
+    for sentence in sentences:
         sha = sentence_digest(sentence)
-        if isinstance(outcome, Exception):
-            failures[sentence] = str(outcome)
-            _append_journal(
-                journal_path, {"sentence_sha256": sha, "output_path": "", "status": "failed"}
-            )
-            return
-        clip_path = clip_dir / f"{sha}.wav"
-        if not from_cache:
-            save_wav(outcome, clip_path)
-            outcome = load_wav(clip_path)  # requantized samples, as any rerun would see them
+        clip = restore(sentence)
+        if clip is None:
+            try:
+                clip = generate(sentence)
+            except GenerationError as exc:
+                failures[sentence] = str(exc)
+                _append_journal(
+                    journal_path, {"sentence_sha256": sha, "output_path": "", "status": "failed"}
+                )
+                continue
+            clip_path = clip_dir / f"{sha}.wav"
+            save_wav(clip, clip_path)
+            clip = load_wav(clip_path)  # requantized samples, as any rerun would see them
             _append_journal(
                 journal_path,
                 {
@@ -244,37 +238,7 @@ def batch_synthesize(
                     "context": context,
                 },
             )
-        records.append(
-            GenerationRecord(sentence=sentence, clip=outcome, params=params, prompt_id=pid)
-        )
-
-    pending: list[tuple[str, Future[AudioClip] | None, AudioClip | None]] = []
-    if workers == 1:
-        for sentence in sentences:
-            cached = restore(sentence)
-            if cached is not None:
-                handle(sentence, cached, from_cache=True)
-                continue
-            try:
-                handle(sentence, generate(sentence), from_cache=False)
-            except GenerationError as exc:
-                handle(sentence, exc, from_cache=False)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for sentence in sentences:
-                cached = restore(sentence)
-                if cached is not None:
-                    pending.append((sentence, None, cached))
-                else:
-                    pending.append((sentence, pool.submit(generate, sentence), None))
-            for sentence, future, cached in pending:
-                if future is None:
-                    handle(sentence, cached, from_cache=True)
-                    continue
-                try:
-                    handle(sentence, future.result(), from_cache=False)
-                except GenerationError as exc:
-                    handle(sentence, exc, from_cache=False)
+        records.append(GenerationRecord(sentence=sentence, clip=clip, params=params, prompt_id=pid))
 
     if failures and not records:
         raise BatchError("every sentence in the batch failed", causes=failures)

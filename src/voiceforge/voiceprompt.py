@@ -119,20 +119,6 @@ class SpeakerPrompt:
         )
 
 
-@dataclass(frozen=True)
-class SemanticEncoderSpec:
-    """Declared vocabulary and token rate of a semantic encoder+quantizer pair."""
-
-    vocab_size: int
-    token_rate_hz: float
-
-    def __post_init__(self) -> None:
-        if self.vocab_size <= 0:
-            raise ValidationError("vocab_size must be positive")
-        if self.token_rate_hz <= 0:
-            raise ValidationError("token_rate_hz must be positive")
-
-
 def extract_codebooks(
     clip: AudioClip, codec: CodecAdapter, n_coarse: int
 ) -> tuple[CodebookMatrix, CodebookMatrix]:

@@ -66,7 +66,7 @@ class TestExitCodes:
     def test_stage_error_maps_to_two(self, tmp_path, monkeypatch, capsys):
         cfg = _m1_yaml(tmp_path)
 
-        def explode(config, registry=None, resume=False, workers=None):
+        def explode(config, registry=None, resume=False):
             raise StageError("backend fell over", stage="synthesize")
 
         monkeypatch.setattr(pipeline, "run", explode)
@@ -77,7 +77,7 @@ class TestExitCodes:
     def test_partial_batch_maps_to_three(self, tmp_path, monkeypatch, capsys):
         cfg = _m1_yaml(tmp_path)
 
-        def partial(config, registry=None, resume=False, workers=None):
+        def partial(config, registry=None, resume=False):
             return pipeline.RunSummary(
                 methodology="bark_prompt",
                 output_root=config.output.root,
@@ -149,18 +149,33 @@ class TestRunAndValidate:
         out = capsys.readouterr().out
         assert f"fail: {victim.stem}" in out
 
-    def test_workers_flag_reaches_the_pipeline(self, tmp_path, monkeypatch, capsys):
+    def test_resume_flag_reaches_the_pipeline(self, tmp_path, monkeypatch):
         cfg = _m1_yaml(tmp_path)
         seen = {}
 
-        def record(config, registry=None, resume=False, workers=None):
-            seen["workers"] = workers
+        def record(config, registry=None, resume=False):
             seen["resume"] = resume
             return pipeline.RunSummary(methodology="bark_prompt", output_root="x")
 
         monkeypatch.setattr(pipeline, "run", record)
-        assert main(["run", "--config", cfg, "--workers", "2", "--resume"]) == EXIT_OK
-        assert seen == {"workers": 2, "resume": True}
+        assert main(["run", "--config", cfg, "--resume"]) == EXIT_OK
+        assert seen == {"resume": True}
+
+    def test_resume_is_refused_where_nothing_reads_it(self, tmp_path, capsys):
+        cfg = _m1_yaml(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--config", cfg, "--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+    def test_workers_key_and_flag_are_rejected(self, tmp_path, capsys):
+        cfg = _m1_yaml(tmp_path, workers=2)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "workers: unknown key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", _m1_yaml(tmp_path), "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestStageCommands:

@@ -45,7 +45,6 @@ class TestDefaults:
     def test_minimal_bark_config_fills_published_defaults(self):
         config = parse_config(_minimal_m1())
         assert config.methodology is Methodology.BARK_PROMPT
-        assert config.workers == 1
         assert config.generation.params.text_temp == 0.85
         assert config.generation.params.waveform_temp == 0.7
         assert config.generation.retries == 2
@@ -93,7 +92,6 @@ class TestOverrides:
                     "seed": 7,
                     "retries": 0,
                 },
-                workers=4,
                 adapters={"tts": "mock", "decoder": "mock"},
                 preprocessing={
                     "denoise": 0.3,
@@ -102,7 +100,6 @@ class TestOverrides:
                 },
             )
         )
-        assert config.workers == 4
         assert config.generation.params.seed == 7
         assert config.generation.retries == 0
         assert config.generation.sentences == ("क", "ख")
@@ -130,14 +127,13 @@ class TestOverrides:
 class TestViolations:
     def test_all_violations_reported_at_once(self):
         bad = _minimal_m1(
-            workers=0,
-            generation={"sentences": ["ठीक"], "text_temp": -1},
+            generation={"sentences": ["ठीक"], "text_temp": -1, "retries": -1},
             training={"batch_size": 0},
         )
         with pytest.raises(ConfigurationError) as excinfo:
             parse_config(bad)
         text = str(excinfo.value)
-        assert "workers" in text
+        assert "generation.retries" in text
         assert "generation.text_temp" in text
         assert "training" in text
         assert len(excinfo.value.violations) == 3
@@ -145,6 +141,41 @@ class TestViolations:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_config(_minimal_m1(sped=3))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"workers": 2}, "workers"),
+            (
+                {"source": {"uri": "talk.wav", "expected_duration_s": 60}},
+                "source.expected_duration_s",
+            ),
+        ],
+    )
+    def test_deleted_keys_are_unknown(self, overrides, path):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config(_minimal_m1(**overrides))
+        assert excinfo.value.violations == [f"{path}: unknown key"]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("asr", "language"),
+            ("training", "pretrained_gen"),
+            ("training", "pretrained_disc"),
+            ("output", "locale"),
+            ("output", "root"),
+            ("conversion", "model_ref"),
+            ("conversion", "index_ref"),
+            ("conversion", "input_corpus"),
+        ],
+    )
+    def test_empty_string_is_rejected(self, section, key):
+        data = _minimal_m1()
+        data[section] = {**data.get(section, {}), key: ""}
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config(data)
+        assert excinfo.value.violations == [f"{section}.{key}: must be non-empty"]
 
     def test_unknown_nested_key_names_full_path(self):
         with pytest.raises(ConfigurationError, match="output.splat"):
@@ -155,8 +186,8 @@ class TestViolations:
             parse_config(_minimal_m1(methodology="diffusion"))
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            parse_config(_minimal_m1(workers=True))
+        with pytest.raises(ConfigurationError, match="training.epochs"):
+            parse_config(_minimal_m1(training={"epochs": True}))
 
     def test_missing_methodology(self):
         data = _minimal_m1()

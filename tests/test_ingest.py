@@ -36,10 +36,6 @@ class TestSourceSpec:
         with pytest.raises(ValidationError):
             SourceSpec(uri="", kind=SourceKind.LOCAL)
 
-    def test_expected_duration_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            SourceSpec(uri="a.wav", kind=SourceKind.LOCAL, expected_duration_s=0.0)
-
 
 class TestAcquire:
     def test_local_passthrough_keeps_container(self, tmp_path):
@@ -81,6 +77,27 @@ class TestAcquire:
         second = acquire_source(spec, CountingDownloader(), cache_dir=tmp_path)
         assert first.path == second.path
         assert len(calls) == 1
+
+    def test_download_failing_the_duration_check_is_fetched_again(self, tmp_path):
+        calls = []
+
+        class TruncatingDownloader:
+            """Reports a 10 s container but writes 1 s of audio."""
+
+            def download(self, uri: str, dest_path: str) -> DownloadResult:
+                calls.append(uri)
+                clip = AudioClip(samples=np.zeros(8000, np.float32), sample_rate_hz=8000)
+                with open(dest_path, "wb") as fh:
+                    fh.write(encode_wav_pcm16(clip))
+                return DownloadResult(container_format="wav", duration_s=10.0)
+
+        spec = SourceSpec(uri="mock://truncated", kind=SourceKind.REMOTE)
+        for _ in range(2):
+            handle = acquire_source(spec, TruncatingDownloader(), cache_dir=tmp_path)
+            with pytest.raises(DecodeError, match="disagrees"):
+                decode_to_audio(handle, 8000, WavFileDecoder())
+            assert not handle.path.exists()
+        assert len(calls) == 2
 
     def test_zero_byte_download_is_rejected(self, tmp_path):
         class EmptyDownloader:

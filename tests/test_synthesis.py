@@ -10,7 +10,6 @@ from voiceforge.adapters.mocks import MockTtsAdapter
 from voiceforge.audio import load_wav
 from voiceforge.errors import (
     BatchError,
-    ConfigurationError,
     GenerationError,
     ValidationError,
 )
@@ -304,19 +303,6 @@ class TestBatchSynthesize:
         assert result.complete
         assert victim.is_file()
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        prompt = _prompt()
-        params = default_generation_params()
-        serial = batch_synthesize(
-            SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path / "serial"
-        )
-        threaded = batch_synthesize(
-            SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path / "threaded", workers=3
-        )
-        assert [r.sentence for r in threaded.records] == [r.sentence for r in serial.records]
-        for a, b in zip(serial.records, threaded.records):
-            assert np.array_equal(a.clip.samples, b.clip.samples)
-
     def test_empty_batch_is_trivially_complete(self, tmp_path):
         result = batch_synthesize(
             [], _prompt(), default_generation_params(), MockTtsAdapter(), "mock", tmp_path
@@ -333,16 +319,4 @@ class TestBatchSynthesize:
                 MockTtsAdapter(),
                 "mock",
                 tmp_path,
-            )
-
-    def test_worker_count_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            batch_synthesize(
-                SENTENCES,
-                _prompt(),
-                default_generation_params(),
-                MockTtsAdapter(),
-                "mock",
-                tmp_path,
-                workers=0,
             )
