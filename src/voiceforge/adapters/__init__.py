@@ -54,8 +54,8 @@ __all__ = [
 def default_registry() -> AdapterRegistry:
     registry = AdapterRegistry()
 
-    def add(role: AdapterRole, id: str, impl, **kwargs) -> None:
-        registry.register(AdapterDescriptor(role=role, id=id, **kwargs), impl)
+    def add(role: AdapterRole, id: str, impl) -> None:
+        registry.register(AdapterDescriptor(role=role, id=id), impl)
 
     add(AdapterRole.DOWNLOADER, "urllib", builtin.UrllibDownloader())
     add(AdapterRole.DOWNLOADER, "mock", mocks.MockDownloader())
@@ -63,29 +63,11 @@ def default_registry() -> AdapterRegistry:
     add(AdapterRole.DECODER, "mock", mocks.MockDecoder())
     add(AdapterRole.DENOISE, "mock", mocks.MockDenoiseAdapter())
     add(AdapterRole.STEMS, "mock", mocks.MockStemAdapter())
-
-    codec = mocks.MockCodecAdapter()
-    add(
-        AdapterRole.CODEC,
-        "mock",
-        codec,
-        native_rate_hz=codec.native_rate_hz,
-        metadata={
-            "codebook_count": codec.codebook_count,
-            "frame_rate": codec.frame_rate_hz,
-            "codebook_size": codec.codebook_size,
-        },
-    )
-
-    semantic = mocks.MockSemanticEncoderAdapter()
-    add(AdapterRole.SEMANTIC_ENCODER, "mock", semantic)
+    add(AdapterRole.CODEC, "mock", mocks.MockCodecAdapter())
+    add(AdapterRole.SEMANTIC_ENCODER, "mock", mocks.MockSemanticEncoderAdapter())
     add(AdapterRole.TOKEN_QUANTIZER, "mock", mocks.MockTokenQuantizerAdapter())
-
-    tts = mocks.MockTtsAdapter()
-    add(AdapterRole.TTS, "mock", tts, native_rate_hz=tts.native_rate_hz)
-    vc = mocks.MockVcAdapter()
-    add(AdapterRole.VC, "mock", vc, native_rate_hz=vc.native_rate_hz)
-
+    add(AdapterRole.TTS, "mock", mocks.MockTtsAdapter())
+    add(AdapterRole.VC, "mock", mocks.MockVcAdapter())
     add(AdapterRole.ASR, "mock", mocks.MockAsrAdapter())
     add(AdapterRole.DIARIZATION, "mock", mocks.MockDiarizationAdapter())
     add(AdapterRole.SPEAKER_EMBEDDING, "mock", mocks.MockSpeakerEmbeddingAdapter())

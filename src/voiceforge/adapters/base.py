@@ -8,14 +8,13 @@ mocks in :mod:`voiceforge.adapters.mocks`.
 
 Adapters raise ConfigurationError for contract/config problems (unsupported
 mode, unresolvable model reference); any other exception is wrapped into a
-StageError by the calling module.
+StageError by the calling module, through :func:`voiceforge.errors.backend_call`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -44,29 +43,20 @@ class AdapterRole(str, enum.Enum):
     TRANSCODE = "transcode"
 
 
-# metadata keys every codec adapter must report
-CODEC_REQUIRED_METADATA = ("codebook_count", "frame_rate", "codebook_size")
-
-
 @dataclass(frozen=True)
 class AdapterDescriptor:
-    """Registry entry describing one adapter implementation."""
+    """Registry entry naming one adapter implementation.
+
+    Rates and codebook shapes are read from the adapter object itself.
+    """
 
     role: AdapterRole
     id: str
-    native_rate_hz: int | None = None
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise RegistryError("adapter id must be non-empty")
-        role = AdapterRole(self.role)
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "metadata", dict(self.metadata))
-        if role is AdapterRole.CODEC:
-            missing = [k for k in CODEC_REQUIRED_METADATA if k not in self.metadata]
-            if missing:
-                raise RegistryError(f"codec adapter {self.id!r} must report metadata {missing}")
+        object.__setattr__(self, "role", AdapterRole(self.role))
 
 
 @dataclass(frozen=True)

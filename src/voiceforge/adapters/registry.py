@@ -1,7 +1,7 @@
 """Adapter registry: (role, id) -> implementation lookup.
 
 Registration happens at startup (module import or application wiring);
-resolution is read-only afterwards and safe from any worker thread.
+resolution is read-only afterwards.
 """
 
 from __future__ import annotations

@@ -182,6 +182,10 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or data is None:
         raise FormatError("WAV payload is missing its fmt or data chunk")
+    if len(fmt) < 16:
+        raise FormatError(f"WAV fmt chunk is {len(fmt)} bytes, expected at least 16")
+    if len(data) % 2:
+        raise FormatError(f"WAV data chunk has an odd byte count ({len(data)})")
     audio_format, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format != 1 or bits != 16:
         raise FormatError(f"only PCM16 WAV is supported (format={audio_format}, bits={bits})")

@@ -7,14 +7,14 @@ and drives conversion inference through a backend adapter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adapters.base import VcAdapter
 from .audio import AudioClip
-from .errors import ConfigurationError, StageError, ValidationError
+from .errors import StageError, ValidationError, backend_call
 
 ALLOWED_TRAINING_RATES_HZ = (32000, 40000, 48000)
 MIN_TRAINING_SECONDS = 600.0
@@ -120,22 +120,11 @@ def convert_voice(
 ) -> AudioClip:
     """Re-voice a clip through the conversion backend; time-preserving."""
     clip.require_non_empty("conversion input")
-    try:
+    with backend_call("conversion backend failed", stage="convert", source_id=clip.source_id):
         samples, rate = backend.convert(
             clip.samples, clip.sample_rate_hz, model_ref, index_ref, params
         )
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"conversion backend failed: {exc}", stage="convert", source_id=clip.source_id
-        ) from exc
-    out = AudioClip(
-        samples=np.asarray(samples, dtype=np.float32),
-        sample_rate_hz=rate,
-        source_id=clip.source_id,
-        offset_s=clip.offset_s,
-    )
+    out = replace(clip, samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
     if abs(out.duration_s - clip.duration_s) > 0.02 * clip.duration_s:
         raise StageError(
             f"conversion changed duration {clip.duration_s:.3f} s -> {out.duration_s:.3f} s "

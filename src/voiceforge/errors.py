@@ -6,6 +6,9 @@ The CLI maps these onto exit codes: ConfigurationError -> 1, any StageError
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class VoiceforgeError(Exception):
     """Base class for every error raised by this package."""
@@ -91,3 +94,21 @@ class AdapterLookupError(VoiceforgeError):
 
 class IntegrityWarning(UserWarning):
     """Advisory finding from a corpus reader (missing or orphaned audio file)."""
+
+
+@contextmanager
+def backend_call(
+    message: str, *, stage: str, source_id: str | None = None, error: type[StageError] = StageError
+) -> Iterator[None]:
+    """Guard one adapter call: the failure policy of the backend boundary.
+
+    ConfigurationError and ValidationError pass through unchanged; any other
+    exception is raised as `error(f"{message}: {exc}")` with the stage and
+    source id, chained to the original.
+    """
+    try:
+        yield
+    except (ConfigurationError, ValidationError):
+        raise
+    except Exception as exc:
+        raise error(f"{message}: {exc}", stage=stage, source_id=source_id) from exc

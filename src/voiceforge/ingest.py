@@ -31,6 +31,7 @@ from .errors import (
     EmptyAudioError,
     IntegrityError,
     ValidationError,
+    backend_call,
 )
 
 CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
@@ -170,14 +171,10 @@ def decode_to_audio(
             f"target_rate_hz must be within [{MIN_SAMPLE_RATE_HZ}, {MAX_SAMPLE_RATE_HZ}], "
             f"got {target_rate_hz}"
         )
-    try:
+    with backend_call(
+        f"cannot decode {media.path}", stage="decode", source_id=str(media.path), error=DecodeError
+    ):
         samples, native_rate = decoder.decode(str(media.path))
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise DecodeError(
-            f"cannot decode {media.path}: {exc}", stage="decode", source_id=str(media.path)
-        ) from exc
 
     samples = np.asarray(samples, dtype=np.float32)
     if samples.ndim == 2:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .adapters.base import DenoiseAdapter, StemAdapter, TranscodeAdapter
 from .audio import AudioClip
-from .errors import ConfigurationError, FormatError, StageError, ValidationError
+from .errors import ConfigurationError, FormatError, StageError, ValidationError, backend_call
 
 
 class TailPolicy(str, Enum):
@@ -81,14 +81,8 @@ def denoise(clip: AudioClip, strength: float, adapter: DenoiseAdapter) -> AudioC
     clip.require_non_empty("denoise input")
     if not 0.0 <= strength <= 1.0:
         raise ConfigurationError(f"denoise strength must be in [0, 1], got {strength}")
-    try:
+    with backend_call("denoise adapter failed", stage="denoise", source_id=clip.source_id):
         out = adapter.denoise(clip.samples, clip.sample_rate_hz, strength)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"denoise adapter failed: {exc}", stage="denoise", source_id=clip.source_id
-        ) from exc
     out = np.asarray(out, dtype=np.float32)
     if out.size != clip.n_samples:
         raise StageError(
@@ -96,31 +90,15 @@ def denoise(clip: AudioClip, strength: float, adapter: DenoiseAdapter) -> AudioC
             stage="denoise",
             source_id=clip.source_id,
         )
-    return AudioClip(
-        samples=out,
-        sample_rate_hz=clip.sample_rate_hz,
-        source_id=clip.source_id,
-        offset_s=clip.offset_s,
-    )
+    return replace(clip, samples=out)
 
 
 def separate_vocals(clip: AudioClip, stem_model: StemModel, adapter: StemAdapter) -> AudioClip:
     """Vocal-isolation pass; the adapter decides the output length."""
     clip.require_non_empty("stem separation input")
-    try:
+    with backend_call("stem adapter failed", stage="stems", source_id=clip.source_id):
         out = adapter.separate_vocals(clip.samples, clip.sample_rate_hz, stem_model.value)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"stem adapter failed: {exc}", stage="stems", source_id=clip.source_id
-        ) from exc
-    return AudioClip(
-        samples=np.asarray(out, dtype=np.float32),
-        sample_rate_hz=clip.sample_rate_hz,
-        source_id=clip.source_id,
-        offset_s=clip.offset_s,
-    )
+    return replace(clip, samples=np.asarray(out, dtype=np.float32))
 
 
 def segment(clip: AudioClip, policy: SegmentationPolicy) -> list[AudioClip]:
@@ -162,16 +140,9 @@ def segment(clip: AudioClip, policy: SegmentationPolicy) -> list[AudioClip]:
 def transcode(clip: AudioClip, format: AudioFormat, codec: TranscodeAdapter) -> EncodedAudio:
     """Serialize a clip through the given codec adapter."""
     clip.require_non_empty("transcode input")
-    try:
+    message = f"transcode to {format.value} failed"
+    with backend_call(message, stage="transcode", source_id=clip.source_id):
         payload = codec.encode(clip.samples, clip.sample_rate_hz, format.value)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"transcode to {format.value} failed: {exc}",
-            stage="transcode",
-            source_id=clip.source_id,
-        ) from exc
     return EncodedAudio(
         payload=payload,
         format=format,

@@ -1,12 +1,13 @@
 """Prompted text-to-speech generation, single-shot and journaled batches.
 
-Batch runs persist every finished clip as `<sentence sha256>.wav` and append
-one JSON line per outcome to a journal, so an interrupted run resumes by
-replaying the journal instead of regenerating audio. A journal line also
-records the context the clip was made under (prompt, generation params and
-TTS adapter id), and a clip is reused only under the same context. Because
-clips are PCM16-quantized before hitting disk both times, a resumed run is
-byte-identical to an uninterrupted one.
+Batch runs persist every finished clip and append one JSON line per outcome
+to a journal, so an interrupted run resumes by replaying the journal instead
+of regenerating audio. A journal line records the digest of the context the
+clip was made under (prompt, generation params, TTS adapter id); a clip is
+reused only under the same context, and its file name
+`<sentence sha256>-<context[:16]>.wav` keeps a run under other settings from
+overwriting it. Because clips are PCM16-quantized before hitting disk both
+times, a resumed run is byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .adapters.base import TtsAdapter
 from .audio import AudioClip, load_wav, save_wav
-from .errors import BatchError, ConfigurationError, GenerationError, ValidationError
+from .errors import BatchError, GenerationError, ValidationError, backend_call
 from .voiceprompt import SpeakerPrompt
 
 JOURNAL_NAME = "journal.jsonl"
@@ -97,7 +98,10 @@ def synthesize(
     """Generate one clip in the prompt's voice at the backend's native rate."""
     if not text.strip():
         raise ValidationError("text must be non-empty")
-    try:
+    message = f"TTS backend failed on {text[:40]!r}"
+    with backend_call(
+        message, stage="synthesize", source_id=prompt.source_id, error=GenerationError
+    ):
         samples = backend.synthesize(
             text,
             prompt.semantic_tokens,
@@ -105,14 +109,6 @@ def synthesize(
             prompt.fine.codes,
             params,
         )
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise GenerationError(
-            f"TTS backend failed on {text[:40]!r}: {exc}",
-            stage="synthesize",
-            source_id=prompt.source_id,
-        ) from exc
     samples = np.asarray(samples, dtype=np.float32)
     if samples.size == 0:
         raise GenerationError(
@@ -170,12 +166,13 @@ def batch_synthesize(
 ) -> BatchResult:
     """Generate one clip per sentence with fault isolation and resumption.
 
-    Clips land in `<work_dir>/clips/<sentence sha256>.wav` and the journal at
-    `<work_dir>/journal.jsonl` records one {sentence_sha256, output_path,
-    status} object per attempt outcome; "ok" lines add a `context` digest of
-    the prompt, `params` and `backend_id` (the TTS adapter's registry id).
-    Reruns skip sentences whose journal status is "ok", whose context matches
-    this call's, and whose clip file still exists.
+    The journal at `<work_dir>/journal.jsonl` records one {sentence_sha256,
+    output_path, status} object per attempt outcome; "ok" lines add a
+    `context` digest of the prompt, `params` and `backend_id` (the TTS
+    adapter's registry id). Clips land in
+    `<work_dir>/clips/<sentence sha256>-<context[:16]>.wav`. Reruns skip
+    sentences whose journal status is "ok", whose context matches this
+    call's, and whose clip file still exists.
     """
     if not sentences:
         return BatchResult(records=[])
@@ -226,7 +223,7 @@ def batch_synthesize(
                     journal_path, {"sentence_sha256": sha, "output_path": "", "status": "failed"}
                 )
                 continue
-            clip_path = clip_dir / f"{sha}.wav"
+            clip_path = clip_dir / f"{sha}-{context[:16]}.wav"
             save_wav(clip, clip_path)
             clip = load_wav(clip_path)  # requantized samples, as any rerun would see them
             _append_journal(

@@ -7,7 +7,7 @@ from enum import Enum
 
 from .adapters.base import AsrAdapter, DiarizationAdapter
 from .audio import AudioClip
-from .errors import ConfigurationError, StageError, ValidationError
+from .errors import StageError, ValidationError, backend_call
 
 # slack for adapter timestamps that overshoot the clip edge by float noise
 _EDGE_TOLERANCE_S = 1e-6
@@ -68,15 +68,8 @@ def _normalize_text(text: str) -> str:
 def transcribe(clip: AudioClip, config: AsrConfig, asr: AsrAdapter) -> list[TranscriptSegment]:
     """Run ASR over a clip; returns sorted, non-overlapping, in-bounds segments."""
     clip.require_non_empty("transcription input")
-    try:
+    with backend_call("ASR adapter failed", stage="transcribe", source_id=clip.source_id):
         raw = asr.transcribe(clip.samples, clip.sample_rate_hz, config)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"ASR adapter failed: {exc}", stage="transcribe", source_id=clip.source_id
-        ) from exc
-
     segments = sorted(
         (
             TranscriptSegment(start_s=s.start_s, end_s=s.end_s, text=_normalize_text(s.text))
@@ -104,14 +97,8 @@ def transcribe(clip: AudioClip, config: AsrConfig, asr: AsrAdapter) -> list[Tran
 def diarize(clip: AudioClip, dia: DiarizationAdapter) -> list[SpeakerTurn]:
     """Run speaker diarization; turns come back sorted by start time."""
     clip.require_non_empty("diarization input")
-    try:
+    with backend_call("diarization adapter failed", stage="diarize", source_id=clip.source_id):
         turns = list(dia.diarize(clip.samples, clip.sample_rate_hz))
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"diarization adapter failed: {exc}", stage="diarize", source_id=clip.source_id
-        ) from exc
     return sorted(turns, key=lambda t: t.start_s)
 
 
@@ -132,17 +119,7 @@ def slice_by_segments(
             raise ValidationError(
                 f"segment [{seg.start_s}, {seg.end_s}] s exceeds clip duration {clip.duration_s} s"
             )
-        out.append(
-            (
-                AudioClip(
-                    samples=clip.samples[lo:hi],
-                    sample_rate_hz=rate,
-                    source_id=clip.source_id,
-                    offset_s=clip.offset_s + lo / rate,
-                ),
-                seg.text,
-            )
-        )
+        out.append((clip.slice_samples(lo, hi), seg.text))
     return out
 
 

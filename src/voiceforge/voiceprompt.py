@@ -17,7 +17,7 @@ import numpy as np
 
 from .adapters.base import CodecAdapter, SemanticEncoderAdapter, TokenQuantizerAdapter
 from .audio import AudioClip
-from .errors import ConfigurationError, FormatError, StageError, ValidationError
+from .errors import ConfigurationError, FormatError, StageError, ValidationError, backend_call
 
 PROMPT_KEYS = ("semantic_prompt", "coarse_prompt", "fine_prompt")
 _META_FRAME_RATE = "meta_frame_rate_hz"
@@ -132,14 +132,8 @@ def extract_codebooks(
         raise ValidationError(
             f"n_coarse must be in (0, {codec.codebook_count}), got {n_coarse}"
         )
-    try:
+    with backend_call("codec adapter failed", stage="codec", source_id=clip.source_id):
         codes = np.asarray(codec.encode(clip.samples, clip.sample_rate_hz), dtype=np.int64)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"codec adapter failed: {exc}", stage="codec", source_id=clip.source_id
-        ) from exc
     if codes.ndim != 2 or codes.shape[0] != codec.codebook_count:
         raise StageError(
             f"codec returned shape {codes.shape}, expected ({codec.codebook_count}, n_frames)",
@@ -169,15 +163,9 @@ def extract_semantic_tokens(
             f"encoder embedding dim {encoder.embedding_dim} does not match "
             f"quantizer dim {quantizer.embedding_dim}"
         )
-    try:
+    with backend_call("semantic encoding failed", stage="semantic", source_id=clip.source_id):
         features = encoder.encode(clip.samples, clip.sample_rate_hz)
         tokens = np.asarray(quantizer.quantize(features), dtype=np.int64)
-    except (ConfigurationError, ValidationError):
-        raise
-    except Exception as exc:
-        raise StageError(
-            f"semantic encoding failed: {exc}", stage="semantic", source_id=clip.source_id
-        ) from exc
     expected = round(clip.duration_s * encoder.token_rate_hz)
     if abs(tokens.size - expected) > 1:
         raise StageError(

@@ -51,14 +51,7 @@ class TestRegistry:
     def test_resolve_returns_registered_instance(self):
         registry = AdapterRegistry()
         codec = MockCodecAdapter()
-        registry.register(
-            AdapterDescriptor(
-                role=AdapterRole.CODEC,
-                id="mock",
-                metadata={"codebook_count": 8, "frame_rate": 75.0, "codebook_size": 1024},
-            ),
-            codec,
-        )
+        registry.register(AdapterDescriptor(role=AdapterRole.CODEC, id="mock"), codec)
         assert registry.resolve(AdapterRole.CODEC, "mock") is codec
         assert registry.resolve("codec", "mock") is codec
 
@@ -77,13 +70,9 @@ class TestRegistry:
 
     def test_descriptor_lookup(self):
         registry = AdapterRegistry()
-        descriptor = AdapterDescriptor(role=AdapterRole.TTS, id="mock", native_rate_hz=24000)
+        descriptor = AdapterDescriptor(role=AdapterRole.TTS, id="mock")
         registry.register(descriptor, MockTtsAdapter())
         assert registry.descriptor(AdapterRole.TTS, "mock") == descriptor
-
-    def test_codec_descriptor_requires_metadata(self):
-        with pytest.raises(RegistryError, match="metadata"):
-            AdapterDescriptor(role=AdapterRole.CODEC, id="bad")
 
     def test_descriptor_requires_id(self):
         with pytest.raises(RegistryError):

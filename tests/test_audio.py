@@ -267,6 +267,27 @@ def test_decoder_rejects_float_pcm():
         decode_wav_pcm16(bytes(payload))
 
 
+def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+_PCM16_MONO_FMT = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        (_riff((b"fmt ", _PCM16_MONO_FMT[:8]), (b"data", b"\x00" * 100)), "fmt chunk is 8 bytes"),
+        (_riff((b"fmt ", _PCM16_MONO_FMT), (b"data", b"\x00" * 101)), "odd byte count"),
+    ],
+    ids=["short_fmt_chunk", "odd_data_chunk"],
+)
+def test_decoder_rejects_malformed_chunks(payload, match):
+    with pytest.raises(FormatError, match=match):
+        decode_wav_pcm16(payload)
+
+
 def test_save_and_load_wav(tmp_path):
     clip = _clip(n=1234, rate=24000)
     path = tmp_path / "clip.wav"

@@ -195,10 +195,7 @@ class TestGenerationRun:
                 return wave
 
         registry = default_registry()
-        registry.register(
-            AdapterDescriptor(role=AdapterRole.TTS, id="tiny", native_rate_hz=24000),
-            TinyTts(),
-        )
+        registry.register(AdapterDescriptor(role=AdapterRole.TTS, id="tiny"), TinyTts())
         root = tmp_path / "out"
         sentences = [SENTENCES[0], "SHORT कट", SENTENCES[2]]
         config = _m1_config(root, sentences=sentences, adapters={"tts": "tiny"})

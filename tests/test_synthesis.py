@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from voiceforge import synthesis
 from voiceforge.adapters.mocks import MockTtsAdapter
 from voiceforge.audio import load_wav
 from voiceforge.errors import (
@@ -36,6 +38,13 @@ def _prompt(source_id: str = "talk"):
     )
     semantic = rng.integers(0, 500, size=20, dtype=np.int64)
     return build_prompt(semantic, fine, n_coarse=2, source_id=source_id)
+
+
+def _clip_paths(work_dir) -> dict[str, Path]:
+    """sentence sha256 -> clip path named by its last "ok" journal line."""
+    lines = (Path(work_dir) / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    return {e["sentence_sha256"]: Path(e["output_path"]) for e in entries if e["status"] == "ok"}
 
 
 class CountingBackend(MockTtsAdapter):
@@ -166,8 +175,10 @@ class TestBatchSynthesize:
         assert [r.sentence for r in result.records] == SENTENCES
         assert all(r.prompt_id == prompt_digest(prompt) for r in result.records)
         clip_dir = tmp_path / CLIP_DIR_NAME
+        paths = _clip_paths(tmp_path)
         for sentence in SENTENCES:
-            assert (clip_dir / f"{sentence_digest(sentence)}.wav").is_file()
+            assert paths[sentence_digest(sentence)].parent == clip_dir
+            assert paths[sentence_digest(sentence)].is_file()
         journal = (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8")
         assert len(journal.splitlines()) == 3
         assert all(json.loads(line)["status"] == "ok" for line in journal.splitlines())
@@ -182,7 +193,7 @@ class TestBatchSynthesize:
             tmp_path,
         )
         record = result.records[0]
-        on_disk = load_wav(tmp_path / CLIP_DIR_NAME / f"{sentence_digest(record.sentence)}.wav")
+        on_disk = load_wav(_clip_paths(tmp_path)[sentence_digest(record.sentence)])
         assert np.array_equal(record.clip.samples, on_disk.samples)
 
     def test_transient_failure_is_retried(self, tmp_path):
@@ -278,6 +289,33 @@ class TestBatchSynthesize:
         assert backend.calls == len(SENTENCES)
         assert result.complete
 
+    def test_run_killed_under_another_context_leaves_the_finished_clip(
+        self, tmp_path, monkeypatch
+    ):
+        prompt = _prompt()
+        params_a = GenerationParams(text_temp=0.85, waveform_temp=0.7, seed=1)
+        params_b = GenerationParams(text_temp=0.85, waveform_temp=0.7, seed=2)
+        first = batch_synthesize(
+            SENTENCES[:1], prompt, params_a, MockTtsAdapter(), "mock", tmp_path
+        )
+
+        append = synthesis._append_journal
+
+        def killed_before_ok_line(path, entry):
+            if entry["status"] == "ok":
+                raise KeyboardInterrupt("killed after save_wav, before the journal line")
+            append(path, entry)
+
+        monkeypatch.setattr(synthesis, "_append_journal", killed_before_ok_line)
+        with pytest.raises(KeyboardInterrupt):
+            batch_synthesize(SENTENCES[:1], prompt, params_b, MockTtsAdapter(), "mock", tmp_path)
+        monkeypatch.setattr(synthesis, "_append_journal", append)
+
+        backend = CountingBackend()
+        resumed = batch_synthesize(SENTENCES[:1], prompt, params_a, backend, "mock", tmp_path)
+        assert backend.calls == 0
+        assert np.array_equal(resumed.records[0].clip.samples, first.records[0].clip.samples)
+
     def test_torn_journal_line_is_redone(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
@@ -295,7 +333,7 @@ class TestBatchSynthesize:
         prompt = _prompt()
         params = default_generation_params()
         batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
-        victim = tmp_path / CLIP_DIR_NAME / f"{sentence_digest(SENTENCES[0])}.wav"
+        victim = _clip_paths(tmp_path)[sentence_digest(SENTENCES[0])]
         victim.unlink()
         backend = CountingBackend()
         result = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
