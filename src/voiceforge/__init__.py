@@ -68,7 +68,6 @@ from .quality import (
 from .synthesis import (
     BatchResult,
     GenerationParams,
-    GenerationRecord,
     batch_synthesize,
     default_generation_params,
     synthesize,
@@ -111,7 +110,6 @@ __all__ = [
     "EncodedAudio",
     "FormatError",
     "GenerationParams",
-    "GenerationRecord",
     "Methodology",
     "OutputFormat",
     "ParseError",

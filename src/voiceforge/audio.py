@@ -174,6 +174,8 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
     while pos + 8 <= len(view):
         chunk_id = bytes(view[pos : pos + 4])
         (chunk_len,) = struct.unpack_from("<I", view, pos + 4)
+        if pos + 8 + chunk_len > len(view):
+            raise FormatError(f"WAV chunk of {chunk_len} bytes runs past the end of the payload")
         body = view[pos + 8 : pos + 8 + chunk_len]
         if chunk_id == b"fmt ":
             fmt = body
@@ -193,8 +195,9 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
         raise FormatError(f"unsupported channel count {n_channels}")
     q = np.frombuffer(data, dtype="<i2")
     if n_channels == 2:
-        q = q[: (q.size // 2) * 2].reshape(-1, 2).T
-        return downmix_mean(dequantize_pcm16(q)), rate
+        if q.size % 2:
+            raise FormatError(f"stereo WAV data chunk holds an odd number of values ({q.size})")
+        return downmix_mean(dequantize_pcm16(q.reshape(-1, 2).T)), rate
     return dequantize_pcm16(q), rate
 
 

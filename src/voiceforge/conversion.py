@@ -87,28 +87,14 @@ def default_conversion_params() -> ConversionParams:
     )
 
 
-def validate_training_data(
-    clips: list[AudioClip], target_rate_hz: int = 32000
-) -> list[str]:
-    """Advisory warnings about training-data sufficiency; never raises.
-
-    One warning if total duration falls below the 600 s minimum, plus one
-    per clip whose rate differs from the trainer's target rate.
-    """
-    warnings: list[str] = []
-    total_s = sum(clip.duration_s for clip in clips)
-    if total_s < MIN_TRAINING_SECONDS:
-        warnings.append(
-            f"training data totals {total_s:.1f} s, below the "
-            f"{MIN_TRAINING_SECONDS:.0f} s minimum"
-        )
-    for i, clip in enumerate(clips):
-        if clip.sample_rate_hz != target_rate_hz:
-            warnings.append(
-                f"clip {i} ({clip.source_id or 'unnamed'}) has rate "
-                f"{clip.sample_rate_hz} Hz, trainer expects {target_rate_hz} Hz"
-            )
-    return warnings
+def validate_training_data(total_s: float) -> list[str]:
+    """Advisory warning when the training data totals under the 600 s minimum; never raises."""
+    # clip rates need no check: packaging drops every clip not at the trainer's rate
+    if total_s >= MIN_TRAINING_SECONDS:
+        return []
+    return [
+        f"training data totals {total_s:.1f} s, below the {MIN_TRAINING_SECONDS:.0f} s minimum"
+    ]
 
 
 def convert_voice(
@@ -124,7 +110,14 @@ def convert_voice(
         samples, rate = backend.convert(
             clip.samples, clip.sample_rate_hz, model_ref, index_ref, params
         )
-    out = replace(clip, samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
+    try:
+        out = replace(clip, samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
+    except ValidationError as exc:
+        raise StageError(
+            f"conversion backend returned invalid audio: {exc}",
+            stage="convert",
+            source_id=clip.source_id,
+        ) from exc
     if abs(out.duration_s - clip.duration_s) > 0.02 * clip.duration_s:
         raise StageError(
             f"conversion changed duration {clip.duration_s:.3f} s -> {out.duration_s:.3f} s "

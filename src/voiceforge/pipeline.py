@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .corpus import (
     write_common_voice,
     write_lj,
 )
-from .errors import ConfigurationError, DecodeError, StageError
+from .errors import BatchError, ConfigurationError, DecodeError, StageError
 from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
 from .preprocess import (
     AudioFormat,
@@ -209,15 +210,16 @@ def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) 
 def _package(
     config: PipelineConfig,
     adapters: dict[AdapterRole, object],
-    candidates: list[tuple[CorpusEntry, AudioClip]],
+    candidates: Iterable[tuple[CorpusEntry, AudioClip]],
     summary: RunSummary,
-) -> list[AudioClip]:
-    """Gate, transcode, write and read back the dataset; returns the clips written.
+) -> list[float]:
+    """Gate, transcode, write and read back the dataset; returns the kept durations.
 
-    The audio path a candidate entry carries is replaced. The dataset format
-    alone decides the audio format, the clip path, the writer and reader, the
-    LJ rule against '|' in a transcript, and how much of each entry the
-    read-back must reproduce (LJ manifests keep only the path and sentence).
+    Each clip is dropped once transcoded. The audio path a candidate entry
+    carries is replaced. The dataset format alone decides the audio format,
+    the clip path, the writer and reader, the LJ rule against '|' in a
+    transcript, and how much of each entry the read-back must reproduce (LJ
+    manifests keep only the path and sentence).
     """
     common_voice = _dataset_format(config) is OutputFormat.COMMON_VOICE
     audio_format, clip_dir, extension = (
@@ -229,7 +231,7 @@ def _package(
     transcoder = adapters[AdapterRole.TRANSCODE]
     entries: list[CorpusEntry] = []
     audio: dict[str, EncodedAudio] = {}
-    kept: list[AudioClip] = []
+    durations: list[float] = []
     for entry, clip in candidates:
         issues = validate_clip(clip, constraints)
         passed = not any(issue.severity is Severity.FAIL for issue in issues)
@@ -249,7 +251,7 @@ def _package(
         entries.append(
             replace(entry, relative_audio_path=f"{clip_dir}/{entry.clip_id}.{extension}")
         )
-        kept.append(clip)
+        durations.append(clip.duration_s)
     if not entries:
         raise StageError("no clip passed quality gating", stage="quality")
 
@@ -273,7 +275,7 @@ def _package(
         raise StageError(
             f"read-back of {root} does not match the written manifest", stage="package"
         )
-    return kept
+    return durations
 
 
 def _speaker_prompt(
@@ -335,7 +337,7 @@ def _m1_generate(
         work_dir=synth_dir,
         retries=config.generation.retries,
     )
-    summary.sentences_generated = len(batch.records)
+    summary.sentences_generated = len(batch.clips)
     summary.partial = not batch.complete
     for sentence, cause in batch.failures.items():
         summary.messages.append(f"failed sentence {sentence[:40]!r}: {cause}")
@@ -370,25 +372,25 @@ def run_methodology_1(
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
     source_id, pid, batch = _m1_generate(config, adapters, summary, resume)
 
-    candidates = [
+    candidates = (
         (
             CorpusEntry(
                 clip_id=make_clip_id(source_id, i),
                 relative_audio_path="",
-                sentence=record.sentence,
+                sentence=sentence,
                 client_id=client_id_for(pid),
                 locale=config.output.locale,
             ),
-            record.clip,
+            clip,
         )
-        for i, record in enumerate(batch.records)
-    ]
-    kept = _package(config, adapters, candidates, summary)
+        for i, (sentence, clip) in enumerate(batch.load())
+    )
+    durations = _package(config, adapters, candidates, summary)
     summary.quality.metrics.update(
         {
             "sentences_requested": float(len(config.generation.sentences)),
-            "sentences_generated": float(len(batch.records)),
-            "mean_clip_duration_s": sum(clip.duration_s for clip in kept) / len(kept),
+            "sentences_generated": float(len(batch.clips)),
+            "mean_clip_duration_s": sum(durations) / len(durations),
         }
     )
     summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
@@ -422,7 +424,7 @@ def _prepare_lj_training_set(
         )
 
     source_id = source_clip.source_id
-    candidates = [
+    candidates = (
         (
             CorpusEntry(
                 clip_id=make_clip_id(source_id, i),
@@ -434,10 +436,10 @@ def _prepare_lj_training_set(
             clip,
         )
         for i, (clip, text) in enumerate(pairs)
-    ]
-    kept = _package(config, adapters, candidates, summary)
-    summary.messages.extend(validate_training_data(kept, config.training.target_sample_rate_hz))
-    summary.quality.metrics["total_speech_s"] = float(sum(clip.duration_s for clip in kept))
+    )
+    total_s = float(sum(_package(config, adapters, candidates, summary)))
+    summary.messages.extend(validate_training_data(total_s))
+    summary.quality.metrics["total_speech_s"] = total_s
 
     root = Path(config.output.root)
     write_training_config(config.training, root / TRAINING_CONFIG_NAME)
@@ -458,23 +460,26 @@ def _convert_corpus(
     if not input_entries:
         raise StageError(f"input corpus {input_root} has no entries", stage="convert")
 
-    transcoder = adapters[AdapterRole.TRANSCODE]
-    candidates: list[tuple[CorpusEntry, AudioClip]] = []
-    for entry in input_entries:
-        clip = _decode_clip(input_root, entry, OutputFormat.COMMON_VOICE, transcoder)
-        candidates.append(
-            (
-                replace(
-                    entry,
-                    client_id=client_id_for(conv.model_ref),
-                    locale=entry.locale or config.output.locale,
-                ),
-                convert_voice(
-                    clip, conv.model_ref, conv.index_ref, conv.params, adapters[AdapterRole.VC]
-                ),
-            )
-        )
-    _package(config, adapters, candidates, summary)
+    transcoder, vc = adapters[AdapterRole.TRANSCODE], adapters[AdapterRole.VC]
+
+    def converted() -> Iterator[tuple[CorpusEntry, AudioClip]]:
+        """Decode and convert one clip at a time; a clip that fails is only skipped."""
+        causes: dict[str, str] = {}
+        for entry in input_entries:
+            try:
+                clip = _decode_clip(input_root, entry, OutputFormat.COMMON_VOICE, transcoder)
+                clip = convert_voice(clip, conv.model_ref, conv.index_ref, conv.params, vc)
+            except StageError as exc:
+                causes[entry.clip_id] = str(exc)
+                summary.messages.append(f"failed clip {entry.clip_id}: {exc}")
+                summary.partial = True
+                continue
+            locale = entry.locale or config.output.locale
+            yield replace(entry, client_id=client_id_for(conv.model_ref), locale=locale), clip
+        if len(causes) == len(input_entries):
+            raise BatchError("every clip failed conversion", causes=causes, stage="convert")
+
+    _package(config, adapters, converted(), summary)
 
 
 def run_methodology_2(

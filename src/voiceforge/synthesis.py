@@ -6,8 +6,9 @@ of regenerating audio. A journal line records the digest of the context the
 clip was made under (prompt, generation params, TTS adapter id); a clip is
 reused only under the same context, and its file name
 `<sentence sha256>-<context[:16]>.wav` keeps a run under other settings from
-overwriting it. Because clips are PCM16-quantized before hitting disk both
-times, a resumed run is byte-identical to an uninterrupted one.
+overwriting it. A batch returns clip files, not audio: callers read every
+clip back from disk, so a resumed run is byte-identical to an uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,31 +53,21 @@ def default_generation_params() -> GenerationParams:
     return GenerationParams(text_temp=0.85, waveform_temp=0.7)
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """One synthesized sentence and the context it was generated under."""
-
-    sentence: str
-    clip: AudioClip
-    params: GenerationParams
-    prompt_id: str
-
-    def __post_init__(self) -> None:
-        if not self.sentence.strip():
-            raise ValidationError("sentence must be non-empty")
-        self.clip.require_non_empty("generated clip")
-
-
 @dataclass
 class BatchResult:
-    """Outcome of batch_synthesize: ordered successes plus per-sentence failures."""
+    """Outcome of batch_synthesize: (sentence, clip file) pairs in sentence order plus failures."""
 
-    records: list[GenerationRecord]
+    clips: list[tuple[str, Path]]
     failures: dict[str, str] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
         return not self.failures
+
+    def load(self) -> Iterator[tuple[str, AudioClip]]:
+        """Read the clips back one at a time, in sentence order."""
+        for sentence, path in self.clips:
+            yield sentence, load_wav(path)
 
 
 def prompt_digest(prompt: SpeakerPrompt) -> str:
@@ -172,10 +164,11 @@ def batch_synthesize(
     adapter's registry id). Clips land in
     `<work_dir>/clips/<sentence sha256>-<context[:16]>.wav`. Reruns skip
     sentences whose journal status is "ok", whose context matches this
-    call's, and whose clip file still exists.
+    call's, and whose clip file still exists. A batch that returns deletes
+    every other clip file in `<work_dir>/clips/`.
     """
     if not sentences:
-        return BatchResult(records=[])
+        return BatchResult(clips=[])
     for sentence in sentences:
         if not sentence.strip():
             raise ValidationError("sentences must all be non-empty")
@@ -185,36 +178,31 @@ def batch_synthesize(
     clip_dir.mkdir(parents=True, exist_ok=True)
     journal_path = work_dir / JOURNAL_NAME
     journal = _read_journal(journal_path)
-    pid = prompt_digest(prompt)
-    context_doc = {"prompt": pid, "params": asdict(params), "tts": backend_id}
+    context_doc = {"prompt": prompt_digest(prompt), "params": asdict(params), "tts": backend_id}
     context = hashlib.sha256(json.dumps(context_doc, sort_keys=True).encode("utf-8")).hexdigest()
 
     def generate(sentence: str) -> AudioClip:
-        last_error: Exception | None = None
-        for _ in range(1 + retries):
+        for attempt in range(1 + retries):
             try:
                 return synthesize(sentence, prompt, params, backend)
-            except GenerationError as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
+            except GenerationError:
+                if attempt == retries:
+                    raise
 
-    def restore(sentence: str) -> AudioClip | None:
-        """Clip from a previous run, if the journal says it finished under this context."""
+    def restore(sentence: str) -> Path | None:
+        """Clip file from a previous run, if the journal says it finished under this context."""
         entry = journal.get(sentence_digest(sentence))
         if not entry or entry.get("status") != "ok" or entry.get("context") != context:
             return None
         clip_path = Path(entry["output_path"])
-        if not clip_path.is_file():
-            return None
-        return load_wav(clip_path)
+        return clip_path if clip_path.is_file() else None
 
-    records: list[GenerationRecord] = []
+    clips: list[tuple[str, Path]] = []
     failures: dict[str, str] = {}
     for sentence in sentences:
         sha = sentence_digest(sentence)
-        clip = restore(sentence)
-        if clip is None:
+        clip_path = restore(sentence)
+        if clip_path is None:
             try:
                 clip = generate(sentence)
             except GenerationError as exc:
@@ -225,7 +213,6 @@ def batch_synthesize(
                 continue
             clip_path = clip_dir / f"{sha}-{context[:16]}.wav"
             save_wav(clip, clip_path)
-            clip = load_wav(clip_path)  # requantized samples, as any rerun would see them
             _append_journal(
                 journal_path,
                 {
@@ -235,8 +222,12 @@ def batch_synthesize(
                     "context": context,
                 },
             )
-        records.append(GenerationRecord(sentence=sentence, clip=clip, params=params, prompt_id=pid))
+        clips.append((sentence, clip_path))
 
-    if failures and not records:
+    if failures and not clips:
         raise BatchError("every sentence in the batch failed", causes=failures)
-    return BatchResult(records=records, failures=failures)
+    current = {path.name for _, path in clips}
+    for stale in clip_dir.glob("*.wav"):  # clips of other contexts or of dropped sentences
+        if stale.name not in current:
+            stale.unlink()
+    return BatchResult(clips=clips, failures=failures)

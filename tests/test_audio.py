@@ -273,6 +273,7 @@ def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
 
 
 _PCM16_MONO_FMT = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+_PCM16_STEREO_FMT = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
 
 
 @pytest.mark.parametrize(
@@ -280,8 +281,10 @@ _PCM16_MONO_FMT = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
     [
         (_riff((b"fmt ", _PCM16_MONO_FMT[:8]), (b"data", b"\x00" * 100)), "fmt chunk is 8 bytes"),
         (_riff((b"fmt ", _PCM16_MONO_FMT), (b"data", b"\x00" * 101)), "odd byte count"),
+        (encode_wav_pcm16(_clip(n=1000))[:-500], "chunk of 2000 bytes runs past the end"),
+        (_riff((b"fmt ", _PCM16_STEREO_FMT), (b"data", b"\x00" * 10)), "odd number of values"),
     ],
-    ids=["short_fmt_chunk", "odd_data_chunk"],
+    ids=["short_fmt_chunk", "odd_data_chunk", "truncated_data_chunk", "odd_stereo_data_chunk"],
 )
 def test_decoder_rejects_malformed_chunks(payload, match):
     with pytest.raises(FormatError, match=match):

@@ -104,31 +104,28 @@ class TestConversionParams:
         assert params.protect == 0.5
 
 
+def _total_s(clips) -> float:
+    return sum(clip.duration_s for clip in clips)
+
+
 class TestValidateTrainingData:
     def test_hour_of_audio_is_clean(self):
         clips = [_clip(60.0) for _ in range(60)]
-        assert validate_training_data(clips) == []
+        assert validate_training_data(_total_s(clips)) == []
 
     def test_underfull_corpus_names_the_threshold(self):
         clips = [_clip(60.0) for _ in range(9)]
-        warnings = validate_training_data(clips)
+        warnings = validate_training_data(_total_s(clips))
         assert len(warnings) == 1
         assert "540.0 s" in warnings[0]
         assert "600 s" in warnings[0]
 
     def test_exactly_at_minimum_is_clean(self):
         clips = [_clip(MIN_TRAINING_SECONDS / 10) for _ in range(10)]
-        assert validate_training_data(clips) == []
-
-    def test_rate_mismatch_is_flagged_per_clip(self):
-        clips = [_clip(400.0), _clip(300.0, rate=48000, source_id="late")]
-        warnings = validate_training_data(clips, target_rate_hz=32000)
-        assert len(warnings) == 1
-        assert "late" in warnings[0]
-        assert "48000" in warnings[0]
+        assert validate_training_data(_total_s(clips)) == []
 
     def test_empty_corpus_warns_about_duration(self):
-        warnings = validate_training_data([])
+        warnings = validate_training_data(_total_s([]))
         assert len(warnings) == 1
         assert "0.0 s" in warnings[0]
 
@@ -172,6 +169,18 @@ class TestConvertVoice:
 
         backend = Stretching(known_models={"m", "i"})
         with pytest.raises(StageError, match="2%"):
+            convert_voice(_clip(1.0), "m", "i", default_conversion_params(), backend)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan], ids=["out_of_range", "nan"])
+    def test_invalid_backend_audio_is_a_stage_error(self, bad):
+        class Corrupting(MockVcAdapter):
+            def convert(self, samples, rate, *rest):
+                out = np.array(samples, dtype=np.float32)
+                out[out.size // 2] = bad
+                return out, rate
+
+        backend = Corrupting(known_models={"m", "i"})
+        with pytest.raises(StageError, match="invalid audio"):
             convert_voice(_clip(1.0), "m", "i", default_conversion_params(), backend)
 
     def test_backend_crash_becomes_stage_error(self):

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
-from voiceforge import pipeline
+from voiceforge import pipeline, synthesis
 from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
-from voiceforge.adapters.mocks import MockTranscodeAdapter, MockTtsAdapter
+from voiceforge.adapters.mocks import MockTranscodeAdapter, MockTtsAdapter, MockVcAdapter
 from voiceforge.audio import AudioClip, load_wav
+from voiceforge.cli import EXIT_PARTIAL, EXIT_STAGE, main
 from voiceforge.config import parse_config
 from voiceforge.corpus import (
     CorpusEntry,
@@ -87,20 +89,74 @@ def _make_cv_corpus(root, n: int = 3, rate: int = 32000):
     return entries
 
 
+def _m2_convert_data(root, input_corpus, model, index, vc="mock"):
+    return {
+        "methodology": "rvc_convert",
+        "source": {"uri": "mock://unused?duration=1"},
+        "conversion": {
+            "model_ref": str(model),
+            "index_ref": str(index),
+            "input_corpus": str(input_corpus),
+        },
+        "output": {"root": str(root), "split": {"valid_fraction": 0.34, "seed": 5}},
+        "adapters": {"downloader": "mock", "decoder": "mock", "vc": vc},
+    }
+
+
 def _m2_convert_config(root, input_corpus, model, index):
-    return parse_config(
-        {
-            "methodology": "rvc_convert",
-            "source": {"uri": "mock://unused?duration=1"},
-            "conversion": {
-                "model_ref": str(model),
-                "index_ref": str(index),
-                "input_corpus": str(input_corpus),
-            },
-            "output": {"root": str(root), "split": {"valid_fraction": 0.34, "seed": 5}},
-            "adapters": {"downloader": "mock", "decoder": "mock"},
-        }
-    )
+    return parse_config(_m2_convert_data(root, input_corpus, model, index))
+
+
+class FailingVc(MockVcAdapter):
+    """Mock VC that fails on the listed calls: it raises, or returns one bad sample."""
+
+    def __init__(self, bad, failing_calls):
+        super().__init__()
+        self.bad = bad
+        self.failing_calls = failing_calls
+        self.calls = 0
+
+    def convert(self, samples, *rest):
+        call, self.calls = self.calls, self.calls + 1
+        out, rate = super().convert(samples, *rest)
+        if call in self.failing_calls:
+            if self.bad == "raise":
+                raise RuntimeError("vc fell over")
+            out = np.array(out, dtype=np.float32)
+            out[out.size // 2] = self.bad
+        return out, rate
+
+
+def _registry_with_vc(vc):
+    registry = default_registry()
+    registry.register(AdapterDescriptor(role=AdapterRole.VC, id="failing"), vc)
+    return registry
+
+
+def _conversion_inputs(tmp_path):
+    """A 3-clip input corpus plus model and index files; returns their paths."""
+    corpus = tmp_path / "corpus"
+    _make_cv_corpus(corpus)
+    model = tmp_path / "voice.pth"
+    index = tmp_path / "voice.index"
+    model.touch()
+    index.touch()
+    return corpus, model, index
+
+
+def _run_cli_with_vc(tmp_path, monkeypatch, vc) -> int:
+    """`voiceforge run` of a conversion config whose VC adapter is `vc`; returns the exit code."""
+    data = _m2_convert_data(tmp_path / "out", *_conversion_inputs(tmp_path), vc="failing")
+    cfg = tmp_path / "convert.yaml"
+    cfg.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+    registry = _registry_with_vc(vc)
+    monkeypatch.setattr(pipeline, "default_registry", lambda: registry)
+    return main(["run", "--config", str(cfg)])
+
+
+BAD_VC_OUTPUTS = pytest.mark.parametrize(
+    "bad", ["raise", 1.5, np.nan], ids=["raise", "out_of_range", "nan"]
+)
 
 
 class TestPlanAndWiring:
@@ -335,6 +391,31 @@ class TestConversionRun:
         assert report.metrics["entries"] == 3.0
         assert report.metrics["failing_entries"] == 0.0
 
+    @BAD_VC_OUTPUTS
+    def test_one_bad_clip_is_isolated(self, tmp_path, bad):
+        root = tmp_path / "out"
+        data = _m2_convert_data(root, *_conversion_inputs(tmp_path), vc="failing")
+        vc = FailingVc(bad, failing_calls={1})
+        summary = pipeline.run(parse_config(data), registry=_registry_with_vc(vc))
+
+        assert vc.calls == 3
+        assert summary.partial
+        assert summary.entries_written == 2
+        assert len(read_common_voice(root)) == 2
+        [failure] = [m for m in summary.messages if m.startswith("failed clip ")]
+        assert "[convert]" in failure
+
+    @BAD_VC_OUTPUTS
+    def test_one_bad_clip_exits_partial(self, tmp_path, monkeypatch, capsys, bad):
+        vc = FailingVc(bad, failing_calls={1})
+        assert _run_cli_with_vc(tmp_path, monkeypatch, vc) == EXIT_PARTIAL
+        assert "note: failed clip " in capsys.readouterr().out
+
+    def test_every_clip_failing_is_a_stage_error(self, tmp_path, monkeypatch, capsys):
+        vc = FailingVc("raise", failing_calls={0, 1, 2})
+        assert _run_cli_with_vc(tmp_path, monkeypatch, vc) == EXIT_STAGE
+        assert "every clip" in capsys.readouterr().err
+
     def test_empty_input_corpus_is_a_stage_error(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -403,3 +484,53 @@ class TestStages:
     def test_synth_stage_rejects_conversion_methodology(self, tmp_path):
         with pytest.raises(ConfigurationError, match="bark_prompt"):
             pipeline.synth_stage(_m2_prep_config(tmp_path / "out"))
+
+
+class TestStreaming:
+    """Packaging consumes one clip at a time; nothing upstream buffers them."""
+
+    def test_package_transcodes_each_candidate_before_the_next(self, tmp_path, monkeypatch):
+        transcodes = []
+        real_transcode = pipeline.transcode
+
+        def counting_transcode(*args, **kwargs):
+            transcodes.append(1)
+            return real_transcode(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "transcode", counting_transcode)
+        config = _m1_config(tmp_path / "out")
+        adapters = pipeline.resolve_adapters(config, default_registry())
+        rate = adapters[AdapterRole.TTS].native_rate_hz
+        tone = (0.3 * np.sin(np.arange(2 * rate) * 0.05)).astype(np.float32)
+
+        def candidates():
+            for i, sentence in enumerate(SENTENCES):
+                assert len(transcodes) == i
+                entry = CorpusEntry(clip_id=f"clip_{i}", relative_audio_path="", sentence=sentence)
+                yield entry, AudioClip(samples=tone, sample_rate_hz=rate)
+
+        summary = pipeline.RunSummary(methodology="bark_prompt", output_root=str(tmp_path / "out"))
+        durations = pipeline._package(config, adapters, candidates(), summary)
+        assert durations == [2.0] * len(SENTENCES)
+        assert len(transcodes) == len(SENTENCES)
+
+    def test_generation_run_loads_each_clip_after_the_last_is_transcoded(
+        self, tmp_path, monkeypatch
+    ):
+        transcodes, loads = [], []
+        real_transcode, real_load = pipeline.transcode, synthesis.load_wav
+
+        def counting_transcode(*args, **kwargs):
+            transcodes.append(1)
+            return real_transcode(*args, **kwargs)
+
+        def counting_load(*args, **kwargs):
+            assert len(transcodes) == len(loads)
+            loads.append(1)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "transcode", counting_transcode)
+        monkeypatch.setattr(synthesis, "load_wav", counting_load)
+        summary = pipeline.run_methodology_1(_m1_config(tmp_path / "out"))
+        assert summary.entries_written == len(SENTENCES)
+        assert len(loads) == len(transcodes) == len(SENTENCES)

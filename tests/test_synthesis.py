@@ -172,10 +172,10 @@ class TestBatchSynthesize:
             SENTENCES, prompt, default_generation_params(), MockTtsAdapter(), "mock", tmp_path
         )
         assert result.complete
-        assert [r.sentence for r in result.records] == SENTENCES
-        assert all(r.prompt_id == prompt_digest(prompt) for r in result.records)
+        assert [sentence for sentence, _ in result.clips] == SENTENCES
         clip_dir = tmp_path / CLIP_DIR_NAME
         paths = _clip_paths(tmp_path)
+        assert {sentence_digest(s): path for s, path in result.clips} == paths
         for sentence in SENTENCES:
             assert paths[sentence_digest(sentence)].parent == clip_dir
             assert paths[sentence_digest(sentence)].is_file()
@@ -192,9 +192,9 @@ class TestBatchSynthesize:
             "mock",
             tmp_path,
         )
-        record = result.records[0]
-        on_disk = load_wav(_clip_paths(tmp_path)[sentence_digest(record.sentence)])
-        assert np.array_equal(record.clip.samples, on_disk.samples)
+        [(sentence, clip)] = result.load()
+        on_disk = load_wav(_clip_paths(tmp_path)[sentence_digest(sentence)])
+        assert np.array_equal(clip.samples, on_disk.samples)
 
     def test_transient_failure_is_retried(self, tmp_path):
         backend = FlakyBackend(SENTENCES[1], failures=1)
@@ -211,7 +211,7 @@ class TestBatchSynthesize:
         )
         assert not result.complete
         assert list(result.failures) == [SENTENCES[1]]
-        assert [r.sentence for r in result.records] == [SENTENCES[0], SENTENCES[2]]
+        assert [sentence for sentence, _ in result.clips] == [SENTENCES[0], SENTENCES[2]]
         assert backend.calls == 2 + 3
 
     @pytest.mark.parametrize("bad_value", [1.5, np.nan])
@@ -231,7 +231,7 @@ class TestBatchSynthesize:
         assert not result.complete
         assert list(result.failures) == [SENTENCES[1]]
         assert "amplitude" in result.failures[SENTENCES[1]]
-        assert [r.sentence for r in result.records] == [SENTENCES[0], SENTENCES[2]]
+        assert [sentence for sentence, _ in result.clips] == [SENTENCES[0], SENTENCES[2]]
         assert backend.calls == 2 + 2
 
     def test_all_failed_raises_batch_error(self, tmp_path):
@@ -251,9 +251,9 @@ class TestBatchSynthesize:
         backend = CountingBackend()
         second = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 0
-        for a, b in zip(first.records, second.records):
-            assert a.sentence == b.sentence
-            assert np.array_equal(a.clip.samples, b.clip.samples)
+        for (sentence_a, clip_a), (sentence_b, clip_b) in zip(first.load(), second.load()):
+            assert sentence_a == sentence_b
+            assert np.array_equal(clip_a.samples, clip_b.samples)
         journal = (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8")
         assert len(journal.splitlines()) == 3
 
@@ -298,6 +298,7 @@ class TestBatchSynthesize:
         first = batch_synthesize(
             SENTENCES[:1], prompt, params_a, MockTtsAdapter(), "mock", tmp_path
         )
+        [(_, first_clip)] = first.load()
 
         append = synthesis._append_journal
 
@@ -314,7 +315,17 @@ class TestBatchSynthesize:
         backend = CountingBackend()
         resumed = batch_synthesize(SENTENCES[:1], prompt, params_a, backend, "mock", tmp_path)
         assert backend.calls == 0
-        assert np.array_equal(resumed.records[0].clip.samples, first.records[0].clip.samples)
+        [(_, resumed_clip)] = resumed.load()
+        assert np.array_equal(resumed_clip.samples, first_clip.samples)
+
+    def test_clip_files_of_other_contexts_are_swept(self, tmp_path):
+        prompt = _prompt()
+        for seed in (1, 2, 1):
+            params = GenerationParams(text_temp=0.85, waveform_temp=0.7, seed=seed)
+            result = batch_synthesize(
+                SENTENCES[:1], prompt, params, MockTtsAdapter(), "mock", tmp_path
+            )
+        assert sorted((tmp_path / CLIP_DIR_NAME).glob("*.wav")) == [result.clips[0][1]]
 
     def test_torn_journal_line_is_redone(self, tmp_path):
         prompt = _prompt()
@@ -345,7 +356,7 @@ class TestBatchSynthesize:
         result = batch_synthesize(
             [], _prompt(), default_generation_params(), MockTtsAdapter(), "mock", tmp_path
         )
-        assert result == BatchResult(records=[])
+        assert result == BatchResult(clips=[])
         assert result.complete
 
     def test_blank_sentence_rejected(self, tmp_path):
