@@ -437,7 +437,7 @@ class MockTranscodeAdapter:
         if format == "wav_pcm16":
             return encode_wav_pcm16(clip)
         if format == "mp3":
-            pcm = quantize_pcm16(clip.samples).astype("<i2").tobytes()
+            pcm = quantize_pcm16(clip.samples).astype("<i2", copy=False).tobytes()
             return self.MP3_TAG + struct.pack("<IQ", rate, clip.n_samples) + pcm
         raise ConfigurationError(f"unsupported transcode format {format!r}")
 
@@ -445,10 +445,13 @@ class MockTranscodeAdapter:
         if format == "wav_pcm16":
             return decode_wav_pcm16(payload)
         if format == "mp3":
-            if payload[:8] != self.MP3_TAG:
+            start = 8 + struct.calcsize("<IQ")
+            if payload[:8] != self.MP3_TAG or len(payload) < start:
                 raise FormatError("not a mock MP3 payload")
             rate, n_samples = struct.unpack_from("<IQ", payload, 8)
-            start = 8 + struct.calcsize("<IQ")
-            q = np.frombuffer(payload[start : start + 2 * n_samples], dtype="<i2")
-            return dequantize_pcm16(q), rate
+            if len(payload) - start != 2 * n_samples:
+                raise FormatError(
+                    f"mock MP3 body is {len(payload) - start} bytes, header says {2 * n_samples}"
+                )
+            return dequantize_pcm16(np.frombuffer(payload, dtype="<i2", offset=start)), rate
         raise ConfigurationError(f"unsupported transcode format {format!r}")

@@ -27,6 +27,8 @@ MAX_SAMPLE_RATE_HZ = 48000
 
 # Output samples per resample_poly call in `resample` (rounded down to a multiple of `up`).
 RESAMPLE_BLOCK = 1 << 18
+# Samples per float64 block in `quantize_pcm16`.
+QUANTIZE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,12 +135,20 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
-    """Float [-1, 1] -> int16 with symmetric scale (never emits -32768)."""
-    q = np.array(samples, dtype=np.float64)
-    q *= PCM16_SCALE
-    np.rint(q, out=q)
-    np.clip(q, -PCM16_SCALE, PCM16_SCALE, out=q)
-    return q.astype(np.int16)
+    """Float [-1, 1] -> int16 with symmetric scale (never emits -32768).
+
+    Scales in float64 one block of QUANTIZE_BLOCK samples at a time, so the
+    only full-length array made is the int16 result.
+    """
+    flat = np.asarray(samples).reshape(-1)
+    out = np.empty(flat.size, dtype=np.int16)
+    for start in range(0, flat.size, QUANTIZE_BLOCK):
+        q = flat[start : start + QUANTIZE_BLOCK].astype(np.float64)
+        q *= PCM16_SCALE
+        np.rint(q, out=q)
+        np.clip(q, -PCM16_SCALE, PCM16_SCALE, out=q)
+        out[start : start + q.size] = q
+    return out.reshape(np.shape(samples))
 
 
 def dequantize_pcm16(q: np.ndarray) -> np.ndarray:

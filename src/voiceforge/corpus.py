@@ -1,15 +1,17 @@
 """Dataset packaging: LJ and Common Voice 11 layouts, readers, and splitting.
 
-Both writers are paired with readers that reproduce the entry list exactly,
-and the train/valid split is a pure function of (seed, clip_id) via SHA-256
-ranking, so every platform and run produces the same partition.
+Each layout has one streaming writer (`LjWriter`, `CommonVoiceWriter`) that
+writes every clip as it is added; `write_lj` and `write_common_voice` loop
+over it. Readers reproduce the written entry list exactly, and the
+train/valid split is a pure function of (seed, clip_id) via SHA-256 ranking,
+so every platform and run produces the same partition.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import IntegrityWarning, ParseError, ValidationError
@@ -124,17 +126,124 @@ def _check_unique(entries: list[CorpusEntry]) -> None:
         seen.add(entry.clip_id)
 
 
-def _check_audio(
-    entries: list[CorpusEntry], audio: dict[str, EncodedAudio], required: AudioFormat
-) -> None:
-    for entry in entries:
-        encoded = audio.get(entry.clip_id)
-        if encoded is None:
-            raise ValidationError(f"no audio supplied for clip {entry.clip_id!r}")
-        if encoded.format is not required:
+class CorpusWriter:
+    """Writes one dataset tree clip by clip; only the entries stay in memory.
+
+    `add` checks an entry, writes its audio file and keeps the entry (with its
+    path in the tree), not the payload; `finish` writes the manifests.
+    """
+
+    audio_dir: str
+    audio_format: AudioFormat
+    extension: str
+    names: tuple[str, ...]  # top-level names: audio dir, train and valid manifests, extras
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        self.entries: list[CorpusEntry] = []
+        self._ids: set[str] = set()
+        (self.root / self.audio_dir).mkdir(parents=True, exist_ok=True)
+
+    @classmethod
+    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
+        """Raise `ValidationError` unless the layout can hold this entry and audio."""
+        if encoded.format is not cls.audio_format:
             raise ValidationError(
-                f"clip {entry.clip_id!r} is {encoded.format.value}, writer needs {required.value}"
+                f"clip {entry.clip_id!r} is {encoded.format.value}, writer needs {cls.audio_format.value}"
             )
+
+    def add(self, entry: CorpusEntry, encoded: EncodedAudio) -> None:
+        if entry.clip_id in self._ids:
+            raise ValidationError(f"duplicate clip_id {entry.clip_id!r}")
+        self.check(entry, encoded)
+        path = f"{self.audio_dir}/{entry.clip_id}.{self.extension}"
+        (self.root / path).write_bytes(encoded.payload)
+        self._ids.add(entry.clip_id)
+        self.entries.append(replace(entry, relative_audio_path=path))
+
+    def finish(self, split: SplitSpec) -> None:
+        parts = split_train_valid(self.entries, split) if self.entries else ([], [])
+        for name, part in zip(self.names[1:3], parts):
+            (self.root / name).write_text("".join(self._lines(part)), encoding="utf-8")
+
+
+class LjWriter(CorpusWriter):
+    """`wavs/<clip_id>.wav` plus train.txt/valid.txt manifest lines."""
+
+    audio_dir, audio_format, extension = "wavs", AudioFormat.WAV_PCM16, "wav"
+    names = ("wavs", "train.txt", "valid.txt")
+
+    @classmethod
+    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
+        super().check(entry, encoded)
+        if "|" in entry.sentence:
+            raise ValidationError(
+                f"clip {entry.clip_id!r}: sentence contains the '|' delimiter"
+            )
+        if "\n" in entry.sentence or "\r" in entry.sentence:
+            raise ValidationError(f"clip {entry.clip_id!r}: sentence contains a newline")
+
+    def _lines(self, part: list[CorpusEntry]) -> list[str]:
+        return [f"wavs/{entry.clip_id}.wav|{entry.sentence}\n" for entry in part]
+
+
+class CommonVoiceWriter(CorpusWriter):
+    """`clips/<clip_id>.mp3` plus train.tsv/dev.tsv manifests and a README."""
+
+    audio_dir, audio_format, extension = "clips", AudioFormat.MP3, "mp3"
+    names = ("clips", "train.tsv", "dev.tsv", "README.md")
+
+    @classmethod
+    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
+        super().check(entry, encoded)
+        fields = [entry.sentence, entry.client_id, *(getattr(entry, f) or "" for f in _OPTIONAL_FIELDS)]
+        fields.extend(entry.extra.values())
+        for value in fields:
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise ValidationError(
+                    f"clip {entry.clip_id!r}: field contains a tab or newline"
+                )
+
+    def finish(self, split: SplitSpec) -> None:
+        super().finish(split)
+        (self.root / "README.md").write_text(CV_README, encoding="utf-8")
+
+    def _lines(self, part: list[CorpusEntry]) -> list[str]:
+        extra_columns = sorted({key for entry in self.entries for key in entry.extra})
+        lines = ["\t".join([*CV_COLUMNS, *extra_columns]) + "\n"]
+        for entry in part:
+            row = [
+                entry.client_id,
+                f"{entry.clip_id}.mp3",
+                entry.sentence,
+                str(entry.up_votes),
+                str(entry.down_votes),
+                *(getattr(entry, f) or "" for f in _OPTIONAL_FIELDS),
+                *(entry.extra.get(column, "") for column in extra_columns),
+            ]
+            lines.append("\t".join(row) + "\n")
+        return lines
+
+
+def _write(
+    writer_type: type[CorpusWriter],
+    entries: list[CorpusEntry],
+    audio: dict[str, EncodedAudio],
+    root: str | Path,
+    split: SplitSpec,
+) -> None:
+    """Validate every entry first, sweep the old clips, then write in place."""
+    _check_unique(entries)
+    for entry in entries:
+        if entry.clip_id not in audio:
+            raise ValidationError(f"no audio supplied for clip {entry.clip_id!r}")
+        writer_type.check(entry, audio[entry.clip_id])
+    writer = writer_type(root)
+    for stale in (writer.root / writer.audio_dir).glob(f"*.{writer.extension}"):
+        stale.unlink()  # single-writer per root: keep the directory exactly in sync
+    for entry in entries:
+        writer.add(entry, audio[entry.clip_id])
+    writer.finish(split)
 
 
 def write_lj(
@@ -144,31 +253,17 @@ def write_lj(
     split: SplitSpec,
 ) -> None:
     """Write `wavs/<clip_id>.wav` plus train.txt/valid.txt manifest lines."""
-    _check_unique(entries)
-    _check_audio(entries, audio, AudioFormat.WAV_PCM16)
-    for entry in entries:
-        if "|" in entry.sentence:
-            raise ValidationError(
-                f"clip {entry.clip_id!r}: sentence contains the '|' delimiter"
-            )
-        if "\n" in entry.sentence or "\r" in entry.sentence:
-            raise ValidationError(f"clip {entry.clip_id!r}: sentence contains a newline")
+    _write(LjWriter, entries, audio, root, split)
 
-    root = Path(root)
-    wav_dir = root / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-    for stale in wav_dir.glob("*.wav"):
-        stale.unlink()  # single-writer per root: keep the directory exactly in sync
-    for entry in entries:
-        (wav_dir / f"{entry.clip_id}.wav").write_bytes(audio[entry.clip_id].payload)
 
-    if entries:
-        train, valid = split_train_valid(entries, split)
-    else:
-        train, valid = [], []
-    for name, part in (("train.txt", train), ("valid.txt", valid)):
-        lines = [f"wavs/{entry.clip_id}.wav|{entry.sentence}\n" for entry in part]
-        (root / name).write_text("".join(lines), encoding="utf-8")
+def write_common_voice(
+    entries: list[CorpusEntry],
+    audio: dict[str, EncodedAudio],
+    root: str | Path,
+    split: SplitSpec,
+) -> None:
+    """Write `clips/<clip_id>.mp3` plus train.tsv/dev.tsv manifests."""
+    _write(CommonVoiceWriter, entries, audio, root, split)
 
 
 def _read_lj_manifest(path: Path) -> list[CorpusEntry]:
@@ -222,62 +317,6 @@ def read_lj_split(root: str | Path) -> tuple[list[CorpusEntry], list[CorpusEntry
 def read_lj(root: str | Path) -> list[CorpusEntry]:
     train, valid = read_lj_split(root)
     return train + valid
-
-
-def _cv_field(value: str | None) -> str:
-    return value if value is not None else ""
-
-
-def _cv_header(extra_columns: list[str]) -> str:
-    return "\t".join(list(CV_COLUMNS) + extra_columns)
-
-
-def write_common_voice(
-    entries: list[CorpusEntry],
-    audio: dict[str, EncodedAudio],
-    root: str | Path,
-    split: SplitSpec,
-) -> None:
-    """Write `clips/<clip_id>.mp3` plus train.tsv/dev.tsv manifests."""
-    _check_unique(entries)
-    _check_audio(entries, audio, AudioFormat.MP3)
-    for entry in entries:
-        fields = [entry.sentence, entry.client_id, *(getattr(entry, f) or "" for f in _OPTIONAL_FIELDS)]
-        fields.extend(entry.extra.values())
-        for value in fields:
-            if "\t" in value or "\n" in value or "\r" in value:
-                raise ValidationError(
-                    f"clip {entry.clip_id!r}: field contains a tab or newline"
-                )
-
-    extra_columns = sorted({key for entry in entries for key in entry.extra})
-    root = Path(root)
-    clip_dir = root / "clips"
-    clip_dir.mkdir(parents=True, exist_ok=True)
-    for stale in clip_dir.glob("*.mp3"):
-        stale.unlink()  # single-writer per root: keep the directory exactly in sync
-    for entry in entries:
-        (clip_dir / f"{entry.clip_id}.mp3").write_bytes(audio[entry.clip_id].payload)
-
-    if entries:
-        train, valid = split_train_valid(entries, split)
-    else:
-        train, valid = [], []
-    for name, part in (("train.tsv", train), ("dev.tsv", valid)):
-        lines = [_cv_header(extra_columns) + "\n"]
-        for entry in part:
-            row = [
-                entry.client_id,
-                f"{entry.clip_id}.mp3",
-                entry.sentence,
-                str(entry.up_votes),
-                str(entry.down_votes),
-                *(_cv_field(getattr(entry, f)) for f in _OPTIONAL_FIELDS),
-                *(entry.extra.get(column, "") for column in extra_columns),
-            ]
-            lines.append("\t".join(row) + "\n")
-        (root / name).write_text("".join(lines), encoding="utf-8")
-    (root / "README.md").write_text(CV_README, encoding="utf-8")
 
 
 def _read_cv_manifest(path: Path) -> list[CorpusEntry]:

@@ -11,7 +11,9 @@ and package it as Common Voice.
 
 Every run ends in `_package`, the one path from gated clips to a dataset.
 All intermediate artifacts live in a `<output root>.work/` sibling so the
-dataset tree contains exactly the deliverable files.
+dataset tree contains exactly the deliverable files. The tree is built in
+`<work>/staging/` and published by two renames (see `_publish`), so the root
+holds either the old tree or the new one, never a mix.
 """
 
 from __future__ import annotations
@@ -27,19 +29,18 @@ from .audio import AudioClip, decode_wav_pcm16, save_wav
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
+    CommonVoiceWriter,
     CorpusEntry,
+    LjWriter,
     client_id_for,
     make_clip_id,
     read_common_voice,
     read_lj,
-    write_common_voice,
-    write_lj,
 )
 from .errors import BatchError, ConfigurationError, DecodeError, StageError
 from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
 from .preprocess import (
     AudioFormat,
-    EncodedAudio,
     denoise,
     segment,
     separate_vocals,
@@ -60,6 +61,8 @@ PROMPT_N_COARSE = 2
 TRAINING_CONFIG_NAME = "training_config.txt"
 QUALITY_REPORT_NAME = "quality_report.json"
 MULTI_SPEAKER_WARN_FRACTION = 0.1
+# Every top-level name a run writes; a root holding anything else is refused, not replaced.
+ROOT_NAMES = {*LjWriter.names, *CommonVoiceWriter.names, QUALITY_REPORT_NAME, TRAINING_CONFIG_NAME}
 
 
 @dataclass
@@ -183,8 +186,7 @@ def _acquire_decoded(
     return clip
 
 
-def _read_dataset(config: PipelineConfig) -> list[CorpusEntry]:
-    root = Path(config.output.root)
+def _read_dataset(config: PipelineConfig, root: Path) -> list[CorpusEntry]:
     if _dataset_format(config) is OutputFormat.COMMON_VOICE:
         return read_common_voice(root)
     return read_lj(root)
@@ -207,30 +209,72 @@ def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) 
     return AudioClip(samples=samples, sample_rate_hz=rate, source_id=entry.clip_id)
 
 
+def _check_root(root: Path) -> None:
+    """Refuse to replace a root that is a symlink or holds names no run writes."""
+    if root.is_symlink() or (root.exists() and not root.is_dir()):
+        raise StageError(
+            f"output root {root} is a symlink or not a directory; refusing to replace it",
+            stage="package",
+        )
+    if not root.exists():
+        return
+    foreign = sorted(p.name for p in root.iterdir() if p.name not in ROOT_NAMES)
+    if foreign:
+        raise StageError(
+            f"output root {root} holds files voiceforge does not write ({', '.join(foreign)}); "
+            "move them or choose another output.root",
+            stage="package",
+        )
+
+
+def _staging(root: Path) -> Path:
+    """Recover an interrupted publish, check the root, and return an empty staging dir."""
+    work = work_dir_for(root)
+    if (work / "previous").is_dir() and not os.path.lexists(root):
+        os.rename(work / "previous", root)  # a run died between the two renames of `_publish`
+    _check_root(root)
+    shutil.rmtree(work / "staging", ignore_errors=True)
+    (work / "staging").mkdir(parents=True)  # raises if a leftover could not be removed
+    return work / "staging"
+
+
+def _publish(config: PipelineConfig, summary: RunSummary) -> None:
+    """Save the quality report into staging, then swap staging in for the root.
+
+    The old root moves to `<work>/previous` and staging takes its place; a
+    crash between the two renames is undone by the next run's `_staging`.
+    """
+    root = Path(config.output.root)
+    work = work_dir_for(root)
+    summary.quality.save(work / "staging" / QUALITY_REPORT_NAME)
+    shutil.rmtree(work / "previous", ignore_errors=True)  # left by a crash after the renames
+    _check_root(root)
+    if os.path.lexists(root):
+        os.rename(root, work / "previous")  # fails if a stale `previous` could not be removed
+    os.rename(work / "staging", root)
+    shutil.rmtree(work / "previous", ignore_errors=True)
+
+
 def _package(
     config: PipelineConfig,
     adapters: dict[AdapterRole, object],
     candidates: Iterable[tuple[CorpusEntry, AudioClip]],
     summary: RunSummary,
 ) -> list[float]:
-    """Gate, transcode, write and read back the dataset; returns the kept durations.
+    """Gate, transcode and write each clip into staging, then read it back.
 
-    Each clip is dropped once transcoded. The audio path a candidate entry
-    carries is replaced. The dataset format alone decides the audio format,
-    the clip path, the writer and reader, the LJ rule against '|' in a
-    transcript, and how much of each entry the read-back must reproduce (LJ
-    manifests keep only the path and sentence).
+    Returns the kept durations. Each clip is written as soon as it is
+    transcoded and then dropped; only its entry stays. The dataset format
+    alone decides the writer (and so the audio format and clip path), the
+    reader, the LJ rule against '|' in a transcript, and how much of each
+    entry the read-back must reproduce (LJ manifests keep only the path and
+    sentence). Nothing is written into the root until `_publish`.
     """
     common_voice = _dataset_format(config) is OutputFormat.COMMON_VOICE
-    audio_format, clip_dir, extension = (
-        (AudioFormat.MP3, "clips", "mp3")
-        if common_voice
-        else (AudioFormat.WAV_PCM16, "wavs", "wav")
-    )
+    staging = _staging(Path(config.output.root))
+    writer = (CommonVoiceWriter if common_voice else LjWriter)(staging)
     constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
     transcoder = adapters[AdapterRole.TRANSCODE]
-    entries: list[CorpusEntry] = []
-    audio: dict[str, EncodedAudio] = {}
     durations: list[float] = []
     for entry, clip in candidates:
         issues = validate_clip(clip, constraints)
@@ -247,11 +291,9 @@ def _package(
         summary.quality.add(entry.clip_id, issues)
         if not passed:
             continue
-        audio[entry.clip_id] = transcode(clip, audio_format, transcoder)
-        entries.append(
-            replace(entry, relative_audio_path=f"{clip_dir}/{entry.clip_id}.{extension}")
-        )
+        writer.add(entry, transcode(clip, writer.audio_format, transcoder))
         durations.append(clip.duration_s)
+    entries = writer.entries
     if not entries:
         raise StageError("no clip passed quality gating", stage="quality")
 
@@ -259,23 +301,26 @@ def _package(
     summary.quality.metrics.update(
         {"clips_in": float(summary.clips_in), "entries_written": float(len(entries))}
     )
-    root = Path(config.output.root)
-    root.mkdir(parents=True, exist_ok=True)
-    if common_voice:
-        write_common_voice(entries, audio, root, config.output.split)
-    else:
-        write_lj(entries, audio, root, config.output.split)
+    writer.finish(config.output.split)
 
     def shown(e: CorpusEntry):
         return e if common_voice else (e.clip_id, e.relative_audio_path, e.sentence)
 
     by_id = lambda e: e.clip_id
     written = [shown(e) for e in sorted(entries, key=by_id)]
-    if written != [shown(e) for e in sorted(_read_dataset(config), key=by_id)]:
+    if written != [shown(e) for e in sorted(_read_dataset(config, staging), key=by_id)]:
         raise StageError(
-            f"read-back of {root} does not match the written manifest", stage="package"
+            f"read-back of {staging} does not match the written manifest", stage="package"
         )
     return durations
+
+
+def _segments(
+    config: PipelineConfig, adapters: dict[AdapterRole, object], work: Path, rate_hz: int
+) -> tuple[AudioClip, list[AudioClip]]:
+    """Acquire and decode the source at `rate_hz`, run the optional passes, segment it."""
+    source_clip = _acquire_decoded(config, adapters, work, rate_hz)
+    return source_clip, segment(source_clip, config.preprocessing.segmentation)
 
 
 def _speaker_prompt(
@@ -286,8 +331,7 @@ def _speaker_prompt(
     Returns the source id, the segment count, the prompt and its path.
     """
     codec = adapters[AdapterRole.CODEC]
-    source_clip = _acquire_decoded(config, adapters, work, codec.native_rate_hz)
-    segments = segment(source_clip, config.preprocessing.segmentation)
+    source_clip, segments = _segments(config, adapters, work, codec.native_rate_hz)
     if not segments:
         raise StageError(
             f"source ({source_clip.duration_s:.1f} s) yields no full "
@@ -393,7 +437,7 @@ def run_methodology_1(
             "mean_clip_duration_s": sum(durations) / len(durations),
         }
     )
-    summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
+    _publish(config, summary)
     return summary
 
 
@@ -441,11 +485,11 @@ def _prepare_lj_training_set(
     summary.messages.extend(validate_training_data(total_s))
     summary.quality.metrics["total_speech_s"] = total_s
 
-    root = Path(config.output.root)
-    write_training_config(config.training, root / TRAINING_CONFIG_NAME)
+    write_training_config(config.training, work / "staging" / TRAINING_CONFIG_NAME)
     summary.messages.append(
-        f"training corpus and {TRAINING_CONFIG_NAME} written to {root}; train a model on it, "
-        "then set conversion.model_ref and conversion.index_ref to run the conversion phase"
+        f"training corpus and {TRAINING_CONFIG_NAME} written to {config.output.root}; "
+        "train a model on it, then set conversion.model_ref and conversion.index_ref "
+        "to run the conversion phase"
     )
 
 
@@ -498,7 +542,7 @@ def run_methodology_2(
         _prepare_lj_training_set(config, adapters, summary, work)
     else:
         _convert_corpus(config, adapters, summary)
-    summary.quality.save(Path(config.output.root) / QUALITY_REPORT_NAME)
+    _publish(config, summary)
     return summary
 
 
@@ -519,7 +563,7 @@ def validate_dataset(
     root = Path(config.output.root)
     fmt = _dataset_format(config)
     constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
-    entries = _read_dataset(config)
+    entries = _read_dataset(config, root)
     report = QualityReport()
     for entry in entries:
         clip = _decode_clip(root, entry, fmt, adapters[AdapterRole.TRANSCODE])
@@ -553,8 +597,7 @@ def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) 
         target_rate = adapters[AdapterRole.CODEC].native_rate_hz
     else:
         target_rate = config.training.target_sample_rate_hz
-    clip = _acquire_decoded(config, adapters, work, target_rate)
-    segments = segment(clip, config.preprocessing.segmentation)
+    clip, segments = _segments(config, adapters, work, target_rate)
     seg_dir = work / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []

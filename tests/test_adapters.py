@@ -223,6 +223,17 @@ class TestTranscoders:
         with pytest.raises(FormatError):
             MockTranscodeAdapter().decode(b"\xff\xfbgarbage frame", "mp3")
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda p: p[:-500], lambda p: p[:-501], lambda p: p + b"xx"],
+        ids=["cut_500", "cut_501", "two_extra"],
+    )
+    def test_mock_rejects_a_body_of_the_wrong_length(self, damage):
+        codec = MockTranscodeAdapter()
+        payload = codec.encode(np.full(1000, 0.1, np.float32), 8000, "mp3")
+        with pytest.raises(FormatError, match="body"):
+            codec.decode(damage(payload), "mp3")
+
     def test_mock_rejects_unknown_format(self):
         with pytest.raises(ConfigurationError):
             MockTranscodeAdapter().encode(np.zeros(10, np.float32), 8000, "flac")

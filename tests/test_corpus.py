@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voiceforge.adapters.mocks import MockTranscodeAdapter
 from voiceforge.audio import AudioClip
 from voiceforge.corpus import (
     CV_COLUMNS,
+    CommonVoiceWriter,
     CorpusEntry,
+    LjWriter,
     SplitSpec,
     client_id_for,
     make_clip_id,
@@ -369,3 +376,122 @@ class TestCommonVoiceLayout:
         write_common_voice(keep, {e.clip_id: audio[e.clip_id] for e in keep}, tmp_path, SPLIT)
         names = {p.name for p in (tmp_path / "clips").glob("*.mp3")}
         assert names == {f"{e.clip_id}.mp3" for e in keep}
+
+
+# Property tests over the streaming writers. Text is arbitrary Unicode minus
+# the characters each layout reserves; a reserved character must be refused
+# before any file is written.
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+CV_RESERVED, LJ_RESERVED = "\t\n\r", "|\n\r"
+
+
+def _text(reserved: str, min_size: int = 1):
+    chars = st.characters(exclude_categories=("Cs",), exclude_characters=reserved)
+    return st.text(chars, min_size=min_size, max_size=20)
+
+
+def _sentence(reserved: str):
+    return _text(reserved).filter(lambda text: text.strip())
+
+
+@st.composite
+def cv_entry(draw, index: int) -> CorpusEntry:
+    optional = st.none() | _text(CV_RESERVED)
+    extra_values = _text(CV_RESERVED)
+    return CorpusEntry(
+        clip_id=make_clip_id("prop", index),
+        relative_audio_path="",
+        sentence=draw(_sentence(CV_RESERVED)),
+        client_id=draw(_text(CV_RESERVED, min_size=0)),
+        up_votes=draw(st.integers(0, 10**6)),
+        down_votes=draw(st.integers(0, 10**6)),
+        **{name: draw(optional) for name in ("age", "gender", "accents", "locale", "segment")},
+        extra=draw(st.dictionaries(st.sampled_from(["variant", "x_note"]), extra_values)),
+    )
+
+
+@st.composite
+def cv_entry_lists(draw) -> list[CorpusEntry]:
+    return [draw(cv_entry(i)) for i in range(draw(st.integers(1, 6)))]
+
+
+@st.composite
+def lj_entry_lists(draw) -> list[CorpusEntry]:
+    sentences = draw(st.lists(_sentence(LJ_RESERVED), min_size=1, max_size=6))
+    return [
+        CorpusEntry(clip_id=make_clip_id("prop", i), relative_audio_path="", sentence=sentence)
+        for i, sentence in enumerate(sentences)
+    ]
+
+
+def _files(root: Path) -> list[Path]:
+    return [p for p in root.rglob("*") if p.is_file()]
+
+
+class TestStreamingWriterProperties:
+    @PROPERTY_SETTINGS
+    @given(entries=cv_entry_lists())
+    def test_common_voice_round_trip_is_the_identity(self, entries):
+        encoded = _audio(AudioFormat.MP3)
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = CommonVoiceWriter(tmp)
+            for entry in entries:
+                writer.add(entry, encoded)
+            writer.finish(SPLIT)
+            train, valid = read_common_voice_split(tmp)
+        assert (train, valid) == split_train_valid(writer.entries, SPLIT)
+        assert [e.relative_audio_path for e in writer.entries] == [
+            f"clips/{e.clip_id}.mp3" for e in entries
+        ]
+
+    @PROPERTY_SETTINGS
+    @given(entries=lj_entry_lists())
+    def test_lj_round_trip_is_the_identity(self, entries):
+        encoded = _audio(AudioFormat.WAV_PCM16)
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = LjWriter(tmp)
+            for entry in entries:
+                writer.add(entry, encoded)
+            writer.finish(SPLIT)
+            train, valid = read_lj_split(tmp)
+        assert (train, valid) == split_train_valid(writer.entries, SPLIT)
+        assert [e.sentence for e in writer.entries] == [e.sentence for e in entries]
+
+    @PROPERTY_SETTINGS
+    @given(
+        entries=cv_entry_lists(),
+        reserved=st.sampled_from(CV_RESERVED),
+        field=st.sampled_from(["sentence", "client_id", "age", "locale"]),
+        data=st.data(),
+    )
+    def test_common_voice_refuses_tab_or_newline_before_writing(self, entries, reserved, field, data):
+        i = data.draw(st.integers(0, len(entries) - 1))
+        value = getattr(entries[i], field) or ""
+        at = data.draw(st.integers(0, len(value)))
+        entries[i] = replace(entries[i], **{field: value[:at] + reserved + value[at:] + "x"})
+        encoded = _audio(AudioFormat.MP3)
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValidationError, match="tab or newline"):
+                write_common_voice(entries, {e.clip_id: encoded for e in entries}, tmp, SPLIT)
+            assert _files(Path(tmp)) == []
+            writer = CommonVoiceWriter(tmp)
+            with pytest.raises(ValidationError, match="tab or newline"):
+                writer.add(entries[i], encoded)
+            assert _files(Path(tmp)) == []
+
+    @PROPERTY_SETTINGS
+    @given(entries=lj_entry_lists(), reserved=st.sampled_from(LJ_RESERVED), data=st.data())
+    def test_lj_refuses_pipe_or_newline_before_writing(self, entries, reserved, data):
+        i = data.draw(st.integers(0, len(entries) - 1))
+        sentence = entries[i].sentence
+        at = data.draw(st.integers(0, len(sentence)))
+        entries[i] = replace(entries[i], sentence=sentence[:at] + reserved + sentence[at:])
+        encoded = _audio(AudioFormat.WAV_PCM16)
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValidationError, match="delimiter|newline"):
+                write_lj(entries, {e.clip_id: encoded for e in entries}, tmp, SPLIT)
+            assert _files(Path(tmp)) == []
+            writer = LjWriter(tmp)
+            with pytest.raises(ValidationError, match="delimiter|newline"):
+                writer.add(entries[i], encoded)
+            assert _files(Path(tmp)) == []

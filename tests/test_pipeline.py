@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,18 +43,20 @@ def _isolated_env(monkeypatch):
     monkeypatch.delenv("VOICEFORGE_MOCK_TTS_ABORT_AFTER", raising=False)
 
 
-def _m1_config(root, sentences=SENTENCES, adapters=None, seed=11):
+def _m1_data(root, sentences=SENTENCES, adapters=None, seed=11):
     merged = {"downloader": "mock", "decoder": "mock"}
     merged.update(adapters or {})
-    return parse_config(
-        {
-            "methodology": "bark_prompt",
-            "source": {"uri": "mock://talk?duration=45&rate=24000&seed=7"},
-            "generation": {"seed": seed, "sentences": list(sentences)},
-            "output": {"root": str(root), "split": {"valid_fraction": 0.34, "seed": 5}},
-            "adapters": merged,
-        }
-    )
+    return {
+        "methodology": "bark_prompt",
+        "source": {"uri": "mock://talk?duration=45&rate=24000&seed=7"},
+        "generation": {"seed": seed, "sentences": list(sentences)},
+        "output": {"root": str(root), "split": {"valid_fraction": 0.34, "seed": 5}},
+        "adapters": merged,
+    }
+
+
+def _m1_config(root, sentences=SENTENCES, adapters=None, seed=11):
+    return parse_config(_m1_data(root, sentences, adapters, seed))
 
 
 def _m2_prep_config(root):
@@ -411,6 +418,20 @@ class TestConversionRun:
         assert _run_cli_with_vc(tmp_path, monkeypatch, vc) == EXIT_PARTIAL
         assert "note: failed clip " in capsys.readouterr().out
 
+    def test_truncated_input_clip_is_skipped(self, tmp_path, capsys):
+        corpus, model, index = _conversion_inputs(tmp_path)
+        clip = corpus / "clips" / "orig_000001.mp3"
+        clip.write_bytes(clip.read_bytes()[:-500])
+        data = _m2_convert_data(tmp_path / "out", corpus, model, index)
+        cfg = tmp_path / "convert.yaml"
+        cfg.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == EXIT_PARTIAL
+        assert "note: failed clip orig_000001: " in capsys.readouterr().out
+        assert sorted(e.clip_id for e in read_common_voice(tmp_path / "out")) == [
+            "orig_000000",
+            "orig_000002",
+        ]
+
     def test_every_clip_failing_is_a_stage_error(self, tmp_path, monkeypatch, capsys):
         vc = FailingVc("raise", failing_calls={0, 1, 2})
         assert _run_cli_with_vc(tmp_path, monkeypatch, vc) == EXIT_STAGE
@@ -514,6 +535,50 @@ class TestStreaming:
         assert durations == [2.0] * len(SENTENCES)
         assert len(transcodes) == len(SENTENCES)
 
+    def test_package_writes_each_clip_before_pulling_the_next(self, tmp_path):
+        config = _m1_config(tmp_path / "out")
+        adapters = pipeline.resolve_adapters(config, default_registry())
+        rate = adapters[AdapterRole.TTS].native_rate_hz
+        tone = (0.3 * np.sin(np.arange(2 * rate) * 0.05)).astype(np.float32)
+        clips = pipeline.work_dir_for(tmp_path / "out") / "staging" / "clips"
+
+        def candidates():
+            for i, sentence in enumerate(SENTENCES):
+                assert sorted(p.name for p in clips.glob("*.mp3")) == [
+                    f"clip_{j}.mp3" for j in range(i)
+                ]
+                entry = CorpusEntry(clip_id=f"clip_{i}", relative_audio_path="", sentence=sentence)
+                yield entry, AudioClip(samples=tone, sample_rate_hz=rate)
+
+        summary = pipeline.RunSummary(methodology="bark_prompt", output_root=str(tmp_path / "out"))
+        assert pipeline._package(config, adapters, candidates(), summary) == [2.0] * len(SENTENCES)
+        assert not (tmp_path / "out").exists()  # nothing lands in the root before the publish
+
+    def test_package_holds_no_encoded_payload(self, tmp_path):
+        """40 clips of 5 s are packaged within the memory of 4 encoded clips."""
+        config = _m1_config(tmp_path / "out")
+        adapters = pipeline.resolve_adapters(config, default_registry())
+        rate = adapters[AdapterRole.TTS].native_rate_hz
+        tone = (0.3 * np.sin(np.arange(5 * rate) * 0.05)).astype(np.float32)
+        payload = len(adapters[AdapterRole.TRANSCODE].encode(tone, rate, "mp3"))
+        candidates = (
+            (
+                CorpusEntry(clip_id=f"clip_{i:02d}", relative_audio_path="", sentence=f"वाक्य {i}"),
+                AudioClip(samples=tone, sample_rate_hz=rate),
+            )
+            for i in range(40)
+        )
+        summary = pipeline.RunSummary(methodology="bark_prompt", output_root=str(tmp_path / "out"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipeline._package(config, adapters, candidates, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.entries_written == 40
+        assert peak - base < 4 * payload
+
     def test_generation_run_loads_each_clip_after_the_last_is_transcoded(
         self, tmp_path, monkeypatch
     ):
@@ -534,3 +599,116 @@ class TestStreaming:
         summary = pipeline.run_methodology_1(_m1_config(tmp_path / "out"))
         assert summary.entries_written == len(SENTENCES)
         assert len(loads) == len(transcodes) == len(SENTENCES)
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# Runs the config named by argv[1] with a transcoder that kills the process
+# on its third encode, while the third clip is being packaged.
+DYING_TRANSCODE_DRIVER = """
+import os, sys
+from voiceforge import pipeline
+from voiceforge.adapters import default_registry
+from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
+from voiceforge.adapters.mocks import MockTranscodeAdapter
+from voiceforge.config import load_config
+
+class DyingTranscode(MockTranscodeAdapter):
+    calls = 0
+
+    def encode(self, *args):
+        DyingTranscode.calls += 1
+        if DyingTranscode.calls == 3:
+            os._exit(137)
+        return super().encode(*args)
+
+registry = default_registry()
+registry.register(AdapterDescriptor(role=AdapterRole.TRANSCODE, id="dying"), DyingTranscode())
+pipeline.run(load_config(sys.argv[1]), registry)
+"""
+
+
+class TestPublish:
+    """The root holds the old tree or the new one, never a mix, and never loses user files."""
+
+    def test_run_leaves_no_staging_or_previous(self, tmp_path):
+        root = tmp_path / "out"
+        pipeline.run(_m1_config(root))
+        pipeline.run(_m1_config(root, seed=12))
+        assert sorted(p.name for p in pipeline.work_dir_for(root).iterdir()) == [
+            "assets",
+            "cache",
+            "synth",
+        ]
+
+    def test_process_killed_while_packaging_keeps_the_old_tree(self, tmp_path):
+        reference, root = tmp_path / "reference", tmp_path / "out"
+        pipeline.run(_m1_config(reference, seed=12))
+        pipeline.run(_m1_config(root))
+        old = _tree_bytes(root)
+        data = _m1_data(root, adapters={"transcode": "dying"}, seed=12)
+        cfg = tmp_path / "dying.yaml"
+        cfg.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        killed = subprocess.run(
+            [sys.executable, "-c", DYING_TRANSCODE_DRIVER, str(cfg)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert killed.returncode == 137, killed.stderr
+        assert _tree_bytes(root) == old
+
+        pipeline.run(_m1_config(root, seed=12))
+        assert _tree_bytes(root) == _tree_bytes(reference)
+        work = pipeline.work_dir_for(root)
+        assert not (work / "staging").exists() and not (work / "previous").exists()
+
+    def test_crash_between_the_renames_is_recovered(self, tmp_path, monkeypatch):
+        reference, root = tmp_path / "reference", tmp_path / "out"
+        pipeline.run(_m1_config(reference, seed=12))
+        pipeline.run(_m1_config(root))
+        old = _tree_bytes(root)
+        real_rename = os.rename
+
+        def rename(src, dst):
+            if Path(src).name == "staging":
+                raise OSError("simulated crash before the second rename")
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename)
+        with pytest.raises(OSError, match="simulated crash"):
+            pipeline.run(_m1_config(root, seed=12))
+        monkeypatch.setattr(os, "rename", real_rename)
+        work = pipeline.work_dir_for(root)
+        assert not root.exists()
+        assert _tree_bytes(work / "previous") == old
+
+        pipeline._staging(root)  # the recovery step every packaging run starts with
+        assert _tree_bytes(root) == old
+        pipeline.run(_m1_config(root, seed=12))
+        assert _tree_bytes(root) == _tree_bytes(reference)
+        assert not (work / "staging").exists() and not (work / "previous").exists()
+
+    def test_root_with_a_foreign_file_is_refused(self, tmp_path):
+        root = tmp_path / "out"
+        pipeline.run(_m1_config(root))
+        (root / "notes.txt").write_text("my notes", encoding="utf-8")
+        before = _tree_bytes(root)
+        with pytest.raises(StageError, match="notes.txt") as info:
+            pipeline.run(_m1_config(root, seed=12))
+        assert info.value.stage == "package"
+        assert _tree_bytes(root) == before
+
+    def test_symlinked_root_is_refused(self, tmp_path):
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        (tmp_path / "out").symlink_to(target)
+        with pytest.raises(StageError, match="not a directory"):
+            pipeline.run(_m1_config(tmp_path / "out"))
+        assert (tmp_path / "out").is_symlink() and list(target.iterdir()) == []
