@@ -342,6 +342,8 @@ def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConf
             r.bad(f"generation.sentences[{i}]", "must be a non-empty string")
         elif "\n" in item or "\r" in item:
             r.bad(f"generation.sentences[{i}]", "must not contain newlines")
+        elif any("\ud800" <= ch <= "\udfff" for ch in item):  # a surrogate has no UTF-8 form
+            r.bad(f"generation.sentences[{i}]", "must be valid Unicode text")
         else:
             sentences.append(item)
     retries = gen.pop("retries")

@@ -2,7 +2,8 @@
 
 Each layout has one streaming writer (`LjWriter`, `CommonVoiceWriter`) that
 writes every clip as it is added; `write_lj` and `write_common_voice` loop
-over it. Readers reproduce the written entry list exactly, and the
+over it. `publishing` swaps every tree, a run's or a library write's, in for
+its root. Readers reproduce the written entry list exactly, and the
 train/valid split is a pure function of (seed, clip_id) via SHA-256 ranking,
 so every platform and run produces the same partition.
 """
@@ -10,11 +11,15 @@ so every platform and run produces the same partition.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import IntegrityWarning, ParseError, ValidationError
+from .errors import IntegrityWarning, ParseError, StageError, ValidationError
 from .preprocess import AudioFormat, EncodedAudio
 
 CV_COLUMNS = (
@@ -37,6 +42,8 @@ down_votes columns are constant placeholders (2 and 0) so that standard
 """
 
 _OPTIONAL_FIELDS = ("age", "gender", "accents", "locale", "segment")
+QUALITY_REPORT_NAME = "quality_report.json"
+TRAINING_CONFIG_NAME = "training_config.txt"
 
 
 @dataclass(frozen=True)
@@ -145,17 +152,21 @@ class CorpusWriter:
         (self.root / self.audio_dir).mkdir(parents=True, exist_ok=True)
 
     @classmethod
-    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
-        """Raise `ValidationError` unless the layout can hold this entry and audio."""
-        if encoded.format is not cls.audio_format:
-            raise ValidationError(
-                f"clip {entry.clip_id!r} is {encoded.format.value}, writer needs {cls.audio_format.value}"
-            )
+    def check(cls, entry: CorpusEntry) -> None:
+        """Raise `ValidationError` unless the layout can hold this entry's text."""
+        try:
+            "".join(_texts(entry)).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"clip {entry.clip_id!r}: text is not valid UTF-8") from None
 
     def add(self, entry: CorpusEntry, encoded: EncodedAudio) -> None:
         if entry.clip_id in self._ids:
             raise ValidationError(f"duplicate clip_id {entry.clip_id!r}")
-        self.check(entry, encoded)
+        if encoded.format is not self.audio_format:
+            raise ValidationError(
+                f"clip {entry.clip_id!r} is {encoded.format.value}, writer needs {self.audio_format.value}"
+            )
+        self.check(entry)
         path = f"{self.audio_dir}/{entry.clip_id}.{self.extension}"
         (self.root / path).write_bytes(encoded.payload)
         self._ids.add(entry.clip_id)
@@ -167,6 +178,12 @@ class CorpusWriter:
             (self.root / name).write_text("".join(self._lines(part)), encoding="utf-8")
 
 
+def _texts(entry: CorpusEntry) -> list[str]:
+    """Every text field of an entry, extra column names included."""
+    optional = (getattr(entry, f) or "" for f in _OPTIONAL_FIELDS)
+    return [entry.clip_id, entry.sentence, entry.client_id, *optional, *entry.extra, *entry.extra.values()]
+
+
 class LjWriter(CorpusWriter):
     """`wavs/<clip_id>.wav` plus train.txt/valid.txt manifest lines."""
 
@@ -174,12 +191,10 @@ class LjWriter(CorpusWriter):
     names = ("wavs", "train.txt", "valid.txt")
 
     @classmethod
-    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
-        super().check(entry, encoded)
+    def check(cls, entry: CorpusEntry) -> None:
+        super().check(entry)
         if "|" in entry.sentence:
-            raise ValidationError(
-                f"clip {entry.clip_id!r}: sentence contains the '|' delimiter"
-            )
+            raise ValidationError(f"clip {entry.clip_id!r}: sentence contains the '|' delimiter")
         if "\n" in entry.sentence or "\r" in entry.sentence:
             raise ValidationError(f"clip {entry.clip_id!r}: sentence contains a newline")
 
@@ -194,15 +209,14 @@ class CommonVoiceWriter(CorpusWriter):
     names = ("clips", "train.tsv", "dev.tsv", "README.md")
 
     @classmethod
-    def check(cls, entry: CorpusEntry, encoded: EncodedAudio) -> None:
-        super().check(entry, encoded)
-        fields = [entry.sentence, entry.client_id, *(getattr(entry, f) or "" for f in _OPTIONAL_FIELDS)]
-        fields.extend(entry.extra.values())
-        for value in fields:
+    def check(cls, entry: CorpusEntry) -> None:
+        super().check(entry)
+        for value in _texts(entry):
             if "\t" in value or "\n" in value or "\r" in value:
-                raise ValidationError(
-                    f"clip {entry.clip_id!r}: field contains a tab or newline"
-                )
+                raise ValidationError(f"clip {entry.clip_id!r}: field contains a tab or newline")
+        repeated = sorted(set(entry.extra) & set(CV_COLUMNS))
+        if repeated:
+            raise ValidationError(f"clip {entry.clip_id!r}: extra column {repeated[0]!r} repeats a standard column")
 
     def finish(self, split: SplitSpec) -> None:
         super().finish(split)
@@ -225,6 +239,71 @@ class CommonVoiceWriter(CorpusWriter):
         return lines
 
 
+# Every top-level name a dataset tree holds; a root holding anything else is refused, not replaced.
+ROOT_NAMES = {*LjWriter.names, *CommonVoiceWriter.names, QUALITY_REPORT_NAME, TRAINING_CONFIG_NAME}
+
+
+def work_dir_for(root: str | Path) -> Path:
+    """The `<root>.work/` sibling holding a run's intermediates and the staging tree."""
+    root = Path(root)
+    return root.parent / (root.name + ".work")
+
+
+def _check_root(root: Path) -> None:
+    """Refuse to replace a root that is a symlink or holds names no dataset tree has."""
+    if root.is_symlink() or (root.exists() and not root.is_dir()):
+        raise StageError(
+            f"output root {root} is a symlink or not a directory; refusing to replace it",
+            stage="package",
+        )
+    foreign = sorted(p.name for p in root.iterdir() if p.name not in ROOT_NAMES) if root.exists() else []
+    if foreign:
+        raise StageError(
+            f"output root {root} holds files voiceforge does not write ({', '.join(foreign)}); "
+            "move them or choose another output.root",
+            stage="package",
+        )
+
+
+def _recover(root: Path) -> None:
+    """Undo a publish that died between its two renames: `previous` becomes the root again."""
+    previous = work_dir_for(root) / "previous"
+    if previous.is_dir() and not os.path.lexists(root):
+        os.rename(previous, root)
+
+
+@contextmanager
+def publishing(root: str | Path) -> Iterator[Path]:
+    """Yield a fresh `<root>.work/staging/`; on a normal exit, swap it in for `root`.
+
+    On entry a torn publish is undone and a symlinked or foreign root refused.
+    The swap is two renames, root -> `<work>/previous` and staging -> root. An
+    exception in the body deletes staging and leaves the root as it was.
+    """
+    root = Path(root)
+    work = work_dir_for(root)
+    staging, previous = work / "staging", work / "previous"
+    try:
+        _recover(root)
+        _check_root(root)
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir(parents=True)  # raises if a leftover could not be removed
+        try:
+            yield staging
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        shutil.rmtree(previous, ignore_errors=True)  # left by a crash after the renames
+        _check_root(root)
+        if os.path.lexists(root):
+            os.rename(root, previous)  # fails if a stale `previous` could not be removed
+        os.rename(staging, root)
+        shutil.rmtree(previous, ignore_errors=True)
+    finally:
+        with suppress(OSError):
+            work.rmdir()
+
+
 def _write(
     writer_type: type[CorpusWriter],
     entries: list[CorpusEntry],
@@ -232,18 +311,14 @@ def _write(
     root: str | Path,
     split: SplitSpec,
 ) -> None:
-    """Validate every entry first, sweep the old clips, then write in place."""
-    _check_unique(entries)
-    for entry in entries:
-        if entry.clip_id not in audio:
-            raise ValidationError(f"no audio supplied for clip {entry.clip_id!r}")
-        writer_type.check(entry, audio[entry.clip_id])
-    writer = writer_type(root)
-    for stale in (writer.root / writer.audio_dir).glob(f"*.{writer.extension}"):
-        stale.unlink()  # single-writer per root: keep the directory exactly in sync
-    for entry in entries:
-        writer.add(entry, audio[entry.clip_id])
-    writer.finish(split)
+    """Write the whole entry list into a fresh tree and publish it as `root`."""
+    with publishing(root) as staging:
+        writer = writer_type(staging)
+        for entry in entries:
+            if entry.clip_id not in audio:
+                raise ValidationError(f"no audio supplied for clip {entry.clip_id!r}")
+            writer.add(entry, audio[entry.clip_id])
+        writer.finish(split)
 
 
 def write_lj(
@@ -295,23 +370,26 @@ def _read_lj_manifest(path: Path) -> list[CorpusEntry]:
     return entries
 
 
-def _warn_audio_mismatch(root: Path, referenced: set[str], audio_dir: str, ext: str) -> None:
-    present = {p.name for p in (root / audio_dir).glob(f"*{ext}")} if (root / audio_dir).is_dir() else set()
+def _read_split(
+    root: str | Path, writer_type: type[CorpusWriter], read_manifest
+) -> tuple[list[CorpusEntry], list[CorpusEntry]]:
+    """Read a tree's train and valid manifests; warn about clips missing or unreferenced."""
+    root = Path(root)
+    train, valid = (read_manifest(root / name) for name in writer_type.names[1:3])
+    _check_unique(train + valid)
+    referenced = {Path(e.relative_audio_path).name for e in train + valid}
+    audio_dir = root / writer_type.audio_dir
+    present = {p.name for p in audio_dir.glob(f"*.{writer_type.extension}")}
     for name in sorted(referenced - present):
-        warnings.warn(f"{audio_dir}/{name} is referenced but missing", IntegrityWarning)
+        warnings.warn(f"{audio_dir.name}/{name} is referenced but missing", IntegrityWarning)
     for name in sorted(present - referenced):
-        warnings.warn(f"{audio_dir}/{name} exists but is not referenced", IntegrityWarning)
+        warnings.warn(f"{audio_dir.name}/{name} exists but is not referenced", IntegrityWarning)
+    return train, valid
 
 
 def read_lj_split(root: str | Path) -> tuple[list[CorpusEntry], list[CorpusEntry]]:
     """Read back an LJ-layout dataset, keeping train/valid membership."""
-    root = Path(root)
-    train = _read_lj_manifest(root / "train.txt")
-    valid = _read_lj_manifest(root / "valid.txt")
-    _check_unique(train + valid)
-    referenced = {Path(e.relative_audio_path).name for e in train + valid}
-    _warn_audio_mismatch(root, referenced, "wavs", ".wav")
-    return train, valid
+    return _read_split(root, LjWriter, _read_lj_manifest)
 
 
 def read_lj(root: str | Path) -> list[CorpusEntry]:
@@ -365,11 +443,7 @@ def _read_cv_manifest(path: Path) -> list[CorpusEntry]:
                 client_id=named["client_id"],
                 up_votes=up_votes,
                 down_votes=down_votes,
-                age=named["age"] or None,
-                gender=named["gender"] or None,
-                accents=named["accents"] or None,
-                locale=named["locale"] or None,
-                segment=named["segment"] or None,
+                **{name: named[name] or None for name in _OPTIONAL_FIELDS},
                 extra=extra,
             )
         )
@@ -380,13 +454,7 @@ def read_common_voice_split(
     root: str | Path,
 ) -> tuple[list[CorpusEntry], list[CorpusEntry]]:
     """Read back a Common Voice layout dataset with split membership."""
-    root = Path(root)
-    train = _read_cv_manifest(root / "train.tsv")
-    valid = _read_cv_manifest(root / "dev.tsv")
-    _check_unique(train + valid)
-    referenced = {Path(e.relative_audio_path).name for e in train + valid}
-    _warn_audio_mismatch(root, referenced, "clips", ".mp3")
-    return train, valid
+    return _read_split(root, CommonVoiceWriter, _read_cv_manifest)
 
 
 def read_common_voice(root: str | Path) -> list[CorpusEntry]:

@@ -11,9 +11,9 @@ and package it as Common Voice.
 
 Every run ends in `_package`, the one path from gated clips to a dataset.
 All intermediate artifacts live in a `<output root>.work/` sibling so the
-dataset tree contains exactly the deliverable files. The tree is built in
-`<work>/staging/` and published by two renames (see `_publish`), so the root
-holds either the old tree or the new one, never a mix.
+dataset tree contains exactly the deliverable files. Each run packages into
+the staging dir of `corpus.publishing`, which swaps the finished tree in for
+the root, so the root holds either the old tree or the new one, never a mix.
 """
 
 from __future__ import annotations
@@ -29,15 +29,19 @@ from .audio import AudioClip, decode_wav_pcm16, save_wav
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
+    QUALITY_REPORT_NAME,
+    TRAINING_CONFIG_NAME,
     CommonVoiceWriter,
     CorpusEntry,
     LjWriter,
     client_id_for,
     make_clip_id,
+    publishing,
     read_common_voice,
     read_lj,
+    work_dir_for,
 )
-from .errors import BatchError, ConfigurationError, DecodeError, StageError
+from .errors import BatchError, ConfigurationError, DecodeError, StageError, ValidationError
 from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
 from .preprocess import (
     AudioFormat,
@@ -58,11 +62,7 @@ from .voiceprompt import (
 )
 
 PROMPT_N_COARSE = 2
-TRAINING_CONFIG_NAME = "training_config.txt"
-QUALITY_REPORT_NAME = "quality_report.json"
 MULTI_SPEAKER_WARN_FRACTION = 0.1
-# Every top-level name a run writes; a root holding anything else is refused, not replaced.
-ROOT_NAMES = {*LjWriter.names, *CommonVoiceWriter.names, QUALITY_REPORT_NAME, TRAINING_CONFIG_NAME}
 
 
 @dataclass
@@ -78,11 +78,6 @@ class RunSummary:
     quality: QualityReport = field(default_factory=QualityReport)
     partial: bool = False
     messages: list[str] = field(default_factory=list)
-
-
-def work_dir_for(root: str | Path) -> Path:
-    root = Path(root)
-    return root.parent / (root.name + ".work")
 
 
 def _cache_dir(work: Path) -> Path:
@@ -209,69 +204,23 @@ def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) 
     return AudioClip(samples=samples, sample_rate_hz=rate, source_id=entry.clip_id)
 
 
-def _check_root(root: Path) -> None:
-    """Refuse to replace a root that is a symlink or holds names no run writes."""
-    if root.is_symlink() or (root.exists() and not root.is_dir()):
-        raise StageError(
-            f"output root {root} is a symlink or not a directory; refusing to replace it",
-            stage="package",
-        )
-    if not root.exists():
-        return
-    foreign = sorted(p.name for p in root.iterdir() if p.name not in ROOT_NAMES)
-    if foreign:
-        raise StageError(
-            f"output root {root} holds files voiceforge does not write ({', '.join(foreign)}); "
-            "move them or choose another output.root",
-            stage="package",
-        )
-
-
-def _staging(root: Path) -> Path:
-    """Recover an interrupted publish, check the root, and return an empty staging dir."""
-    work = work_dir_for(root)
-    if (work / "previous").is_dir() and not os.path.lexists(root):
-        os.rename(work / "previous", root)  # a run died between the two renames of `_publish`
-    _check_root(root)
-    shutil.rmtree(work / "staging", ignore_errors=True)
-    (work / "staging").mkdir(parents=True)  # raises if a leftover could not be removed
-    return work / "staging"
-
-
-def _publish(config: PipelineConfig, summary: RunSummary) -> None:
-    """Save the quality report into staging, then swap staging in for the root.
-
-    The old root moves to `<work>/previous` and staging takes its place; a
-    crash between the two renames is undone by the next run's `_staging`.
-    """
-    root = Path(config.output.root)
-    work = work_dir_for(root)
-    summary.quality.save(work / "staging" / QUALITY_REPORT_NAME)
-    shutil.rmtree(work / "previous", ignore_errors=True)  # left by a crash after the renames
-    _check_root(root)
-    if os.path.lexists(root):
-        os.rename(root, work / "previous")  # fails if a stale `previous` could not be removed
-    os.rename(work / "staging", root)
-    shutil.rmtree(work / "previous", ignore_errors=True)
-
-
 def _package(
     config: PipelineConfig,
     adapters: dict[AdapterRole, object],
     candidates: Iterable[tuple[CorpusEntry, AudioClip]],
     summary: RunSummary,
+    staging: Path,
 ) -> list[float]:
-    """Gate, transcode and write each clip into staging, then read it back.
+    """Gate, transcode and write each clip into `staging`, then read it back.
 
     Returns the kept durations. Each clip is written as soon as it is
     transcoded and then dropped; only its entry stays. The dataset format
-    alone decides the writer (and so the audio format and clip path), the
-    reader, the LJ rule against '|' in a transcript, and how much of each
-    entry the read-back must reproduce (LJ manifests keep only the path and
-    sentence). Nothing is written into the root until `_publish`.
+    alone decides the writer (and so the audio format, clip path and text
+    rules), the reader, and how much of each entry the read-back must
+    reproduce (LJ manifests keep only the path and sentence). A clip whose
+    text the layout cannot hold fails with a `layout` issue and is skipped.
     """
     common_voice = _dataset_format(config) is OutputFormat.COMMON_VOICE
-    staging = _staging(Path(config.output.root))
     writer = (CommonVoiceWriter if common_voice else LjWriter)(staging)
     constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
     transcoder = adapters[AdapterRole.TRANSCODE]
@@ -279,15 +228,12 @@ def _package(
     for entry, clip in candidates:
         issues = validate_clip(clip, constraints)
         passed = not any(issue.severity is Severity.FAIL for issue in issues)
-        if passed and not common_voice and "|" in entry.sentence:
-            issues.append(
-                Issue(
-                    code="delimiter",
-                    severity=Severity.FAIL,
-                    message="transcript contains the LJ '|' delimiter",
-                )
-            )
-            passed = False
+        if passed:
+            try:
+                writer.check(entry)
+            except ValidationError as exc:
+                issues.append(Issue(code="layout", severity=Severity.FAIL, message=str(exc)))
+                passed = False
         summary.quality.add(entry.clip_id, issues)
         if not passed:
             continue
@@ -313,6 +259,20 @@ def _package(
             f"read-back of {staging} does not match the written manifest", stage="package"
         )
     return durations
+
+
+def _numbered(
+    config: PipelineConfig, source_id: str, speaker_ref: str, pairs: Iterable[tuple[str, AudioClip]]
+) -> Iterator[tuple[CorpusEntry, AudioClip]]:
+    """Turn one source's (sentence, clip) pairs, in order, into `_package` candidates."""
+    for i, (sentence, clip) in enumerate(pairs):
+        yield CorpusEntry(
+            clip_id=make_clip_id(source_id, i),
+            relative_audio_path="",
+            sentence=sentence,
+            client_id=client_id_for(speaker_ref),
+            locale=config.output.locale,
+        ), clip
 
 
 def _segments(
@@ -415,40 +375,25 @@ def run_methodology_1(
     adapters = resolve_adapters(config, registry)
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
     source_id, pid, batch = _m1_generate(config, adapters, summary, resume)
-
-    candidates = (
-        (
-            CorpusEntry(
-                clip_id=make_clip_id(source_id, i),
-                relative_audio_path="",
-                sentence=sentence,
-                client_id=client_id_for(pid),
-                locale=config.output.locale,
-            ),
-            clip,
+    candidates = _numbered(config, source_id, pid, batch.load())
+    with publishing(config.output.root) as staging:
+        durations = _package(config, adapters, candidates, summary, staging)
+        summary.quality.metrics.update(
+            {
+                "sentences_requested": float(len(config.generation.sentences)),
+                "sentences_generated": float(len(batch.clips)),
+                "mean_clip_duration_s": sum(durations) / len(durations),
+            }
         )
-        for i, (sentence, clip) in enumerate(batch.load())
-    )
-    durations = _package(config, adapters, candidates, summary)
-    summary.quality.metrics.update(
-        {
-            "sentences_requested": float(len(config.generation.sentences)),
-            "sentences_generated": float(len(batch.clips)),
-            "mean_clip_duration_s": sum(durations) / len(durations),
-        }
-    )
-    _publish(config, summary)
+        summary.quality.save(staging / QUALITY_REPORT_NAME)
     return summary
 
 
 def _prepare_lj_training_set(
-    config: PipelineConfig,
-    adapters: dict[AdapterRole, object],
-    summary: RunSummary,
-    work: Path,
+    config: PipelineConfig, adapters: dict[AdapterRole, object], summary: RunSummary
 ) -> None:
     source_clip = _acquire_decoded(
-        config, adapters, work, config.training.target_sample_rate_hz
+        config, adapters, work_dir_for(config.output.root), config.training.target_sample_rate_hz
     )
     turns = diarize(source_clip, adapters[AdapterRole.DIARIZATION])
     minority = minority_speaker_fraction(turns)
@@ -468,24 +413,13 @@ def _prepare_lj_training_set(
         )
 
     source_id = source_clip.source_id
-    candidates = (
-        (
-            CorpusEntry(
-                clip_id=make_clip_id(source_id, i),
-                relative_audio_path="",
-                sentence=text,
-                client_id=client_id_for(source_id),
-                locale=config.output.locale,
-            ),
-            clip,
-        )
-        for i, (clip, text) in enumerate(pairs)
-    )
-    total_s = float(sum(_package(config, adapters, candidates, summary)))
-    summary.messages.extend(validate_training_data(total_s))
-    summary.quality.metrics["total_speech_s"] = total_s
-
-    write_training_config(config.training, work / "staging" / TRAINING_CONFIG_NAME)
+    candidates = _numbered(config, source_id, source_id, ((text, clip) for clip, text in pairs))
+    with publishing(config.output.root) as staging:
+        total_s = float(sum(_package(config, adapters, candidates, summary, staging)))
+        summary.messages.extend(validate_training_data(total_s))
+        summary.quality.metrics["total_speech_s"] = total_s
+        write_training_config(config.training, staging / TRAINING_CONFIG_NAME)
+        summary.quality.save(staging / QUALITY_REPORT_NAME)
     summary.messages.append(
         f"training corpus and {TRAINING_CONFIG_NAME} written to {config.output.root}; "
         "train a model on it, then set conversion.model_ref and conversion.index_ref "
@@ -523,7 +457,9 @@ def _convert_corpus(
         if len(causes) == len(input_entries):
             raise BatchError("every clip failed conversion", causes=causes, stage="convert")
 
-    _package(config, adapters, converted(), summary)
+    with publishing(config.output.root) as staging:
+        _package(config, adapters, converted(), summary, staging)
+        summary.quality.save(staging / QUALITY_REPORT_NAME)
 
 
 def run_methodology_2(
@@ -535,14 +471,10 @@ def run_methodology_2(
     registry = registry or default_registry()
     adapters = resolve_adapters(config, registry)
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    work = work_dir_for(config.output.root)
-    work.mkdir(parents=True, exist_ok=True)
-
     if config.conversion.model_ref is None:
-        _prepare_lj_training_set(config, adapters, summary, work)
+        _prepare_lj_training_set(config, adapters, summary)
     else:
         _convert_corpus(config, adapters, summary)
-    _publish(config, summary)
     return summary
 
 

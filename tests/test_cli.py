@@ -57,6 +57,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "generation.text_temp" in err
 
+    def test_lone_surrogate_in_a_sentence_is_a_config_error(self, tmp_path, capsys):
+        cfg = _m1_yaml(tmp_path, generation={"sentences": [SENTENCES[0], "\ud800 hi"]})
+        lines = open(cfg, encoding="utf-8").read().splitlines()
+        line = next(n for n, text in enumerate(lines, start=1) if "uD800" in text)
+        code = main(["run", "--config", cfg])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"generation.sentences[1]: must be valid Unicode text (line {line})" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_adapter_is_a_config_error(self, tmp_path, capsys):
         cfg = _m1_yaml(tmp_path, adapters={"downloader": "mock", "decoder": "mock", "tts": "nope"})
         code = main(["run", "--config", cfg])

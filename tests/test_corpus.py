@@ -28,7 +28,7 @@ from voiceforge.corpus import (
     write_common_voice,
     write_lj,
 )
-from voiceforge.errors import IntegrityWarning, ParseError, ValidationError
+from voiceforge.errors import IntegrityWarning, ParseError, StageError, ValidationError
 from voiceforge.preprocess import AudioFormat, transcode
 
 SPLIT = SplitSpec(valid_fraction=0.2, seed=13)
@@ -397,6 +397,7 @@ def _sentence(reserved: str):
 @st.composite
 def cv_entry(draw, index: int) -> CorpusEntry:
     optional = st.none() | _text(CV_RESERVED)
+    extra_keys = _text(CV_RESERVED).filter(lambda key: key not in CV_COLUMNS)
     extra_values = _text(CV_RESERVED)
     return CorpusEntry(
         clip_id=make_clip_id("prop", index),
@@ -406,7 +407,7 @@ def cv_entry(draw, index: int) -> CorpusEntry:
         up_votes=draw(st.integers(0, 10**6)),
         down_votes=draw(st.integers(0, 10**6)),
         **{name: draw(optional) for name in ("age", "gender", "accents", "locale", "segment")},
-        extra=draw(st.dictionaries(st.sampled_from(["variant", "x_note"]), extra_values)),
+        extra=draw(st.dictionaries(extra_keys, extra_values, max_size=3)),
     )
 
 
@@ -495,3 +496,113 @@ class TestStreamingWriterProperties:
             with pytest.raises(ValidationError, match="delimiter|newline"):
                 writer.add(entries[i], encoded)
             assert _files(Path(tmp)) == []
+
+    @PROPERTY_SETTINGS
+    @given(entries=cv_entry_lists(), reserved=st.sampled_from(CV_RESERVED), data=st.data())
+    def test_common_voice_refuses_tab_or_newline_in_an_extra_key(self, entries, reserved, data):
+        i = data.draw(st.integers(0, len(entries) - 1))
+        key = data.draw(_text(CV_RESERVED, min_size=0))
+        at = data.draw(st.integers(0, len(key)))
+        entries[i] = replace(entries[i], extra={**entries[i].extra, key[:at] + reserved + key[at:]: "v"})
+        encoded = _audio(AudioFormat.MP3)
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValidationError, match="tab or newline"):
+                write_common_voice(entries, {e.clip_id: encoded for e in entries}, tmp, SPLIT)
+            assert _files(Path(tmp)) == []
+
+
+WRITERS = {
+    "lj": (write_lj, _lj_entries),
+    "common_voice": (write_common_voice, _cv_entries),
+}
+
+
+class TestLibraryWritesPublish:
+    """`write_lj` and `write_common_voice` publish through `publishing`, like a run."""
+
+    def test_failed_clip_write_leaves_the_old_tree(self, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        entries, audio = _lj_entries(3)
+        write_lj(entries, audio, root, SPLIT)
+        before = _tree(root)
+        calls = []
+        real_write_bytes = Path.write_bytes
+
+        def failing_write_bytes(self, data):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError("simulated disk error")
+            return real_write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        with pytest.raises(OSError, match="simulated disk error"):
+            write_lj(entries[1:], {e.clip_id: audio[e.clip_id] for e in entries[1:]}, root, SPLIT)
+        assert _tree(root) == before
+        assert not (tmp_path / "corpus.work").exists()
+
+    def test_rewrite_in_the_other_layout_replaces_the_whole_tree(self, tmp_path):
+        root = tmp_path / "corpus"
+        write_common_voice(*_cv_entries(3), root, SPLIT)
+        (root / "quality_report.json").write_text("{}", encoding="utf-8")
+        write_lj(*_lj_entries(3), root, SPLIT)
+        assert {p.name for p in root.iterdir()} == {"wavs", "train.txt", "valid.txt"}
+        assert len(read_lj(root)) == 3
+
+    @pytest.mark.parametrize("layout", sorted(WRITERS))
+    def test_root_with_a_foreign_file_is_refused(self, tmp_path, layout):
+        write, make_entries = WRITERS[layout]
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "notes.txt").write_text("my notes", encoding="utf-8")
+        with pytest.raises(StageError, match="notes.txt"):
+            write(*make_entries(2), root, SPLIT)
+        assert _tree(root) == {"notes.txt": b"my notes"}
+        assert not (tmp_path / "corpus.work").exists()
+
+    @pytest.mark.parametrize("layout", sorted(WRITERS))
+    def test_symlinked_root_is_refused(self, tmp_path, layout):
+        write, make_entries = WRITERS[layout]
+        target, root = tmp_path / "elsewhere", tmp_path / "corpus"
+        target.mkdir()
+        root.symlink_to(target)
+        with pytest.raises(StageError, match="symlink"):
+            write(*make_entries(2), root, SPLIT)
+        assert root.is_symlink() and list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("layout", sorted(WRITERS))
+    def test_successful_write_leaves_no_work_dir(self, tmp_path, layout):
+        write, make_entries = WRITERS[layout]
+        root = tmp_path / "corpus"
+        write(*make_entries(3), root, SPLIT)
+        leftover = tmp_path / "corpus.work" / "staging" / "clips"  # from a killed write
+        leftover.mkdir(parents=True)
+        (leftover / "half.mp3").write_bytes(b"ID3")
+        write(*make_entries(2), root, SPLIT)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
+class TestEntryTextChecks:
+    def test_lone_surrogate_is_refused_before_any_file_lands(self, tmp_path):
+        entries, audio = _cv_entries(3)
+        entries[1] = replace(entries[1], sentence="\ud800 hi")
+        with pytest.raises(ValidationError, match="not valid UTF-8"):
+            write_common_voice(entries, audio, tmp_path / "corpus", SPLIT)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_extra_key_naming_a_standard_column_is_refused(self, tmp_path):
+        entries, audio = _cv_entries(2)
+        entries[0] = replace(entries[0], extra={"sentence": "shadow"})
+        with pytest.raises(ValidationError, match="'sentence' repeats a standard column"):
+            write_common_voice(entries, audio, tmp_path / "corpus", SPLIT)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_extra_key_with_a_tab_is_refused(self, tmp_path):
+        entries, audio = _cv_entries(2)
+        entries[0] = replace(entries[0], extra={"note\tkey": "x"})
+        with pytest.raises(ValidationError, match="tab or newline"):
+            write_common_voice(entries, audio, tmp_path / "corpus", SPLIT)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}

@@ -5,16 +5,22 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from voiceforge import pipeline, synthesis
+from voiceforge import corpus, pipeline, synthesis
 from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
-from voiceforge.adapters.mocks import MockTranscodeAdapter, MockTtsAdapter, MockVcAdapter
+from voiceforge.adapters.mocks import (
+    MockAsrAdapter,
+    MockTranscodeAdapter,
+    MockTtsAdapter,
+    MockVcAdapter,
+)
 from voiceforge.audio import AudioClip, load_wav
 from voiceforge.cli import EXIT_PARTIAL, EXIT_STAGE, main
 from voiceforge.config import parse_config
@@ -531,7 +537,7 @@ class TestStreaming:
                 yield entry, AudioClip(samples=tone, sample_rate_hz=rate)
 
         summary = pipeline.RunSummary(methodology="bark_prompt", output_root=str(tmp_path / "out"))
-        durations = pipeline._package(config, adapters, candidates(), summary)
+        durations = pipeline._package(config, adapters, candidates(), summary, tmp_path / "staging")
         assert durations == [2.0] * len(SENTENCES)
         assert len(transcodes) == len(SENTENCES)
 
@@ -551,7 +557,9 @@ class TestStreaming:
                 yield entry, AudioClip(samples=tone, sample_rate_hz=rate)
 
         summary = pipeline.RunSummary(methodology="bark_prompt", output_root=str(tmp_path / "out"))
-        assert pipeline._package(config, adapters, candidates(), summary) == [2.0] * len(SENTENCES)
+        assert pipeline._package(config, adapters, candidates(), summary, clips.parent) == [2.0] * len(
+            SENTENCES
+        )
         assert not (tmp_path / "out").exists()  # nothing lands in the root before the publish
 
     def test_package_holds_no_encoded_payload(self, tmp_path):
@@ -572,7 +580,7 @@ class TestStreaming:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            pipeline._package(config, adapters, candidates, summary)
+            pipeline._package(config, adapters, candidates, summary, tmp_path / "staging")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -689,7 +697,7 @@ class TestPublish:
         assert not root.exists()
         assert _tree_bytes(work / "previous") == old
 
-        pipeline._staging(root)  # the recovery step every packaging run starts with
+        corpus._recover(root)  # the recovery step every publish starts with
         assert _tree_bytes(root) == old
         pipeline.run(_m1_config(root, seed=12))
         assert _tree_bytes(root) == _tree_bytes(reference)
@@ -712,3 +720,33 @@ class TestPublish:
         with pytest.raises(StageError, match="not a directory"):
             pipeline.run(_m1_config(tmp_path / "out"))
         assert (tmp_path / "out").is_symlink() and list(target.iterdir()) == []
+
+
+class PipedAsr(MockAsrAdapter):
+    """Mock ASR whose first transcript holds LJ's '|' delimiter."""
+
+    def transcribe(self, samples, rate, config):
+        first, *rest = super().transcribe(samples, rate, config)
+        return [replace(first, text=first.text + " | दो"), *rest]
+
+
+class TestLayoutGate:
+    def test_lj_transcript_with_a_pipe_is_skipped_with_a_layout_issue(self, tmp_path):
+        root = tmp_path / "out"
+        data = {
+            "methodology": "rvc_convert",
+            "source": {"uri": "mock://lecture?duration=120&rate=32000&seed=3"},
+            "output": {"root": str(root), "split": {"valid_fraction": 0.1, "seed": 9}},
+            "adapters": {"downloader": "mock", "decoder": "mock", "asr": "piped"},
+        }
+        registry = default_registry()
+        registry.register(AdapterDescriptor(role=AdapterRole.ASR, id="piped"), PipedAsr())
+        summary = pipeline.run(parse_config(data), registry)
+        piped = min(summary.quality.per_clip)
+        [issue] = [i for i in summary.quality.per_clip[piped] if i.code == "layout"]
+        assert issue.severity.value == "fail" and "'|' delimiter" in issue.message
+        written = read_lj(root)
+        assert piped not in {e.clip_id for e in written}
+        assert len(written) == summary.entries_written == summary.clips_in - 1
+        report = json.loads((root / "quality_report.json").read_text(encoding="utf-8"))
+        assert [i["code"] for i in report["per_clip"][piped]] == [i.code for i in summary.quality.per_clip[piped]]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voiceforge.adapters.mocks import (
     MockDenoiseAdapter,
@@ -182,3 +184,49 @@ class TestEncodedAudio:
             EncodedAudio(
                 payload=b"ID3x", format=AudioFormat.MP3, sample_rate_hz=8000, duration_s=0.0
             )
+
+
+# Property tests of the boundary arithmetic. A ramp has distinct samples, so a
+# piece equal to a slice of it is exactly that slice.
+BOUNDARY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+RATES = st.sampled_from([8000, 16000, 22050, 24000, 44100])
+
+
+def _ramp(n: int, rate: int, offset_s: float = 0.0) -> AudioClip:
+    return AudioClip(samples=np.arange(n) / max(n, 1), sample_rate_hz=rate, offset_s=offset_s)
+
+
+class TestSegmentBoundaries:
+    @BOUNDARY_SETTINGS
+    @given(
+        n=st.integers(0, 20000),
+        rate=RATES,
+        target_len_s=st.floats(0.01, 1.0),
+        tail=st.sampled_from(list(TailPolicy)),
+        offset_s=st.floats(0.0, 100.0),
+        data=st.data(),
+    )
+    def test_pieces_span_the_rounded_boundaries(self, n, rate, target_len_s, tail, offset_s, data):
+        step = target_len_s * rate
+        full = 0
+        while round((full + 1) * step) <= n:
+            full += 1
+        end = round(full * step)
+        remainder = n - end
+        # half the draws put the tail threshold exactly on the remainder
+        min_tail_s = data.draw(st.just(remainder / rate) | st.floats(0.0, target_len_s, exclude_max=True))
+        assume(min_tail_s < target_len_s)
+        policy = SegmentationPolicy(target_len_s=target_len_s, tail=tail, min_tail_s=min_tail_s)
+        clip = _ramp(n, rate, offset_s)
+        pieces = segment(clip, policy)
+        has_tail = tail is TailPolicy.KEEP_LAST and remainder > 0 and remainder / rate >= min_tail_s
+        assert len(pieces) == full + has_tail
+        for k, piece in enumerate(pieces[:full]):
+            lo, hi = round(k * step), round((k + 1) * step)
+            assert np.array_equal(piece.samples, clip.samples[lo:hi])
+            assert piece.offset_s == offset_s + k * target_len_s
+        if has_tail:
+            assert np.array_equal(pieces[-1].samples, clip.samples[end:])
+            assert pieces[-1].offset_s == offset_s + full * target_len_s
+        joined = np.concatenate([p.samples for p in pieces]) if pieces else clip.samples[:0]
+        assert np.array_equal(joined, clip.samples[: n if has_tail else end])  # contiguous

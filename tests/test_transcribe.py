@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
@@ -182,3 +184,41 @@ class TestMinoritySpeakerFraction:
             SpeakerTurn(8.0, 10.0, "S2"),
         ]
         assert minority_speaker_fraction(turns) == pytest.approx(0.5)
+
+
+BOUNDARY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+RATES = st.sampled_from([8000, 16000, 22050, 24000, 44100])
+
+
+def _ramp(n: int, rate: int) -> AudioClip:
+    """Distinct samples, so a slice equal to a span of it is exactly that span."""
+    return AudioClip(samples=np.arange(n) / n, sample_rate_hz=rate, offset_s=3.25)
+
+
+class TestSliceBoundaries:
+    @BOUNDARY_SETTINGS
+    @given(n=st.integers(1, 20000), rate=RATES, data=st.data())
+    def test_slices_span_the_rounded_times(self, n, rate, data):
+        clip = _ramp(n, rate)
+        segments = []
+        for i in range(data.draw(st.integers(1, 5))):
+            start = data.draw(st.floats(0.0, clip.duration_s, exclude_max=True))
+            end = data.draw(st.just(clip.duration_s) | st.floats(start, clip.duration_s, exclude_min=True))
+            segments.append(TranscriptSegment(start_s=start, end_s=end, text=f"वाक्य {i}"))
+        pairs = slice_by_segments(clip, segments)
+        assert [text for _, text in pairs] == [seg.text for seg in segments]
+        for (piece, _), seg in zip(pairs, segments):
+            lo, hi = round(seg.start_s * rate), round(seg.end_s * rate)
+            assert np.array_equal(piece.samples, clip.samples[lo:hi])
+            assert piece.offset_s == clip.offset_s + lo / rate
+
+    @BOUNDARY_SETTINGS
+    @given(n=st.integers(1, 20000), rate=RATES, data=st.data())
+    def test_a_span_past_the_last_sample_raises(self, n, rate, data):
+        clip = _ramp(n, rate)
+        start = data.draw(st.floats(0.0, clip.duration_s, exclude_max=True))
+        end = data.draw(st.just((n + 1) / rate) | st.floats(clip.duration_s, 2 * clip.duration_s))
+        assume(round(end * rate) > n)
+        inside = TranscriptSegment(start_s=0.0, end_s=clip.duration_s, text="पूरा")
+        with pytest.raises(ValidationError, match="exceeds"):
+            slice_by_segments(clip, [inside, TranscriptSegment(start_s=start, end_s=end, text="बाहर")])
