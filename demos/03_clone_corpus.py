@@ -50,7 +50,8 @@ for entry in entries[:3]:
 report = json.loads((out_dir / "quality_report.json").read_text(encoding="utf-8"))
 print(f"\nquality metrics: {report['metrics']}")
 
-# The same config re-run with resume=True reuses the synthesis journal, so a
-# killed run picks up where it stopped instead of regenerating everything.
+# The same config re-run with resume=True reuses the clip files already in the
+# work dir, so a killed run picks up where it stopped instead of regenerating
+# everything.
 again = run(config, resume=True)
 print(f"\nresumed run rewrote {again.entries_written} entries without new synthesis")

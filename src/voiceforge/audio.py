@@ -10,8 +10,10 @@ metadata chunks, as long as the audio payload is 16-bit PCM.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -217,6 +219,25 @@ def load_wav(path, source_id: str = "", offset_s: float = 0.0) -> AudioClip:
     return AudioClip(samples=samples, sample_rate_hz=rate, source_id=source_id, offset_s=offset_s)
 
 
+def replace_file(path, payload: bytes) -> None:
+    """Write `payload` to `path` whole or not at all: a killed write leaves the old file.
+
+    The bytes go to `.<name>.<pid>.tmp` beside `path`, are flushed and
+    fsynced, and the temp file is renamed over `path`. If anything fails, the
+    temp file is deleted.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+
+
 def save_wav(clip: AudioClip, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_wav_pcm16(clip))
+    replace_file(path, encode_wav_pcm16(clip))

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         "synth": "generate batch audio into the work directory (bark_prompt only)",
         "train-config": "emit the external trainer's config file",
         "convert": "convert an existing corpus with a trained model (rvc_convert only)",
-        "package": "package previously generated audio into the dataset (resumes the journal)",
+        "package": "package previously generated audio into the dataset (reuses its clips)",
         "validate": "re-validate an already-written dataset",
         "run": "execute the configured methodology end to end",
     }
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         stage.add_argument("--config", required=True, help="path to the YAML pipeline config")
         if name in ("synth", "run"):
             stage.add_argument(
-                "--resume", action="store_true", help="reuse the synthesis journal from a prior run"
+                "--resume", action="store_true", help="reuse the clips a prior run generated"
             )
         stage.add_argument(
             "--dry-run", action="store_true", help="validate the config and print the plan only"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters.base import VcAdapter
-from .audio import AudioClip
+from .audio import AudioClip, replace_file
 from .errors import StageError, ValidationError, backend_call
 
 ALLOWED_TRAINING_RATES_HZ = (32000, 40000, 48000)
@@ -140,4 +140,4 @@ def write_training_config(config: TrainingConfig, path: str | Path) -> None:
         f"pretrained_discriminator={config.pretrained_disc}",
         f"pitch_guided={'true' if config.pitch_guided else 'false'}",
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -158,6 +158,8 @@ class CorpusWriter:
             "".join(_texts(entry)).encode("utf-8")
         except UnicodeEncodeError:
             raise ValidationError(f"clip {entry.clip_id!r}: text is not valid UTF-8") from None
+        if any(c in entry.clip_id for c in "/\\\0"):
+            raise ValidationError(f"clip {entry.clip_id!r}: clip id contains a path separator or NUL")
 
     def add(self, entry: CorpusEntry, encoded: EncodedAudio) -> None:
         if entry.clip_id in self._ids:
@@ -193,10 +195,11 @@ class LjWriter(CorpusWriter):
     @classmethod
     def check(cls, entry: CorpusEntry) -> None:
         super().check(entry)
-        if "|" in entry.sentence:
-            raise ValidationError(f"clip {entry.clip_id!r}: sentence contains the '|' delimiter")
-        if "\n" in entry.sentence or "\r" in entry.sentence:
-            raise ValidationError(f"clip {entry.clip_id!r}: sentence contains a newline")
+        for name, value in (("sentence", entry.sentence), ("clip id", entry.clip_id)):
+            if "|" in value:
+                raise ValidationError(f"clip {entry.clip_id!r}: {name} contains the '|' delimiter")
+            if "\n" in value or "\r" in value:
+                raise ValidationError(f"clip {entry.clip_id!r}: {name} contains a newline")
 
     def _lines(self, part: list[CorpusEntry]) -> list[str]:
         return [f"wavs/{entry.clip_id}.wav|{entry.sentence}\n" for entry in part]

@@ -34,6 +34,7 @@ from .corpus import (
     CommonVoiceWriter,
     CorpusEntry,
     LjWriter,
+    _check_root,
     client_id_for,
     make_clip_id,
     publishing,
@@ -368,7 +369,7 @@ def run_methodology_1(
     registry: AdapterRegistry | None = None,
     resume: bool = False,
 ) -> RunSummary:
-    """Prompted-TTS corpus generation; resumable through the synthesis journal."""
+    """Prompted-TTS corpus generation; with `resume`, clips already in the work dir are reused."""
     if config.methodology is not Methodology.BARK_PROMPT:
         raise ConfigurationError("run_methodology_1 requires methodology: bark_prompt")
     registry = registry or default_registry()
@@ -481,7 +482,7 @@ def run_methodology_2(
 def run(
     config: PipelineConfig, registry: AdapterRegistry | None = None, resume: bool = False
 ) -> RunSummary:
-    """Dispatch to the configured methodology; only methodology 1 has a journal to resume."""
+    """Dispatch to the configured methodology; only methodology 1 has clips to resume from."""
     if config.methodology is Methodology.BARK_PROMPT:
         return run_methodology_1(config, registry, resume=resume)
     return run_methodology_2(config, registry)
@@ -552,8 +553,13 @@ def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None
 
 
 def train_config_stage(config: PipelineConfig) -> Path:
-    """Emit the external trainer's config file under the output root."""
+    """Emit the external trainer's config file under the output root.
+
+    The root is refused as a run refuses it: a symlink, or a root holding
+    names no dataset tree has, raises `StageError` before anything is written.
+    """
     root = Path(config.output.root)
+    _check_root(root)
     root.mkdir(parents=True, exist_ok=True)
     path = root / TRAINING_CONFIG_NAME
     write_training_config(config.training, path)

@@ -1,21 +1,18 @@
-"""Prompted text-to-speech generation, single-shot and journaled batches.
+"""Prompted text-to-speech generation, single-shot and resumable batches.
 
-Batch runs persist every finished clip and append one JSON line per outcome
-to a journal, so an interrupted run resumes by replaying the journal instead
-of regenerating audio. A journal line records the digest of the context the
-clip was made under (prompt, generation params, TTS adapter id); a clip is
-reused only under the same context, and its file name
-`<sentence sha256>-<context[:16]>.wav` keeps a run under other settings from
-overwriting it. A batch returns clip files, not audio: callers read every
-clip back from disk, so a resumed run is byte-identical to an uninterrupted
-one.
+A batch writes each finished clip to `<sentence sha256>-<context>.wav`, where
+the context is the SHA-256 of the prompt, the generation params and the TTS
+adapter id. The file is the record: a rerun reuses a clip exactly when a file
+of that name exists, and every clip is written atomically, so a killed write
+never leaves audio under a final name and audio made under other settings is
+never reused. A batch returns clip files, not audio: callers read every clip
+back from disk, so a resumed run is byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,7 +24,6 @@ from .audio import AudioClip, load_wav, save_wav
 from .errors import BatchError, GenerationError, ValidationError, backend_call
 from .voiceprompt import SpeakerPrompt
 
-JOURNAL_NAME = "journal.jsonl"
 CLIP_DIR_NAME = "clips"
 DEFAULT_RETRIES = 2
 
@@ -122,31 +118,6 @@ def synthesize(
         ) from exc
 
 
-def _read_journal(path: Path) -> dict[str, dict]:
-    """Last-wins map of sentence_sha256 -> journal entry."""
-    entries: dict[str, dict] = {}
-    if not path.is_file():
-        return entries
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from a killed process; rerun will redo it
-            entries[entry["sentence_sha256"]] = entry
-    return entries
-
-
-def _append_journal(path: Path, entry: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
 def batch_synthesize(
     sentences: list[str],
     prompt: SpeakerPrompt,
@@ -158,14 +129,12 @@ def batch_synthesize(
 ) -> BatchResult:
     """Generate one clip per sentence with fault isolation and resumption.
 
-    The journal at `<work_dir>/journal.jsonl` records one {sentence_sha256,
-    output_path, status} object per attempt outcome; "ok" lines add a
-    `context` digest of the prompt, `params` and `backend_id` (the TTS
-    adapter's registry id). Clips land in
-    `<work_dir>/clips/<sentence sha256>-<context[:16]>.wav`. Reruns skip
-    sentences whose journal status is "ok", whose context matches this
-    call's, and whose clip file still exists. A batch that returns deletes
-    every other clip file in `<work_dir>/clips/`.
+    Clips land in `<work_dir>/clips/<sentence sha256>-<context>.wav`, where
+    `context` is the SHA-256 of the prompt digest, `params` and `backend_id`
+    (the TTS adapter's registry id). A sentence whose clip file exists is not
+    generated again. A batch that returns deletes every other entry in
+    `<work_dir>/clips/`: clips of other contexts or of dropped sentences, and
+    the temp file of a killed write.
     """
     if not sentences:
         return BatchResult(clips=[])
@@ -173,11 +142,8 @@ def batch_synthesize(
         if not sentence.strip():
             raise ValidationError("sentences must all be non-empty")
 
-    work_dir = Path(work_dir)
-    clip_dir = work_dir / CLIP_DIR_NAME
+    clip_dir = Path(work_dir) / CLIP_DIR_NAME
     clip_dir.mkdir(parents=True, exist_ok=True)
-    journal_path = work_dir / JOURNAL_NAME
-    journal = _read_journal(journal_path)
     context_doc = {"prompt": prompt_digest(prompt), "params": asdict(params), "tts": backend_id}
     context = hashlib.sha256(json.dumps(context_doc, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -189,45 +155,23 @@ def batch_synthesize(
                 if attempt == retries:
                     raise
 
-    def restore(sentence: str) -> Path | None:
-        """Clip file from a previous run, if the journal says it finished under this context."""
-        entry = journal.get(sentence_digest(sentence))
-        if not entry or entry.get("status") != "ok" or entry.get("context") != context:
-            return None
-        clip_path = Path(entry["output_path"])
-        return clip_path if clip_path.is_file() else None
-
     clips: list[tuple[str, Path]] = []
     failures: dict[str, str] = {}
     for sentence in sentences:
-        sha = sentence_digest(sentence)
-        clip_path = restore(sentence)
-        if clip_path is None:
+        clip_path = clip_dir / f"{sentence_digest(sentence)}-{context}.wav"
+        if not clip_path.is_file():
             try:
                 clip = generate(sentence)
             except GenerationError as exc:
                 failures[sentence] = str(exc)
-                _append_journal(
-                    journal_path, {"sentence_sha256": sha, "output_path": "", "status": "failed"}
-                )
                 continue
-            clip_path = clip_dir / f"{sha}-{context[:16]}.wav"
             save_wav(clip, clip_path)
-            _append_journal(
-                journal_path,
-                {
-                    "sentence_sha256": sha,
-                    "output_path": str(clip_path),
-                    "status": "ok",
-                    "context": context,
-                },
-            )
         clips.append((sentence, clip_path))
 
     if failures and not clips:
         raise BatchError("every sentence in the batch failed", causes=failures)
     current = {path.name for _, path in clips}
-    for stale in clip_dir.glob("*.wav"):  # clips of other contexts or of dropped sentences
+    for stale in clip_dir.iterdir():
         if stale.name not in current:
             stale.unlink()
     return BatchResult(clips=clips, failures=failures)

@@ -8,15 +8,14 @@ from fine, so the row-prefix property cannot be violated by callers.
 
 from __future__ import annotations
 
-import os
-import tempfile
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adapters.base import CodecAdapter, SemanticEncoderAdapter, TokenQuantizerAdapter
-from .audio import AudioClip
+from .audio import AudioClip, replace_file
 from .errors import ConfigurationError, FormatError, StageError, ValidationError, backend_call
 
 PROMPT_KEYS = ("semantic_prompt", "coarse_prompt", "fine_prompt")
@@ -205,24 +204,19 @@ def save_prompt(prompt: SpeakerPrompt, path: str | Path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                semantic_prompt=prompt.semantic_tokens,
-                coarse_prompt=prompt.coarse.codes,
-                fine_prompt=prompt.fine.codes,
-                **{
-                    _META_FRAME_RATE: np.float64(prompt.fine.frame_rate_hz),
-                    _META_CODEBOOK_SIZE: np.int64(prompt.fine.codebook_size),
-                    _META_SOURCE_ID: np.str_(prompt.source_id),
-                },
-            )
-        os.replace(tmp_name, path)
-    finally:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        semantic_prompt=prompt.semantic_tokens,
+        coarse_prompt=prompt.coarse.codes,
+        fine_prompt=prompt.fine.codes,
+        **{
+            _META_FRAME_RATE: np.float64(prompt.fine.frame_rate_hz),
+            _META_CODEBOOK_SIZE: np.int64(prompt.fine.codebook_size),
+            _META_SOURCE_ID: np.str_(prompt.source_id),
+        },
+    )
+    replace_file(path, buffer.getvalue())
 
 
 def load_prompt(path: str | Path) -> SpeakerPrompt:

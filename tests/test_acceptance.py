@@ -480,9 +480,8 @@ def test_killed_batch_resumes_to_identical_dataset(tmp_path):
         )
         assert proc.returncode == 137, proc.stderr + proc.stdout
 
-        journal = tmp_path / "out_kill.work" / "synth" / "journal.jsonl"
-        lines = [l for l in journal.read_text(encoding="utf-8").splitlines() if l.strip()]
-        assert len(lines) == 1  # item 1 of 3 survived the kill
+        clips = list((tmp_path / "out_kill.work" / "synth" / "clips").iterdir())
+        assert len(clips) == 1 and clips[0].suffix == ".wav"  # item 1 of 3 survived the kill
 
         proc = _run_cli(["run", "--config", "kill.yaml", "--resume"], tmp_path, cache)
         assert proc.returncode == 0, proc.stderr + proc.stdout

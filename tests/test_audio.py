@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 import tracemalloc
 
@@ -17,10 +18,12 @@ from voiceforge.audio import (
     encode_wav_pcm16,
     load_wav,
     quantize_pcm16,
+    replace_file,
     resample,
     save_wav,
 )
 from voiceforge.errors import FormatError, ValidationError
+from voiceforge.voiceprompt import CodebookMatrix, build_prompt, save_prompt
 
 
 def _clip(n: int = 800, rate: int = 8000, value: float | None = None) -> AudioClip:
@@ -300,3 +303,41 @@ def test_save_and_load_wav(tmp_path):
     assert loaded.source_id == "src"
     assert loaded.offset_s == 1.0
     assert float(np.max(np.abs(loaded.samples - clip.samples))) <= 1.0 / 32768.0
+
+
+def test_replace_file_writes_the_payload_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    replace_file(path, b"old")
+    replace_file(path, b"new bytes")
+    assert path.read_bytes() == b"new bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def _speaker_prompt(seed: int):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 64, size=(4, 10), dtype=np.int64)
+    fine = CodebookMatrix(codes=codes, frame_rate_hz=75.0, codebook_size=64)
+    return build_prompt(rng.integers(0, 500, size=20, dtype=np.int64), fine, 2, f"src{seed}")
+
+
+@pytest.mark.parametrize(
+    "name, write, old, new",
+    [
+        ("clip.wav", save_wav, _clip(n=800), _clip(n=1600)),
+        ("prompt.npz", save_prompt, _speaker_prompt(1), _speaker_prompt(2)),
+    ],
+    ids=["save_wav", "save_prompt"],
+)
+def test_failed_fsync_leaves_the_old_file(tmp_path, monkeypatch, name, write, old, new):
+    path = tmp_path / name
+    write(old, path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("simulated fsync failure")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="simulated fsync failure"):
+        write(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]

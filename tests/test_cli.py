@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import yaml
@@ -8,6 +10,7 @@ from voiceforge import pipeline
 from voiceforge.adapters.mocks import MockTranscodeAdapter
 from voiceforge.audio import AudioClip
 from voiceforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_STAGE, main
+from voiceforge.corpus import CorpusEntry, SplitSpec, write_lj
 from voiceforge.errors import StageError
 from voiceforge.preprocess import AudioFormat, transcode
 
@@ -219,17 +222,53 @@ class TestStageCommands:
             encoding="utf-8"
         )
 
+    def test_train_config_refuses_a_symlinked_root(self, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.mkdir()
+        (tmp_path / "out").symlink_to(target)
+        code = main(["train-config", "--config", _m1_yaml(tmp_path)])
+        assert code == EXIT_STAGE
+        assert "symlink" in capsys.readouterr().err
+        assert list(target.iterdir()) == []
+
+    def test_train_config_refuses_a_root_with_a_foreign_file(self, tmp_path, capsys):
+        root = tmp_path / "out"
+        root.mkdir()
+        (root / "notes.txt").write_text("my notes", encoding="utf-8")
+        code = main(["train-config", "--config", _m1_yaml(tmp_path)])
+        assert code == EXIT_STAGE
+        assert "notes.txt" in capsys.readouterr().err
+        assert [p.name for p in root.iterdir()] == ["notes.txt"]
+
+    def test_train_config_over_an_lj_tree_adds_only_the_config(self, tmp_path, capsys):
+        root = tmp_path / "out"
+        clip = AudioClip(samples=np.zeros(800, dtype=np.float32), sample_rate_hz=8000)
+        encoded = transcode(clip, AudioFormat.WAV_PCM16, MockTranscodeAdapter())
+        entries = [CorpusEntry(f"c{i}", "", f"वाक्य {i}") for i in range(3)]
+        write_lj(entries, {e.clip_id: encoded for e in entries}, root, SplitSpec(0.34, 5))
+
+        def tree():
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = tree()
+        assert main(["train-config", "--config", _m1_yaml(tmp_path)]) == EXIT_OK
+        after = tree()
+        assert set(after) == set(before) | {"training_config.txt"}
+        assert {name: after[name] for name in before} == before
+
     def test_synth_then_package_completes_the_dataset(self, tmp_path, capsys):
         cfg = _m1_yaml(tmp_path)
         assert main(["synth", "--config", cfg]) == EXIT_OK
         root = tmp_path / "out"
         assert not (root / "train.tsv").exists()
+        clips = sorted((tmp_path / "out.work" / "synth" / "clips").iterdir())
+        before = [(os.stat(p).st_ino, os.stat(p).st_mtime_ns) for p in clips]
+        assert len(clips) == 3
         assert main(["package", "--config", cfg]) == EXIT_OK
         assert (root / "train.tsv").is_file()
-        journal = (tmp_path / "out.work" / "synth" / "journal.jsonl").read_text(
-            encoding="utf-8"
-        )
-        assert len(journal.splitlines()) == 3  # package reused the journal
+        # package reused the clips: the same files, neither rewritten nor replaced
+        assert sorted((tmp_path / "out.work" / "synth" / "clips").iterdir()) == clips
+        assert [(os.stat(p).st_ino, os.stat(p).st_mtime_ns) for p in clips] == before
 
     def test_convert_without_model_is_a_config_error(self, tmp_path, capsys):
         cfg = _write_config(

@@ -383,6 +383,7 @@ class TestCommonVoiceLayout:
 # before any file is written.
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 CV_RESERVED, LJ_RESERVED = "\t\n\r", "|\n\r"
+PATH_RESERVED = "/\\\0"  # no clip id may name a file outside its audio dir
 
 
 def _text(reserved: str, min_size: int = 1):
@@ -495,6 +496,28 @@ class TestStreamingWriterProperties:
             writer = LjWriter(tmp)
             with pytest.raises(ValidationError, match="delimiter|newline"):
                 writer.add(entries[i], encoded)
+            assert _files(Path(tmp)) == []
+
+    @PROPERTY_SETTINGS
+    @given(layout=st.sampled_from(["lj", "common_voice"]), data=st.data())
+    def test_writers_refuse_a_reserved_character_in_a_clip_id(self, layout, data):
+        write, make_entries = WRITERS[layout]
+        reserved = data.draw(st.sampled_from(PATH_RESERVED + (LJ_RESERVED if layout == "lj" else CV_RESERVED)))
+        entries, audio = make_entries(3)
+        i = data.draw(st.integers(0, 2))
+        clip_id = entries[i].clip_id
+        at = data.draw(st.integers(0, len(clip_id)))
+        bad_id = data.draw(st.sampled_from([clip_id[:at] + reserved + clip_id[at:], "../../escape"]))
+        audio[bad_id] = audio[clip_id]
+        entries[i] = replace(entries[i], clip_id=bad_id)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "corpus"
+            with pytest.raises(ValidationError, match="path separator|delimiter|newline"):
+                write(entries, audio, root, SPLIT)
+            assert _files(Path(tmp)) == []
+            writer = (LjWriter if layout == "lj" else CommonVoiceWriter)(root)
+            with pytest.raises(ValidationError, match="path separator|delimiter|newline"):
+                writer.add(entries[i], audio[bad_id])
             assert _files(Path(tmp)) == []
 
     @PROPERTY_SETTINGS

@@ -245,7 +245,7 @@ class TestGenerationRun:
 
         work = pipeline.work_dir_for(root)
         assert list((work / "assets").glob("prompt_*.npz"))
-        assert (work / "synth" / "journal.jsonl").is_file()
+        assert len(list((work / "synth" / "clips").glob("*.wav"))) == 3
 
     def test_client_id_derives_from_prompt(self, tmp_path):
         root = tmp_path / "out"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from voiceforge.errors import (
 )
 from voiceforge.synthesis import (
     CLIP_DIR_NAME,
-    JOURNAL_NAME,
     BatchResult,
     GenerationParams,
     batch_synthesize,
@@ -41,10 +42,12 @@ def _prompt(source_id: str = "talk"):
 
 
 def _clip_paths(work_dir) -> dict[str, Path]:
-    """sentence sha256 -> clip path named by its last "ok" journal line."""
-    lines = (Path(work_dir) / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()
-    entries = [json.loads(line) for line in lines]
-    return {e["sentence_sha256"]: Path(e["output_path"]) for e in entries if e["status"] == "ok"}
+    """sentence sha256 -> clip file, for every entry in the clip directory."""
+    return {path.name.split("-")[0]: path for path in (Path(work_dir) / CLIP_DIR_NAME).iterdir()}
+
+
+def _stats(paths) -> list[tuple[int, int]]:
+    return [(os.stat(path).st_ino, os.stat(path).st_mtime_ns) for path in paths]
 
 
 class CountingBackend(MockTtsAdapter):
@@ -166,22 +169,21 @@ class TestSynthesize:
 
 
 class TestBatchSynthesize:
-    def test_fresh_batch_writes_clips_and_journal(self, tmp_path):
+    def test_fresh_batch_writes_one_context_named_clip_per_sentence(self, tmp_path):
         prompt = _prompt()
-        result = batch_synthesize(
-            SENTENCES, prompt, default_generation_params(), MockTtsAdapter(), "mock", tmp_path
-        )
+        params = default_generation_params()
+        result = batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
         assert result.complete
         assert [sentence for sentence, _ in result.clips] == SENTENCES
         clip_dir = tmp_path / CLIP_DIR_NAME
         paths = _clip_paths(tmp_path)
         assert {sentence_digest(s): path for s, path in result.clips} == paths
+        context_doc = {"prompt": prompt_digest(prompt), "params": asdict(params), "tts": "mock"}
+        context = hashlib.sha256(json.dumps(context_doc, sort_keys=True).encode("utf-8")).hexdigest()
         for sentence in SENTENCES:
-            assert paths[sentence_digest(sentence)].parent == clip_dir
-            assert paths[sentence_digest(sentence)].is_file()
-        journal = (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8")
-        assert len(journal.splitlines()) == 3
-        assert all(json.loads(line)["status"] == "ok" for line in journal.splitlines())
+            path = paths[sentence_digest(sentence)]
+            assert path == clip_dir / f"{sentence_digest(sentence)}-{context}.wav"
+            assert path.is_file()
 
     def test_records_hold_requantized_samples(self, tmp_path):
         result = batch_synthesize(
@@ -244,18 +246,20 @@ class TestBatchSynthesize:
                 SENTENCES, _prompt(), default_generation_params(), Dead(), "mock", tmp_path
             )
 
-    def test_rerun_restores_from_journal(self, tmp_path):
+    def test_rerun_restores_from_clip_files(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
         first = batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
+        before = _stats(path for _, path in first.clips)
         backend = CountingBackend()
         second = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 0
         for (sentence_a, clip_a), (sentence_b, clip_b) in zip(first.load(), second.load()):
             assert sentence_a == sentence_b
             assert np.array_equal(clip_a.samples, clip_b.samples)
-        journal = (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8")
-        assert len(journal.splitlines()) == 3
+        assert second.clips == first.clips
+        assert _stats(path for _, path in second.clips) == before
+        assert len(_clip_paths(tmp_path)) == 3
 
     @pytest.mark.parametrize(
         "change",
@@ -300,17 +304,17 @@ class TestBatchSynthesize:
         )
         [(_, first_clip)] = first.load()
 
-        append = synthesis._append_journal
+        save = synthesis.save_wav
 
-        def killed_before_ok_line(path, entry):
-            if entry["status"] == "ok":
-                raise KeyboardInterrupt("killed after save_wav, before the journal line")
-            append(path, entry)
+        def killed_after_save(clip, path):
+            save(clip, path)
+            raise KeyboardInterrupt("killed after save_wav, before the batch returned")
 
-        monkeypatch.setattr(synthesis, "_append_journal", killed_before_ok_line)
+        monkeypatch.setattr(synthesis, "save_wav", killed_after_save)
         with pytest.raises(KeyboardInterrupt):
             batch_synthesize(SENTENCES[:1], prompt, params_b, MockTtsAdapter(), "mock", tmp_path)
-        monkeypatch.setattr(synthesis, "_append_journal", append)
+        monkeypatch.setattr(synthesis, "save_wav", save)
+        assert len(list((tmp_path / CLIP_DIR_NAME).iterdir())) == 2  # one clip per context
 
         backend = CountingBackend()
         resumed = batch_synthesize(SENTENCES[:1], prompt, params_a, backend, "mock", tmp_path)
@@ -327,18 +331,49 @@ class TestBatchSynthesize:
             )
         assert sorted((tmp_path / CLIP_DIR_NAME).glob("*.wav")) == [result.clips[0][1]]
 
-    def test_torn_journal_line_is_redone(self, tmp_path):
+    def test_torn_clip_write_is_redone(self, tmp_path):
         prompt = _prompt()
         params = default_generation_params()
-        batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
-        journal_path = tmp_path / JOURNAL_NAME
-        lines = journal_path.read_text(encoding="utf-8").splitlines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]
-        journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first = batch_synthesize(SENTENCES, prompt, params, MockTtsAdapter(), "mock", tmp_path)
+        # a process killed mid-write leaves part of the clip under its temp name only
+        victim = first.clips[-1][1]
+        torn = victim.with_name(f".{victim.name}.12345.tmp")
+        payload = victim.read_bytes()
+        torn.write_bytes(payload[: len(payload) // 2])
+        victim.unlink()
         backend = CountingBackend()
         result = batch_synthesize(SENTENCES, prompt, params, backend, "mock", tmp_path)
         assert backend.calls == 1
         assert result.complete
+        assert victim.read_bytes() == payload
+        assert sorted(_clip_paths(tmp_path).values()) == sorted(path for _, path in result.clips)
+
+    def test_failed_rename_leaves_no_clip_under_its_final_name(self, tmp_path, monkeypatch):
+        prompt = _prompt()
+        params = default_generation_params()
+        clip_dir = tmp_path / CLIP_DIR_NAME
+        renames = []
+        real_replace = os.replace
+
+        def killed_on_second_rename(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise KeyboardInterrupt("killed while the second clip was written")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_on_second_rename)
+        with pytest.raises(KeyboardInterrupt):
+            batch_synthesize(SENTENCES[:2], prompt, params, MockTtsAdapter(), "mock", tmp_path)
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert len(renames) == 2
+        assert not Path(renames[1]).exists()
+        assert list(clip_dir.iterdir()) == [Path(renames[0])]
+
+        backend = CountingBackend()
+        result = batch_synthesize(SENTENCES[:2], prompt, params, backend, "mock", tmp_path)
+        assert backend.calls == 1
+        assert result.complete
+        assert sorted(clip_dir.iterdir()) == sorted(path for _, path in result.clips)
 
     def test_missing_clip_file_is_regenerated(self, tmp_path):
         prompt = _prompt()
