@@ -65,15 +65,22 @@ def _m1_config(root, sentences=SENTENCES, adapters=None, seed=11):
     return parse_config(_m1_data(root, sentences, adapters, seed))
 
 
+def _m2_prep_data(root):
+    return {
+        "methodology": "rvc_convert",
+        "source": {"uri": "mock://lecture?duration=600&rate=32000&seed=3"},
+        "output": {"root": str(root), "split": {"valid_fraction": 0.1, "seed": 9}},
+        "adapters": {"downloader": "mock", "decoder": "mock"},
+    }
+
+
 def _m2_prep_config(root):
-    return parse_config(
-        {
-            "methodology": "rvc_convert",
-            "source": {"uri": "mock://lecture?duration=600&rate=32000&seed=3"},
-            "output": {"root": str(root), "split": {"valid_fraction": 0.1, "seed": 9}},
-            "adapters": {"downloader": "mock", "decoder": "mock"},
-        }
-    )
+    return parse_config(_m2_prep_data(root))
+
+
+def _with_passes(data):
+    """`data` with the optional denoise and stem-separation passes switched on."""
+    return {**data, "preprocessing": {"denoise": 0.5, "stems": "two_stems"}}
 
 
 def _make_cv_corpus(root, n: int = 3, rate: int = 32000):
@@ -177,17 +184,54 @@ class TestPlanAndWiring:
         assert pipeline.work_dir_for(tmp_path / "out") == tmp_path / "out.work"
 
     def test_plan_for_generation(self, tmp_path):
-        steps = pipeline.plan(_m1_config(tmp_path / "out"))
-        assert steps[0].startswith("source: mock://talk")
-        assert any("segment into 10.0 s clips" in s for s in steps)
-        assert any("synthesize 3 sentences" in s for s in steps)
-        assert any("package as common_voice" in s for s in steps)
+        assert pipeline.plan(_m1_config(tmp_path / "out")) == [
+            "source: mock://talk?duration=45&rate=24000&seed=7 (remote)",
+            "decode to codec native rate",
+            "segment into 10.0 s clips (drop_last)",
+            "build speaker prompt (2 coarse codebooks)",
+            "synthesize 3 sentences",
+            "quality-gate clips and write the quality report",
+            f"package as common_voice at {tmp_path / 'out'} (valid fraction 0.34)",
+        ]
+
+    def test_plan_for_generation_with_denoise_and_stems(self, tmp_path):
+        config = parse_config(_with_passes(_m1_data(tmp_path / "out")))
+        assert pipeline.plan(config) == [
+            "source: mock://talk?duration=45&rate=24000&seed=7 (remote)",
+            "decode to codec native rate",
+            "denoise at strength 0.5",
+            "isolate vocals (two_stems)",
+            "segment into 10.0 s clips (drop_last)",
+            "build speaker prompt (2 coarse codebooks)",
+            "synthesize 3 sentences",
+            "quality-gate clips and write the quality report",
+            f"package as common_voice at {tmp_path / 'out'} (valid fraction 0.34)",
+        ]
 
     def test_plan_for_training_prep(self, tmp_path):
-        steps = pipeline.plan(_m2_prep_config(tmp_path / "out"))
-        assert any("diarize and transcribe (hi" in s for s in steps)
-        assert any("training_config.txt" in s for s in steps)
-        assert any("package as lj" in s for s in steps)
+        assert pipeline.plan(_m2_prep_config(tmp_path / "out")) == [
+            "source: mock://lecture?duration=600&rate=32000&seed=3 (remote)",
+            "decode to 32000 Hz",
+            "diarize and transcribe (hi, transcribe)",
+            "slice into per-sentence clips",
+            "emit trainer config (training_config.txt)",
+            "quality-gate clips and write the quality report",
+            f"package as lj at {tmp_path / 'out'} (valid fraction 0.1)",
+        ]
+
+    def test_plan_for_training_prep_with_denoise_and_stems(self, tmp_path):
+        config = parse_config(_with_passes(_m2_prep_data(tmp_path / "out")))
+        assert pipeline.plan(config) == [
+            "source: mock://lecture?duration=600&rate=32000&seed=3 (remote)",
+            "decode to 32000 Hz",
+            "denoise at strength 0.5",
+            "isolate vocals (two_stems)",
+            "diarize and transcribe (hi, transcribe)",
+            "slice into per-sentence clips",
+            "emit trainer config (training_config.txt)",
+            "quality-gate clips and write the quality report",
+            f"package as lj at {tmp_path / 'out'} (valid fraction 0.1)",
+        ]
 
     def test_plan_for_conversion(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -197,11 +241,14 @@ class TestPlanAndWiring:
         model.touch()
         index.touch()
         config = _m2_convert_config(tmp_path / "out", corpus, model, index)
-        steps = pipeline.plan(config)
-        assert any("read input corpus" in s for s in steps)
-        assert any("convert every clip" in s for s in steps)
         assert config.output.format.value == "lj"  # the rvc default
-        assert steps[-1].startswith("package as common_voice")
+        assert pipeline.plan(config) == [
+            "source: mock://unused?duration=1 (remote)",
+            f"read input corpus {corpus}",
+            f"convert every clip with model {model}",
+            "quality-gate clips and write the quality report",
+            f"package as common_voice at {tmp_path / 'out'} (valid fraction 0.34)",
+        ]
 
     def test_unknown_adapter_fails_before_any_work(self, tmp_path):
         root = tmp_path / "out"
