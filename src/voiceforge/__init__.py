@@ -45,7 +45,7 @@ from .errors import (
     VoiceforgeError,
 )
 from .ingest import RawMediaHandle, SourceKind, SourceSpec, acquire_source, decode_to_audio
-from .pipeline import RunSummary, run, run_methodology_1, run_methodology_2
+from .pipeline import RunSummary, run
 from .preprocess import (
     AudioFormat,
     EncodedAudio,
@@ -153,8 +153,6 @@ __all__ = [
     "read_lj",
     "resample",
     "run",
-    "run_methodology_1",
-    "run_methodology_2",
     "save_prompt",
     "save_wav",
     "segment",

@@ -26,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "acquire": "fetch and cache the configured source media",
-        "prep": "decode, run optional passes, and segment into the work directory",
+        "prep": "decode, run optional passes, and segment into the work directory "
+        "(not for conversion)",
         "prompt": "build the speaker prompt archive (bark_prompt only)",
         "synth": "generate batch audio into the work directory (bark_prompt only)",
         "train-config": "emit the external trainer's config file",
@@ -84,15 +85,11 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
     if command == "train-config":
         print(pipeline.train_config_stage(config))
         return EXIT_OK
-    if command == "convert":
-        if config.conversion.model_ref is None:
-            raise ConfigurationError(
-                "convert needs conversion.model_ref, conversion.index_ref and "
-                "conversion.input_corpus"
-            )
-        summary = pipeline.run_methodology_2(config)
-        _print_summary(summary)
-        return EXIT_PARTIAL if summary.partial else EXIT_OK
+    if command == "convert" and pipeline.job_for(config) is not pipeline.CONVERT:
+        raise ConfigurationError(
+            "convert needs methodology: rvc_convert with conversion.model_ref, "
+            "conversion.index_ref and conversion.input_corpus"
+        )
     if command == "validate":
         report = pipeline.validate_dataset(config)
         failing = report.failing_clip_ids()
@@ -103,12 +100,8 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
         for clip_id in failing:
             print(f"fail: {clip_id}")
         return EXIT_STAGE if failing else EXIT_OK
-    if command == "package":
-        summary = pipeline.run(config, resume=True)
-        _print_summary(summary)
-        return EXIT_PARTIAL if summary.partial else EXIT_OK
-    if command == "run":
-        summary = pipeline.run(config, resume=args.resume)
+    if command in ("convert", "package", "run"):
+        summary = pipeline.run(config, resume=command == "package" or getattr(args, "resume", False))
         _print_summary(summary)
         return EXIT_PARTIAL if summary.partial else EXIT_OK
     raise ConfigurationError(f"unknown command {command!r}")

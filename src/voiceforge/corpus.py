@@ -252,19 +252,19 @@ def work_dir_for(root: str | Path) -> Path:
     return root.parent / (root.name + ".work")
 
 
-def _check_root(root: Path) -> None:
-    """Refuse to replace a root that is a symlink or holds names no dataset tree has."""
+def _check_root(root: Path, stage: str, verb: str) -> None:
+    """Refuse to `verb` a root that is a symlink or holds names no dataset tree has."""
     if root.is_symlink() or (root.exists() and not root.is_dir()):
         raise StageError(
-            f"output root {root} is a symlink or not a directory; refusing to replace it",
-            stage="package",
+            f"output root {root} is a symlink or not a directory; refusing to {verb} it",
+            stage=stage,
         )
     foreign = sorted(p.name for p in root.iterdir() if p.name not in ROOT_NAMES) if root.exists() else []
     if foreign:
         raise StageError(
             f"output root {root} holds files voiceforge does not write ({', '.join(foreign)}); "
             "move them or choose another output.root",
-            stage="package",
+            stage=stage,
         )
 
 
@@ -288,7 +288,7 @@ def publishing(root: str | Path) -> Iterator[Path]:
     staging, previous = work / "staging", work / "previous"
     try:
         _recover(root)
-        _check_root(root)
+        _check_root(root, "package", "replace")
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)  # raises if a leftover could not be removed
         try:
@@ -297,7 +297,7 @@ def publishing(root: str | Path) -> Iterator[Path]:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         shutil.rmtree(previous, ignore_errors=True)  # left by a crash after the renames
-        _check_root(root)
+        _check_root(root, "package", "replace")
         if os.path.lexists(root):
             os.rename(root, previous)  # fails if a stale `previous` could not be removed
         os.rename(staging, root)

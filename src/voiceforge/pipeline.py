@@ -1,26 +1,29 @@
-"""Orchestration of the two corpus-building methodologies plus per-stage entry points.
+"""Orchestration: the three jobs a run can do, plus per-stage entry points.
 
-Methodology 1 (bark_prompt): acquire -> decode -> optional passes -> segment
--> build speaker prompt -> batch-synthesize sentences -> quality gate ->
-package as a dataset.
+The paper's two workflows make three jobs, and `job_for(config)` is the one
+place that tells them apart:
 
-Methodology 2 (rvc_convert): without a trained model, prepare an LJ training
-corpus (transcribe, diarize, slice) and emit the trainer config; with
-model_ref/index_ref set, convert an existing corpus into the cloned voice
-and package it as Common Voice.
+- clone (`bark_prompt`): acquire -> decode at the codec's rate -> optional
+  passes -> segment -> speaker prompt -> batch synthesis -> Common Voice or LJ.
+- LJ prep (`rvc_convert` without `model_ref`): acquire -> decode at the
+  training rate -> optional passes -> diarize, transcribe and slice -> an LJ
+  training corpus plus the trainer's config.
+- conversion (`rvc_convert` with `model_ref`): read `conversion.input_corpus`
+  and convert each clip -> always Common Voice.
 
-Every run ends in `_package`, the one path from gated clips to a dataset.
-All intermediate artifacts live in a `<output root>.work/` sibling so the
-dataset tree contains exactly the deliverable files. Each run packages into
-the staging dir of `corpus.publishing`, which swaps the finished tree in for
-the root, so the root holds either the old tree or the new one, never a mix.
+A `Job` holds everything that differs between them, so `run` is one path:
+resolve adapters -> `job.produce` -> `publishing` -> `_package` ->
+`job.finish` -> save the quality report. All intermediate artifacts live in
+a `<output root>.work/` sibling so the dataset tree contains exactly the
+deliverable files, and `corpus.publishing` swaps the finished tree in for the
+root, so the root holds either the old tree or the new one, never a mix.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -52,7 +55,7 @@ from .preprocess import (
     transcode,
 )
 from .quality import ClipConstraints, Issue, QualityReport, Severity, validate_clip
-from .synthesis import BatchResult, batch_synthesize, prompt_digest
+from .synthesis import batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
 from .voiceprompt import (
     SpeakerPrompt,
@@ -64,6 +67,9 @@ from .voiceprompt import (
 
 PROMPT_N_COARSE = 2
 MULTI_SPEAKER_WARN_FRACTION = 0.1
+
+Adapters = dict[AdapterRole, object]
+Candidates = Iterable[tuple[CorpusEntry, AudioClip]]
 
 
 @dataclass
@@ -81,99 +87,89 @@ class RunSummary:
     messages: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class Job:
+    """Everything that differs between clone, LJ prep and conversion.
+
+    A rate is the named adapter's `native_rate_hz`, or the training rate for
+    None. `produce` works up to the first clip, then yields `_package`'s
+    candidates one at a time; `finish` adds the job's metrics, files and
+    messages to staging. Both look each stage up in this module's globals
+    when they run, so a stage patched on the module (as perfbench's tracer
+    does) is the one called.
+    """
+
+    roles: tuple[AdapterRole, ...]
+    reads_source: bool
+    decode_at: AdapterRole | None  # the source's decode rate, when the job reads it
+    clip_at: AdapterRole | None  # the rate every dataset clip must have
+    fixed_format: OutputFormat | None  # None: `output.format` decides
+    steps: Callable[[PipelineConfig], list[str]]  # its own --dry-run steps
+    produce: Callable[[PipelineConfig, Adapters, RunSummary, bool], Candidates]
+    finish: Callable[[PipelineConfig, RunSummary, list[float], Path], None] = lambda *_: None
+
+    def dataset_format(self, config: PipelineConfig) -> OutputFormat:
+        return self.fixed_format or config.output.format
+
+
+def job_for(config: PipelineConfig) -> Job:
+    """The job a config asks for: the one place that branches on the methodology."""
+    if config.methodology is Methodology.BARK_PROMPT:
+        return CLONE
+    return LJ_PREP if config.conversion.model_ref is None else CONVERT
+
+
+def _rate_hz(role: AdapterRole | None, config: PipelineConfig, adapters: Adapters) -> int:
+    return config.training.target_sample_rate_hz if role is None else adapters[role].native_rate_hz
+
+
 def _cache_dir(work: Path) -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or work / "cache")
 
 
-def _required_roles(config: PipelineConfig) -> list[AdapterRole]:
-    roles: list[AdapterRole] = [AdapterRole.TRANSCODE]
-    if config.methodology is Methodology.BARK_PROMPT:
-        roles += [
-            AdapterRole.DECODER,
-            AdapterRole.CODEC,
-            AdapterRole.SEMANTIC_ENCODER,
-            AdapterRole.TOKEN_QUANTIZER,
-            AdapterRole.TTS,
-        ]
-    elif config.conversion.model_ref is None:
-        roles += [AdapterRole.DECODER, AdapterRole.ASR, AdapterRole.DIARIZATION]
-    else:
-        roles += [AdapterRole.VC]
-    needs_source = not (
-        config.methodology is Methodology.RVC_CONVERT and config.conversion.model_ref
-    )
-    if needs_source:
+def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> Adapters:
+    """Fail-fast lookup of every adapter the configured run will touch."""
+    job = job_for(config)
+    roles = [AdapterRole.TRANSCODE, *job.roles]
+    if job.reads_source:
         if config.source.kind is SourceKind.REMOTE:
             roles.append(AdapterRole.DOWNLOADER)
         if config.preprocessing.denoise_strength is not None:
             roles.append(AdapterRole.DENOISE)
         if config.preprocessing.stems is not None:
             roles.append(AdapterRole.STEMS)
-    return roles
-
-
-def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> dict[AdapterRole, object]:
-    """Fail-fast lookup of every adapter the configured run will touch."""
-    return {role: registry.resolve(role, config.adapters[role]) for role in _required_roles(config)}
-
-
-def _dataset_format(config: PipelineConfig) -> OutputFormat:
-    """The layout a run writes: conversion always writes Common Voice."""
-    if config.methodology is Methodology.RVC_CONVERT and config.conversion.model_ref is not None:
-        return OutputFormat.COMMON_VOICE
-    return config.output.format
-
-
-def _clip_rate_hz(config: PipelineConfig, adapters: dict[AdapterRole, object]) -> int:
-    """The rate every dataset clip must have: TTS native, training, or VC native."""
-    if config.methodology is Methodology.BARK_PROMPT:
-        return adapters[AdapterRole.TTS].native_rate_hz
-    if config.conversion.model_ref is None:
-        return config.training.target_sample_rate_hz
-    return adapters[AdapterRole.VC].native_rate_hz
+    return {role: registry.resolve(role, config.adapters[role]) for role in roles}
 
 
 def plan(config: PipelineConfig) -> list[str]:
     """Human-readable stage list for --dry-run output."""
+    job = job_for(config)
     steps: list[str] = [f"source: {config.source.uri} ({config.source.kind.value})"]
     pp = config.preprocessing
-    if config.methodology is Methodology.BARK_PROMPT:
-        steps.append("decode to codec native rate")
-        if pp.denoise_strength is not None:
-            steps.append(f"denoise at strength {pp.denoise_strength}")
-        if pp.stems is not None:
-            steps.append(f"isolate vocals ({pp.stems.value})")
+    if job.reads_source:
         steps.append(
-            f"segment into {pp.segmentation.target_len_s} s clips ({pp.segmentation.tail.value})"
+            f"decode to {job.decode_at.value} native rate" if job.decode_at
+            else f"decode to {config.training.target_sample_rate_hz} Hz"
         )
-        steps.append(f"build speaker prompt ({PROMPT_N_COARSE} coarse codebooks)")
-        steps.append(f"synthesize {len(config.generation.sentences)} sentences")
-    elif config.conversion.model_ref is None:
-        steps.append(f"decode to {config.training.target_sample_rate_hz} Hz")
         if pp.denoise_strength is not None:
             steps.append(f"denoise at strength {pp.denoise_strength}")
         if pp.stems is not None:
             steps.append(f"isolate vocals ({pp.stems.value})")
-        steps.append(f"diarize and transcribe ({config.asr.language}, {config.asr.task.value})")
-        steps.append("slice into per-sentence clips")
-        steps.append(f"emit trainer config ({TRAINING_CONFIG_NAME})")
-    else:
-        steps.append(f"read input corpus {config.conversion.input_corpus}")
-        steps.append(f"convert every clip with model {config.conversion.model_ref}")
+    steps += job.steps(config)
     steps.append("quality-gate clips and write the quality report")
     steps.append(
-        f"package as {_dataset_format(config).value} at {config.output.root} "
+        f"package as {job.dataset_format(config).value} at {config.output.root} "
         f"(valid fraction {config.output.split.valid_fraction})"
     )
     return steps
 
 
-def _acquire_decoded(
-    config: PipelineConfig, adapters: dict[AdapterRole, object], work: Path, target_rate_hz: int
-) -> AudioClip:
+def _acquire_decoded(config: PipelineConfig, adapters: Adapters, work: Path) -> AudioClip:
+    """Acquire the source, decode it at the job's rate and run the optional passes."""
     downloader = adapters.get(AdapterRole.DOWNLOADER)
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
-    clip = decode_to_audio(handle, target_rate_hz, adapters[AdapterRole.DECODER])
+    rate_hz = _rate_hz(job_for(config).decode_at, config, adapters)
+    clip = decode_to_audio(handle, rate_hz, adapters[AdapterRole.DECODER])
     pp = config.preprocessing
     if pp.denoise_strength is not None:
         clip = denoise(clip, pp.denoise_strength, adapters[AdapterRole.DENOISE])
@@ -182,10 +178,8 @@ def _acquire_decoded(
     return clip
 
 
-def _read_dataset(config: PipelineConfig, root: Path) -> list[CorpusEntry]:
-    if _dataset_format(config) is OutputFormat.COMMON_VOICE:
-        return read_common_voice(root)
-    return read_lj(root)
+def _read_dataset(fmt: OutputFormat, root: Path) -> list[CorpusEntry]:
+    return read_common_voice(root) if fmt is OutputFormat.COMMON_VOICE else read_lj(root)
 
 
 def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) -> AudioClip:
@@ -207,8 +201,8 @@ def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) 
 
 def _package(
     config: PipelineConfig,
-    adapters: dict[AdapterRole, object],
-    candidates: Iterable[tuple[CorpusEntry, AudioClip]],
+    adapters: Adapters,
+    candidates: Candidates,
     summary: RunSummary,
     staging: Path,
 ) -> list[float]:
@@ -221,9 +215,11 @@ def _package(
     reproduce (LJ manifests keep only the path and sentence). A clip whose
     text the layout cannot hold fails with a `layout` issue and is skipped.
     """
-    common_voice = _dataset_format(config) is OutputFormat.COMMON_VOICE
+    job = job_for(config)
+    fmt = job.dataset_format(config)
+    common_voice = fmt is OutputFormat.COMMON_VOICE
     writer = (CommonVoiceWriter if common_voice else LjWriter)(staging)
-    constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
+    constraints = ClipConstraints(required_rate_hz=_rate_hz(job.clip_at, config, adapters))
     transcoder = adapters[AdapterRole.TRANSCODE]
     durations: list[float] = []
     for entry, clip in candidates:
@@ -255,7 +251,7 @@ def _package(
 
     by_id = lambda e: e.clip_id
     written = [shown(e) for e in sorted(entries, key=by_id)]
-    if written != [shown(e) for e in sorted(_read_dataset(config, staging), key=by_id)]:
+    if written != [shown(e) for e in sorted(_read_dataset(fmt, staging), key=by_id)]:
         raise StageError(
             f"read-back of {staging} does not match the written manifest", stage="package"
         )
@@ -276,23 +272,16 @@ def _numbered(
         ), clip
 
 
-def _segments(
-    config: PipelineConfig, adapters: dict[AdapterRole, object], work: Path, rate_hz: int
-) -> tuple[AudioClip, list[AudioClip]]:
-    """Acquire and decode the source at `rate_hz`, run the optional passes, segment it."""
-    source_clip = _acquire_decoded(config, adapters, work, rate_hz)
-    return source_clip, segment(source_clip, config.preprocessing.segmentation)
-
-
 def _speaker_prompt(
-    config: PipelineConfig, adapters: dict[AdapterRole, object], work: Path
+    config: PipelineConfig, adapters: Adapters, work: Path
 ) -> tuple[str, int, SpeakerPrompt, Path]:
     """Build the prompt from the source's first segment and save it under `work`.
 
     Returns the source id, the segment count, the prompt and its path.
     """
     codec = adapters[AdapterRole.CODEC]
-    source_clip, segments = _segments(config, adapters, work, codec.native_rate_hz)
+    source_clip = _acquire_decoded(config, adapters, work)
+    segments = segment(source_clip, config.preprocessing.segmentation)
     if not segments:
         raise StageError(
             f"source ({source_clip.duration_s:.1f} s) yields no full "
@@ -314,15 +303,12 @@ def _speaker_prompt(
     return source_clip.source_id, len(segments), prompt, path
 
 
-def _m1_generate(
-    config: PipelineConfig,
-    adapters: dict[AdapterRole, object],
-    summary: RunSummary,
-    resume: bool,
-) -> tuple[str, str, BatchResult]:
-    """Shared front half of methodology 1: acquire through batch synthesis.
+def _clone(
+    config: PipelineConfig, adapters: Adapters, summary: RunSummary, resume: bool
+) -> Candidates:
+    """Acquire through batch synthesis (with `resume`, reusing the clips already made).
 
-    Returns the source id, the prompt digest and the batch.
+    The clips are loaded one at a time as they are packaged.
     """
     work = work_dir_for(config.output.root)
     synth_dir = work / "synth"
@@ -346,56 +332,23 @@ def _m1_generate(
     summary.partial = not batch.complete
     for sentence, cause in batch.failures.items():
         summary.messages.append(f"failed sentence {sentence[:40]!r}: {cause}")
-    return source_id, prompt_digest(prompt), batch
+    return _numbered(config, source_id, prompt_digest(prompt), batch.load())
 
 
-def synth_stage(
-    config: PipelineConfig,
-    registry: AdapterRegistry | None = None,
-    resume: bool = False,
-) -> RunSummary:
-    """Generate (or resume generating) the batch clips without packaging them."""
-    if config.methodology is not Methodology.BARK_PROMPT:
-        raise ConfigurationError("the synth stage applies to methodology: bark_prompt")
-    registry = registry or default_registry()
-    adapters = resolve_adapters(config, registry)
-    summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    _m1_generate(config, adapters, summary, resume)
-    return summary
-
-
-def run_methodology_1(
-    config: PipelineConfig,
-    registry: AdapterRegistry | None = None,
-    resume: bool = False,
-) -> RunSummary:
-    """Prompted-TTS corpus generation; with `resume`, clips already in the work dir are reused."""
-    if config.methodology is not Methodology.BARK_PROMPT:
-        raise ConfigurationError("run_methodology_1 requires methodology: bark_prompt")
-    registry = registry or default_registry()
-    adapters = resolve_adapters(config, registry)
-    summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    source_id, pid, batch = _m1_generate(config, adapters, summary, resume)
-    candidates = _numbered(config, source_id, pid, batch.load())
-    with publishing(config.output.root) as staging:
-        durations = _package(config, adapters, candidates, summary, staging)
-        summary.quality.metrics.update(
-            {
-                "sentences_requested": float(len(config.generation.sentences)),
-                "sentences_generated": float(len(batch.clips)),
-                "mean_clip_duration_s": sum(durations) / len(durations),
-            }
-        )
-        summary.quality.save(staging / QUALITY_REPORT_NAME)
-    return summary
-
-
-def _prepare_lj_training_set(
-    config: PipelineConfig, adapters: dict[AdapterRole, object], summary: RunSummary
+def _clone_finish(
+    config: PipelineConfig, summary: RunSummary, durations: list[float], staging: Path
 ) -> None:
-    source_clip = _acquire_decoded(
-        config, adapters, work_dir_for(config.output.root), config.training.target_sample_rate_hz
-    )
+    metrics = summary.quality.metrics
+    metrics["sentences_requested"] = float(len(config.generation.sentences))
+    metrics["sentences_generated"] = float(summary.sentences_generated)
+    metrics["mean_clip_duration_s"] = sum(durations) / len(durations)
+
+
+def _lj_prep(
+    config: PipelineConfig, adapters: Adapters, summary: RunSummary, resume: bool
+) -> Candidates:
+    """Diarize, transcribe and slice the source into (transcript, clip) candidates."""
+    source_clip = _acquire_decoded(config, adapters, work_dir_for(config.output.root))
     turns = diarize(source_clip, adapters[AdapterRole.DIARIZATION])
     minority = minority_speaker_fraction(turns)
     if minority > MULTI_SPEAKER_WARN_FRACTION:
@@ -412,15 +365,17 @@ def _prepare_lj_training_set(
             stage="transcribe",
             source_id=source_clip.source_id,
         )
-
     source_id = source_clip.source_id
-    candidates = _numbered(config, source_id, source_id, ((text, clip) for clip, text in pairs))
-    with publishing(config.output.root) as staging:
-        total_s = float(sum(_package(config, adapters, candidates, summary, staging)))
-        summary.messages.extend(validate_training_data(total_s))
-        summary.quality.metrics["total_speech_s"] = total_s
-        write_training_config(config.training, staging / TRAINING_CONFIG_NAME)
-        summary.quality.save(staging / QUALITY_REPORT_NAME)
+    return _numbered(config, source_id, source_id, ((text, clip) for clip, text in pairs))
+
+
+def _lj_prep_finish(
+    config: PipelineConfig, summary: RunSummary, durations: list[float], staging: Path
+) -> None:
+    total_s = float(sum(durations))
+    summary.messages.extend(validate_training_data(total_s))
+    summary.quality.metrics["total_speech_s"] = total_s
+    write_training_config(config.training, staging / TRAINING_CONFIG_NAME)
     summary.messages.append(
         f"training corpus and {TRAINING_CONFIG_NAME} written to {config.output.root}; "
         "train a model on it, then set conversion.model_ref and conversion.index_ref "
@@ -428,9 +383,10 @@ def _prepare_lj_training_set(
     )
 
 
-def _convert_corpus(
-    config: PipelineConfig, adapters: dict[AdapterRole, object], summary: RunSummary
-) -> None:
+def _convert(
+    config: PipelineConfig, adapters: Adapters, summary: RunSummary, resume: bool
+) -> Candidates:
+    """Read the input corpus; its clips are decoded and converted one at a time."""
     conv = config.conversion
     assert conv.model_ref and conv.index_ref and conv.input_corpus
     input_root = Path(conv.input_corpus)
@@ -458,34 +414,85 @@ def _convert_corpus(
         if len(causes) == len(input_entries):
             raise BatchError("every clip failed conversion", causes=causes, stage="convert")
 
-    with publishing(config.output.root) as staging:
-        _package(config, adapters, converted(), summary, staging)
-        summary.quality.save(staging / QUALITY_REPORT_NAME)
+    return converted()
 
 
-def run_methodology_2(
-    config: PipelineConfig, registry: AdapterRegistry | None = None
-) -> RunSummary:
-    """Voice-conversion workflow: LJ training prep, or corpus conversion once trained."""
-    if config.methodology is not Methodology.RVC_CONVERT:
-        raise ConfigurationError("run_methodology_2 requires methodology: rvc_convert")
-    registry = registry or default_registry()
-    adapters = resolve_adapters(config, registry)
-    summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
-    if config.conversion.model_ref is None:
-        _prepare_lj_training_set(config, adapters, summary)
-    else:
-        _convert_corpus(config, adapters, summary)
-    return summary
+CLONE = Job(
+    roles=(
+        AdapterRole.DECODER,
+        AdapterRole.CODEC,
+        AdapterRole.SEMANTIC_ENCODER,
+        AdapterRole.TOKEN_QUANTIZER,
+        AdapterRole.TTS,
+    ),
+    reads_source=True,
+    decode_at=AdapterRole.CODEC,
+    clip_at=AdapterRole.TTS,
+    fixed_format=None,
+    steps=lambda config: [
+        f"segment into {config.preprocessing.segmentation.target_len_s} s clips "
+        f"({config.preprocessing.segmentation.tail.value})",
+        f"build speaker prompt ({PROMPT_N_COARSE} coarse codebooks)",
+        f"synthesize {len(config.generation.sentences)} sentences",
+    ],
+    produce=_clone,
+    finish=_clone_finish,
+)
+LJ_PREP = Job(
+    roles=(AdapterRole.DECODER, AdapterRole.ASR, AdapterRole.DIARIZATION),
+    reads_source=True,
+    decode_at=None,
+    clip_at=None,
+    fixed_format=None,
+    steps=lambda config: [
+        f"diarize and transcribe ({config.asr.language}, {config.asr.task.value})",
+        "slice into per-sentence clips",
+        f"emit trainer config ({TRAINING_CONFIG_NAME})",
+    ],
+    produce=_lj_prep,
+    finish=_lj_prep_finish,
+)
+CONVERT = Job(
+    roles=(AdapterRole.VC,),
+    reads_source=False,
+    decode_at=None,
+    clip_at=AdapterRole.VC,
+    fixed_format=OutputFormat.COMMON_VOICE,
+    steps=lambda config: [
+        f"read input corpus {config.conversion.input_corpus}",
+        f"convert every clip with model {config.conversion.model_ref}",
+    ],
+    produce=_convert,
+)
 
 
 def run(
     config: PipelineConfig, registry: AdapterRegistry | None = None, resume: bool = False
 ) -> RunSummary:
-    """Dispatch to the configured methodology; only methodology 1 has clips to resume from."""
-    if config.methodology is Methodology.BARK_PROMPT:
-        return run_methodology_1(config, registry, resume=resume)
-    return run_methodology_2(config, registry)
+    """Run the configured job end to end; only a clone run has clips to resume from."""
+    job = job_for(config)
+    adapters = resolve_adapters(config, registry or default_registry())
+    summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
+    candidates = job.produce(config, adapters, summary, resume)
+    with publishing(config.output.root) as staging:
+        durations = _package(config, adapters, candidates, summary, staging)
+        job.finish(config, summary, durations, staging)
+        summary.quality.save(staging / QUALITY_REPORT_NAME)
+    return summary
+
+
+def synth_stage(
+    config: PipelineConfig,
+    registry: AdapterRegistry | None = None,
+    resume: bool = False,
+) -> RunSummary:
+    """Generate (or resume generating) the batch clips without packaging them."""
+    if job_for(config) is not CLONE:
+        raise ConfigurationError("the synth stage applies to methodology: bark_prompt")
+    adapters = resolve_adapters(config, registry or default_registry())
+    summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
+    _clone(config, adapters, summary, resume)  # the candidates load lazily, so none is read
+    return summary
 
 
 def validate_dataset(
@@ -493,10 +500,11 @@ def validate_dataset(
 ) -> QualityReport:
     """Re-validate an already-written dataset at the configured output root."""
     adapters = resolve_adapters(config, registry or default_registry())
+    job = job_for(config)
     root = Path(config.output.root)
-    fmt = _dataset_format(config)
-    constraints = ClipConstraints(required_rate_hz=_clip_rate_hz(config, adapters))
-    entries = _read_dataset(config, root)
+    fmt = job.dataset_format(config)
+    constraints = ClipConstraints(required_rate_hz=_rate_hz(job.clip_at, config, adapters))
+    entries = _read_dataset(fmt, root)
     report = QualityReport()
     for entry in entries:
         clip = _decode_clip(root, entry, fmt, adapters[AdapterRole.TRANSCODE])
@@ -522,15 +530,16 @@ def acquire_stage(config: PipelineConfig, registry: AdapterRegistry | None = Non
 
 def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> list[Path]:
     """Acquire, decode, run optional passes, and segment; writes work-dir WAVs."""
-    registry = registry or default_registry()
-    adapters = resolve_adapters(config, registry)
+    if not job_for(config).reads_source:
+        raise ConfigurationError(
+            "the prep stage does not apply to conversion, which reads "
+            "conversion.input_corpus, not the source"
+        )
+    adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
-    if config.methodology is Methodology.BARK_PROMPT:
-        target_rate = adapters[AdapterRole.CODEC].native_rate_hz
-    else:
-        target_rate = config.training.target_sample_rate_hz
-    clip, segments = _segments(config, adapters, work, target_rate)
+    clip = _acquire_decoded(config, adapters, work)
+    segments = segment(clip, config.preprocessing.segmentation)
     seg_dir = work / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
@@ -543,10 +552,9 @@ def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) 
 
 def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> Path:
     """Build and save the speaker prompt; returns the npz path."""
-    if config.methodology is not Methodology.BARK_PROMPT:
+    if job_for(config) is not CLONE:
         raise ConfigurationError("the prompt stage applies to methodology: bark_prompt")
-    registry = registry or default_registry()
-    adapters = resolve_adapters(config, registry)
+    adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
     return _speaker_prompt(config, adapters, work)[3]
@@ -559,7 +567,7 @@ def train_config_stage(config: PipelineConfig) -> Path:
     names no dataset tree has, raises `StageError` before anything is written.
     """
     root = Path(config.output.root)
-    _check_root(root)
+    _check_root(root, "train-config", f"write {TRAINING_CONFIG_NAME} into")
     root.mkdir(parents=True, exist_ok=True)
     path = root / TRAINING_CONFIG_NAME
     write_training_config(config.training, path)

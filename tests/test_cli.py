@@ -228,7 +228,10 @@ class TestStageCommands:
         (tmp_path / "out").symlink_to(target)
         code = main(["train-config", "--config", _m1_yaml(tmp_path)])
         assert code == EXIT_STAGE
-        assert "symlink" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: [train-config] output root {tmp_path / 'out'} is a symlink or not a "
+            "directory; refusing to write training_config.txt into it\n"
+        )
         assert list(target.iterdir()) == []
 
     def test_train_config_refuses_a_root_with_a_foreign_file(self, tmp_path, capsys):
@@ -237,7 +240,10 @@ class TestStageCommands:
         (root / "notes.txt").write_text("my notes", encoding="utf-8")
         code = main(["train-config", "--config", _m1_yaml(tmp_path)])
         assert code == EXIT_STAGE
-        assert "notes.txt" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: [train-config] output root {root} holds files voiceforge does not write "
+            "(notes.txt); move them or choose another output.root\n"
+        )
         assert [p.name for p in root.iterdir()] == ["notes.txt"]
 
     def test_train_config_over_an_lj_tree_adds_only_the_config(self, tmp_path, capsys):
@@ -283,3 +289,26 @@ class TestStageCommands:
         code = main(["convert", "--config", cfg])
         assert code == EXIT_CONFIG
         assert "model_ref" in capsys.readouterr().err
+
+    def test_prep_on_a_conversion_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "src.wav").write_bytes(bytes(2000))  # any non-empty media file
+        cfg = _write_config(
+            tmp_path,
+            {
+                "methodology": "rvc_convert",
+                "source": {"uri": "./src.wav"},
+                "conversion": {
+                    "model_ref": "voice.pth",
+                    "index_ref": "voice.index",
+                    "input_corpus": "corpus",
+                },
+                "output": {"root": str(tmp_path / "out")},
+            },
+        )
+        assert main(["prep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: the prep stage does not apply to conversion, which reads "
+            "conversion.input_corpus, not the source\n"
+        )
+        assert not (tmp_path / "out.work").exists()

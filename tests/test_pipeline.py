@@ -258,20 +258,12 @@ class TestPlanAndWiring:
         assert not root.exists()
         assert not pipeline.work_dir_for(root).exists()
 
-    def test_methodology_dispatch_is_strict(self, tmp_path):
-        m1 = _m1_config(tmp_path / "a")
-        m2 = _m2_prep_config(tmp_path / "b")
-        with pytest.raises(ConfigurationError):
-            pipeline.run_methodology_1(m2)
-        with pytest.raises(ConfigurationError):
-            pipeline.run_methodology_2(m1)
-
 
 class TestGenerationRun:
     def test_full_run_writes_dataset_and_report(self, tmp_path):
         root = tmp_path / "out"
         config = _m1_config(root)
-        summary = pipeline.run_methodology_1(config)
+        summary = pipeline.run(config)
 
         assert summary.clips_in == 4  # 45 s source, 10 s segments, tail dropped
         assert summary.prompts_built == 1
@@ -296,7 +288,7 @@ class TestGenerationRun:
 
     def test_client_id_derives_from_prompt(self, tmp_path):
         root = tmp_path / "out"
-        pipeline.run_methodology_1(_m1_config(root))
+        pipeline.run(_m1_config(root))
         [prompt_path] = pipeline.work_dir_for(root).glob("assets/prompt_*.npz")
         pid = prompt_path.stem.removeprefix("prompt_")
         entries = read_common_voice(root)
@@ -315,7 +307,7 @@ class TestGenerationRun:
         root = tmp_path / "out"
         sentences = [SENTENCES[0], "SHORT कट", SENTENCES[2]]
         config = _m1_config(root, sentences=sentences, adapters={"tts": "tiny"})
-        summary = pipeline.run_methodology_1(config, registry=registry)
+        summary = pipeline.run(config, registry=registry)
 
         assert summary.sentences_generated == 3
         assert summary.entries_written == 2
@@ -359,12 +351,12 @@ class TestGenerationRun:
             }
         )
         with pytest.raises(StageError, match="no full"):
-            pipeline.run_methodology_1(config)
+            pipeline.run(config)
 
     def test_validate_dataset_on_fresh_output(self, tmp_path):
         root = tmp_path / "out"
         config = _m1_config(root)
-        pipeline.run_methodology_1(config)
+        pipeline.run(config)
         report = pipeline.validate_dataset(config)
         assert report.failing_clip_ids() == []
         assert report.metrics["entries"] == 3.0
@@ -373,7 +365,7 @@ class TestGenerationRun:
     def test_validate_dataset_flags_corrupted_clip(self, tmp_path):
         root = tmp_path / "out"
         config = _m1_config(root)
-        pipeline.run_methodology_1(config)
+        pipeline.run(config)
         victim = sorted((root / "clips").glob("*.mp3"))[0]
         silent = AudioClip(samples=np.zeros(4800, np.float32), sample_rate_hz=24000)
         victim.write_bytes(
@@ -651,7 +643,7 @@ class TestStreaming:
 
         monkeypatch.setattr(pipeline, "transcode", counting_transcode)
         monkeypatch.setattr(synthesis, "load_wav", counting_load)
-        summary = pipeline.run_methodology_1(_m1_config(tmp_path / "out"))
+        summary = pipeline.run(_m1_config(tmp_path / "out"))
         assert summary.entries_written == len(SENTENCES)
         assert len(loads) == len(transcodes) == len(SENTENCES)
 
