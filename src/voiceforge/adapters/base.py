@@ -76,6 +76,15 @@ class DownloaderAdapter(Protocol):
 
 @runtime_checkable
 class DecoderAdapter(Protocol):
+    """Media file -> samples at the file's own rate.
+
+    A decoder may also define `decode_blocks(path) -> (rate, n_samples,
+    blocks)`: the rate, the number of samples per channel, and an iterator
+    of blocks shaped as `decode`'s samples that hold exactly n_samples in
+    all. `decode_to_audio` then resamples block by block and never holds
+    the native-rate source whole. Without it, `decode` is one block.
+    """
+
     def decode(self, path: str) -> tuple[np.ndarray, int]:
         """Return (samples, rate); samples 1-D mono or [channels, n]."""
         ...

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import urllib.request
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16
+from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, pcm16_to_mono, wav_layout
 from ..errors import AcquisitionError, ConfigurationError, FormatError
 from .base import DownloadResult
 
@@ -35,7 +37,9 @@ class UrllibDownloader:
 
 
 class WavFileDecoder:
-    """Decoder for PCM16 WAV files on disk."""
+    """Decoder for PCM16 WAV files on disk, whole or in blocks of BLOCK_BYTES."""
+
+    BLOCK_BYTES = 1 << 18  # a multiple of every frame size (2 or 4 bytes)
 
     def decode(self, path: str) -> tuple[np.ndarray, int]:
         with open(path, "rb") as fh:
@@ -43,6 +47,27 @@ class WavFileDecoder:
         if payload[:4] != b"RIFF":
             raise FormatError(f"{path} is not a RIFF/WAV file")
         return decode_wav_pcm16(payload)
+
+    def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
+        """Read the chunk headers now; the data chunk is read block by block."""
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"RIFF":
+                raise FormatError(f"{path} is not a RIFF/WAV file")
+
+            def read(pos: int, n: int) -> bytes:
+                fh.seek(pos)
+                return fh.read(n)
+
+            rate, n_channels, offset, length = wav_layout(read, os.fstat(fh.fileno()).st_size)
+
+        def blocks() -> Iterator[np.ndarray]:
+            with open(path, "rb") as fh:
+                fh.seek(offset)
+                for start in range(0, length, self.BLOCK_BYTES):
+                    payload = fh.read(min(self.BLOCK_BYTES, length - start))
+                    yield pcm16_to_mono(np.frombuffer(payload, dtype="<i2"), n_channels)
+
+        return rate, length // (2 * n_channels), blocks()
 
 
 class WavTranscodeAdapter:

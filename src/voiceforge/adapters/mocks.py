@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections.abc import Iterator
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from ..audio import AudioClip, decode_wav_pcm16, dequantize_pcm16, encode_wav_pcm16, quantize_pcm16
 from ..errors import ConfigurationError, FormatError
 from .base import DownloadResult
+from .builtin import WavFileDecoder
 
 MOCKAV_MAGIC = b"MOCKAV00"
 SILENCE_EPS = 1e-4
@@ -55,10 +57,9 @@ def _hash64(*parts: bytes) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
-    """Deterministic pseudo-speech: harmonic utterances separated by silence."""
+def speechlike_blocks(n_samples: int, rate: int, seed: int) -> Iterator[np.ndarray]:
+    """`speechlike_waveform` one utterance plus its following silence at a time."""
     rng = np.random.default_rng(seed)
-    out = np.zeros(n_samples, dtype=np.float32)
     # utterances are shorter than 6 s (the uniform draw below), so one time
     # axis and two scratch buffers of that length serve every utterance
     cap = min(n_samples, int(6.0 * rate))
@@ -70,55 +71,91 @@ def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
         utter = int(rng.uniform(2.0, 6.0) * rate)
         gap = int(rng.uniform(0.4, 0.8) * rate)
         f0 = rng.uniform(90.0, 220.0)
-        seg = min(utter, n_samples - pos)
-        if seg > 0:
-            # same draws and the same float64 operations, in the same order, as
-            # 0.45 * sum(amp * sin(...)) * vibrato * env, so the output bytes hold
-            t, wave, tmp = t_axis[:seg], wave_buf[:seg], tmp_buf[:seg]
-            wave.fill(0.0)
-            for k, amp in ((1, 0.5), (2, 0.25), (3, 0.12)):
-                np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
-                tmp += rng.uniform(0, 2 * np.pi)
-                np.sin(tmp, out=tmp)
-                tmp *= amp
-                wave += tmp
-            np.multiply(t, 2.0 * np.pi * rng.uniform(3.0, 6.0), out=tmp)
+        seg = min(utter, n_samples - pos)  # at least 1: utter >= 2 for any rate >= 1
+        # same draws and the same float64 operations, in the same order, as
+        # 0.45 * sum(amp * sin(...)) * vibrato * env, so the output bytes hold
+        t, wave, tmp = t_axis[:seg], wave_buf[:seg], tmp_buf[:seg]
+        wave.fill(0.0)
+        for k, amp in ((1, 0.5), (2, 0.25), (3, 0.12)):
+            np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
+            tmp += rng.uniform(0, 2 * np.pi)
             np.sin(tmp, out=tmp)
-            tmp *= 0.15
-            tmp += 1.0  # vibrato
-            wave *= 0.45
-            wave *= tmp
-            # fade in and out over `edge` samples; where the two ramps would
-            # overlap (a very short last utterance) the fade-out wins
-            edge = max(1, int(0.02 * rate))
-            ramp = np.linspace(0.0, 1.0, min(edge, seg))
-            head = min(ramp.size, seg - ramp.size)
-            wave[:head] *= ramp[:head]
-            wave[seg - ramp.size :] *= ramp[::-1]
-            out[pos : pos + seg] = wave
+            tmp *= amp
+            wave += tmp
+        np.multiply(t, 2.0 * np.pi * rng.uniform(3.0, 6.0), out=tmp)
+        np.sin(tmp, out=tmp)
+        tmp *= 0.15
+        tmp += 1.0  # vibrato
+        wave *= 0.45
+        wave *= tmp
+        # fade in and out over `edge` samples; where the two ramps would
+        # overlap (a very short last utterance) the fade-out wins
+        edge = max(1, int(0.02 * rate))
+        ramp = np.linspace(0.0, 1.0, min(edge, seg))
+        head = min(ramp.size, seg - ramp.size)
+        wave[:head] *= ramp[:head]
+        wave[seg - ramp.size :] *= ramp[::-1]
+        block = np.empty(min(utter + gap, n_samples - pos), dtype=np.float32)
+        block[:seg] = wave
+        block[seg:] = 0.0
+        yield np.clip(block, -1.0, 1.0, out=block)
         pos += utter + gap
-    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
+    """Deterministic pseudo-speech: harmonic utterances separated by silence."""
+    out = np.empty(n_samples, dtype=np.float32)
+    pos = 0
+    for block in speechlike_blocks(n_samples, rate, seed):
+        out[pos : pos + block.size] = block
+        pos += block.size
+    return out
+
+
+# Samples per block in `_voiced_spans`.
+SPAN_BLOCK = 1 << 18
 
 
 def _voiced_spans(samples: np.ndarray, rate: int) -> list[tuple[int, int]]:
     """Sample-index spans of non-silent audio, merged over gaps < 0.3 s.
 
     Two voiced samples i < j with no voiced sample between them fall into
-    one span when j - i <= int(0.3 * rate).
+    one span when j - i <= int(0.3 * rate). The scan runs over SPAN_BLOCK
+    samples at a time, carrying a voiced run and a span open at a block's
+    end into the next block.
     """
-    voiced = np.abs(samples) >= SILENCE_EPS
     gap = int(0.3 * rate)
-    if gap == 0:  # below 4 Hz even neighbouring samples are more than `gap` apart
-        return [(i, i + 1) for i in np.flatnonzero(voiced).tolist()]
-    edges = np.diff(voiced.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)  # one past the last sample of each voiced run
-    if starts.size == 0:
-        return []
-    # run k's last voiced sample is ends[k] - 1, so the next run stays in the
-    # span unless starts[k + 1] - (ends[k] - 1) > gap
-    split = starts[1:] - ends[:-1] >= gap
-    return list(zip(starts[np.r_[True, split]].tolist(), ends[np.r_[split, True]].tolist()))
+    spans: list[tuple[int, int]] = []
+    span_start = last_end = None  # the open span, and the end of its last voiced run
+    run_start = None  # a voiced run still open at the end of the previous block
+    for b0 in range(0, samples.size, SPAN_BLOCK):
+        voiced = np.abs(samples[b0 : b0 + SPAN_BLOCK]) >= SILENCE_EPS
+        if gap == 0:  # below 4 Hz even neighbouring samples are more than `gap` apart
+            spans += [(i, i + 1) for i in (np.flatnonzero(voiced) + b0).tolist()]
+            continue
+        edges = np.diff(voiced.view(np.int8), prepend=np.int8(run_start is not None))
+        starts = np.flatnonzero(edges == 1) + b0
+        ends = np.flatnonzero(edges == -1) + b0  # one past the last sample of each voiced run
+        if run_start is not None:
+            starts = np.r_[run_start, starts]
+        run_start = None
+        if voiced[-1]:  # the last run goes on into the next block, or ends with the audio
+            if b0 + SPAN_BLOCK < samples.size:
+                run_start, starts = int(starts[-1]), starts[:-1]
+            else:
+                ends = np.r_[ends, samples.size]
+        if starts.size == 0:
+            continue
+        # run k's last voiced sample is ends[k] - 1, so the next run stays in the
+        # span unless starts[k + 1] - (ends[k] - 1) > gap
+        before = np.r_[starts[0] if last_end is None else last_end, ends[:-1]]
+        cut = np.flatnonzero(starts - before >= gap)
+        opens = [int(starts[0]) if span_start is None else span_start, *starts[cut].tolist()]
+        spans += zip(opens[:-1], before[cut].tolist())
+        span_start, last_end = int(opens[-1]), int(ends[-1])
+    if span_start is not None:
+        spans.append((span_start, last_end))
+    return spans
 
 
 class MockDownloader:
@@ -164,6 +201,17 @@ class MockDecoder:
             return speechlike_waveform(n_samples, rate, seed), rate
         if payload[:4] == b"RIFF":
             return decode_wav_pcm16(payload)
+        raise FormatError(f"mock decoder cannot decode {path}")
+
+    def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
+        """A MOCKAV stub one utterance plus its silence at a time; WAV as WavFileDecoder does."""
+        with open(path, "rb") as fh:
+            head = fh.read(28)
+        if head[:8] == MOCKAV_MAGIC:
+            rate, n_samples, seed = self._parse_mockav(head)
+            return rate, n_samples, speechlike_blocks(n_samples, rate, seed)
+        if head[:4] == b"RIFF":
+            return WavFileDecoder().decode_blocks(path)
         raise FormatError(f"mock decoder cannot decode {path}")
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -56,9 +58,7 @@ class AudioClip:
             raise ValidationError(f"sample_rate_hz must be a positive integer, got {self.sample_rate_hz!r}")
         if self.offset_s < 0:
             raise ValidationError(f"offset_s must be non-negative, got {self.offset_s}")
-        # written so that NaN fails the comparison too
-        if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
-            raise ValidationError("samples exceed the [-1, 1] amplitude range or are NaN")
+        require_amplitude(samples)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
@@ -91,6 +91,25 @@ class AudioClip:
         return self
 
 
+class SampleBlocks(NamedTuple):
+    """Mono audio that arrives in pieces: `n_samples` samples at `sample_rate_hz` in all.
+
+    Each block is a 1-D float32 array that its producer leaves unchanged.
+    """
+
+    sample_rate_hz: int
+    n_samples: int
+    blocks: Iterable[np.ndarray]
+    source_id: str = ""
+
+
+def require_amplitude(samples: np.ndarray) -> None:
+    """Raise ValidationError unless every sample is within [-1, 1]."""
+    # written so that NaN fails the comparison too
+    if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
+        raise ValidationError("samples exceed the [-1, 1] amplitude range or are NaN")
+
+
 def downmix_mean(channels: np.ndarray) -> np.ndarray:
     """Collapse a [n_channels, n_samples] buffer to mono by arithmetic mean."""
     channels = np.asarray(channels, dtype=np.float32)
@@ -101,39 +120,90 @@ def downmix_mean(channels: np.ndarray) -> np.ndarray:
     return channels.mean(axis=0, dtype=np.float32)
 
 
-def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
-    """Polyphase resample to target_rate_hz; identity input passes through bit-exact.
+def resample(audio: AudioClip | SampleBlocks, target_rate_hz: int) -> AudioClip:
+    """Polyphase resample a clip, or a stream of blocks, to target_rate_hz.
 
-    The output is filled one block of about RESAMPLE_BLOCK samples at a time,
-    each from a float64 copy of only the input window it needs, so memory
-    stays near the float32 input plus the float32 output. Each window starts
-    at a multiple of `down` and carries a margin of whole multiples of `down`
-    beyond the filter's half-length, so every kept sample is computed exactly
-    as a single call over the whole input would compute it.
+    A clip already at the target rate passes through bit-exact, and a stream
+    at the target rate is copied block by block into one output array.
+    Otherwise the output is filled one block of about RESAMPLE_BLOCK samples
+    at a time, each from a float64 copy of only the input window it needs.
+    Each window starts at a multiple of `down` and carries a margin of whole
+    multiples of `down` beyond the filter's half-length, so every kept sample
+    is computed exactly as a single call over the whole input would compute
+    it, however the input is split into blocks. A block is let go once every
+    window that reads it is done, so a stream's memory stays near the
+    float32 output plus a few blocks.
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
-    if clip.sample_rate_hz == target_rate_hz or clip.is_empty:
-        return replace(clip, sample_rate_hz=target_rate_hz)
-    g = math.gcd(clip.sample_rate_hz, target_rate_hz)
-    up, down = target_rate_hz // g, clip.sample_rate_hz // g
-    n_in = clip.n_samples
-    n_out = -(-n_in * up // down)
-    block = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
-    # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
-    reach = -(-10 * max(up, down) // up)
-    margin = -(-reach // down) * down
-    out = np.empty(n_out, dtype=np.float32)
-    for j0 in range(0, n_out, block):
-        j1 = min(j0 + block, n_out)
-        lo = max(0, j0 // up * down - margin)
-        hi = min(n_in, -(-j1 * down // up) + margin)
-        y = resample_poly(clip.samples[lo:hi].astype(np.float64), up, down)
-        y = y[j0 - lo // down * up : j1 - lo // down * up]
-        # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
-        np.clip(y, -1.0, 1.0, out=y)
-        out[j0:j1] = y
-    return replace(clip, samples=out, sample_rate_hz=target_rate_hz)
+    if isinstance(audio, SampleBlocks):
+        out = _resample_blocks(audio.sample_rate_hz, audio.n_samples, audio.blocks, target_rate_hz)
+        return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
+    if audio.sample_rate_hz == target_rate_hz or audio.is_empty:
+        return replace(audio, sample_rate_hz=target_rate_hz)
+    out = _resample_blocks(audio.sample_rate_hz, audio.n_samples, [audio.samples], target_rate_hz)
+    return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
+
+
+def _resample_blocks(
+    rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int
+) -> np.ndarray:
+    got = 0  # input samples received so far
+    if rate_hz == target_rate_hz:
+        out = np.empty(n_in, dtype=np.float32)
+        for chunk in blocks:
+            got += chunk.size
+            if got <= n_in:
+                out[got - chunk.size : got] = chunk
+    else:
+        g = math.gcd(rate_hz, target_rate_hz)
+        up, down = target_rate_hz // g, rate_hz // g
+        n_out = -(-n_in * up // down)
+        step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
+        # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
+        reach = -(-10 * max(up, down) // up)
+        margin = -(-reach // down) * down
+
+        def window(j0: int) -> tuple[int, int, int]:
+            """Output block [j0, j1) and the input window [lo, hi) it is computed from."""
+            j1 = min(j0 + step, n_out)
+            return j1, max(0, j0 // up * down - margin), min(n_in, -(-j1 * down // up) + margin)
+
+        out = np.empty(n_out, dtype=np.float32)
+        pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
+        base = 0
+        # one float64 buffer serves every window: a fresh one per window, allocated
+        # between the decoder's blocks, costs a page fault per 4 KiB
+        window_buf = np.empty(min(n_in, step // up * down + 2 * margin), dtype=np.float64)
+
+        def fill(j0: int, j1: int, lo: int, hi: int) -> None:
+            """out[j0:j1] from a float64 copy of the input [lo, hi), gathered from `pieces`."""
+            x = window_buf[: hi - lo]
+            start = base
+            for piece in pieces:
+                a, b = max(lo, start), min(hi, start + piece.size)
+                if a < b:
+                    x[a - lo : b - lo] = piece[a - start : b - start]
+                start += piece.size
+            y = resample_poly(x, up, down)[j0 - lo // down * up : j1 - lo // down * up]
+            # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
+            np.clip(y, -1.0, 1.0, out=y)
+            out[j0:j1] = y
+
+        j0 = 0
+        j1, lo, hi = window(j0)
+        for chunk in blocks:
+            pieces.append(chunk)
+            got += chunk.size
+            while j0 < n_out and hi <= got:
+                fill(j0, j1, lo, hi)
+                j0 = j1
+                j1, lo, hi = window(j0)
+                while pieces and base + pieces[0].size <= lo:  # no later window reads it
+                    base += pieces.pop(0).size
+    if got != n_in:
+        raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
+    return out
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -171,46 +241,59 @@ def encode_wav_pcm16(clip: AudioClip) -> bytes:
     return header + pcm
 
 
+def wav_layout(read: Callable[[int, int], bytes], size: int) -> tuple[int, int, int, int]:
+    """Walk the RIFF chunks of a PCM16 WAV of `size` bytes, read through `read(pos, n)`.
+
+    Returns (rate, n_channels, data offset, data byte count) without reading
+    the data chunk. Raises FormatError for anything that is not integer
+    16-bit PCM in one or two channels.
+    """
+    if size < 44 or read(0, 4) != b"RIFF" or read(8, 4) != b"WAVE":
+        raise FormatError("not a RIFF/WAVE payload")
+    pos = 12
+    fmt = None
+    data = None
+    while pos + 8 <= size:
+        chunk_id, chunk_len = struct.unpack("<4sI", read(pos, 8))
+        if pos + 8 + chunk_len > size:
+            raise FormatError(f"WAV chunk of {chunk_len} bytes runs past the end of the payload")
+        if chunk_id == b"fmt ":
+            fmt = (pos + 8, chunk_len)
+        elif chunk_id == b"data":
+            data = (pos + 8, chunk_len)
+        pos += 8 + chunk_len + (chunk_len & 1)
+    if fmt is None or data is None:
+        raise FormatError("WAV payload is missing its fmt or data chunk")
+    if fmt[1] < 16:
+        raise FormatError(f"WAV fmt chunk is {fmt[1]} bytes, expected at least 16")
+    if data[1] % 2:
+        raise FormatError(f"WAV data chunk has an odd byte count ({data[1]})")
+    audio_format, n_channels, rate, _, _, bits = struct.unpack("<HHIIHH", read(fmt[0], 16))
+    if audio_format != 1 or bits != 16:
+        raise FormatError(f"only PCM16 WAV is supported (format={audio_format}, bits={bits})")
+    if n_channels not in (1, 2):
+        raise FormatError(f"unsupported channel count {n_channels}")
+    if n_channels == 2 and data[1] % 4:
+        raise FormatError(f"stereo WAV data chunk holds an odd number of values ({data[1] // 2})")
+    return rate, n_channels, *data
+
+
+def pcm16_to_mono(q: np.ndarray, n_channels: int) -> np.ndarray:
+    """Interleaved int16 frames -> mono float32; stereo is downmixed by mean."""
+    if n_channels == 2:
+        return downmix_mean(dequantize_pcm16(q.reshape(-1, 2).T))
+    return dequantize_pcm16(q)
+
+
 def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
     """Parse RIFF/PCM16 bytes -> (mono float32 samples, rate).
 
     Stereo payloads are downmixed by mean. Raises FormatError for anything
     that is not integer 16-bit PCM.
     """
-    if len(payload) < 44 or payload[:4] != b"RIFF" or payload[8:12] != b"WAVE":
-        raise FormatError("not a RIFF/WAVE payload")
-    view = memoryview(payload)  # chunk bodies are views, not copies of the payload
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(view):
-        chunk_id = bytes(view[pos : pos + 4])
-        (chunk_len,) = struct.unpack_from("<I", view, pos + 4)
-        if pos + 8 + chunk_len > len(view):
-            raise FormatError(f"WAV chunk of {chunk_len} bytes runs past the end of the payload")
-        body = view[pos + 8 : pos + 8 + chunk_len]
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            data = body
-        pos += 8 + chunk_len + (chunk_len & 1)
-    if fmt is None or data is None:
-        raise FormatError("WAV payload is missing its fmt or data chunk")
-    if len(fmt) < 16:
-        raise FormatError(f"WAV fmt chunk is {len(fmt)} bytes, expected at least 16")
-    if len(data) % 2:
-        raise FormatError(f"WAV data chunk has an odd byte count ({len(data)})")
-    audio_format, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-    if audio_format != 1 or bits != 16:
-        raise FormatError(f"only PCM16 WAV is supported (format={audio_format}, bits={bits})")
-    if n_channels not in (1, 2):
-        raise FormatError(f"unsupported channel count {n_channels}")
-    q = np.frombuffer(data, dtype="<i2")
-    if n_channels == 2:
-        if q.size % 2:
-            raise FormatError(f"stereo WAV data chunk holds an odd number of values ({q.size})")
-        return downmix_mean(dequantize_pcm16(q.reshape(-1, 2).T)), rate
-    return dequantize_pcm16(q), rate
+    rate, n_channels, offset, length = wav_layout(lambda pos, n: payload[pos : pos + n], len(payload))
+    q = np.frombuffer(payload, dtype="<i2", count=length // 2, offset=offset)
+    return pcm16_to_mono(q, n_channels), rate
 
 
 def load_wav(path, source_id: str = "", offset_s: float = 0.0) -> AudioClip:

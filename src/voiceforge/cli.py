@@ -61,6 +61,7 @@ def _print_summary(summary: pipeline.RunSummary) -> None:
 
 def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
     command = args.command
+    pipeline.check_stage(command, config)
     if args.dry_run:
         pipeline.resolve_adapters(config, pipeline.default_registry())
         print(f"plan for {command} ({config.methodology.value}):")
@@ -85,11 +86,6 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
     if command == "train-config":
         print(pipeline.train_config_stage(config))
         return EXIT_OK
-    if command == "convert" and pipeline.job_for(config) is not pipeline.CONVERT:
-        raise ConfigurationError(
-            "convert needs methodology: rvc_convert with conversion.model_ref, "
-            "conversion.index_ref and conversion.input_corpus"
-        )
     if command == "validate":
         report = pipeline.validate_dataset(config)
         failing = report.failing_clip_ids()

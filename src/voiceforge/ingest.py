@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,7 +22,9 @@ from .audio import (
     MAX_SAMPLE_RATE_HZ,
     MIN_SAMPLE_RATE_HZ,
     AudioClip,
+    SampleBlocks,
     downmix_mean,
+    require_amplitude,
     resample,
 )
 from .errors import (
@@ -161,41 +164,65 @@ def decode_to_audio(
 ) -> AudioClip:
     """Decode a media file to a mono AudioClip at exactly target_rate_hz.
 
-    A file whose decoded duration disagrees with the downloader's report is a
-    truncated or corrupt download. It is deleted before DecodeError is raised:
-    a cache hit carries no reported duration, so a rerun would otherwise
-    decode it unchecked.
+    The decoder's blocks (`decode_blocks`, or `decode` as one block when the
+    decoder has no `decode_blocks`) are downmixed, range-checked and
+    resampled one at a time, so the source at its native rate is never held
+    whole. A file whose decoded duration disagrees with the downloader's
+    report is a truncated or corrupt download. It is deleted before
+    DecodeError is raised: a cache hit carries no reported duration, so a
+    rerun would otherwise decode it unchecked.
     """
     if not MIN_SAMPLE_RATE_HZ <= target_rate_hz <= MAX_SAMPLE_RATE_HZ:
         raise ConfigurationError(
             f"target_rate_hz must be within [{MIN_SAMPLE_RATE_HZ}, {MAX_SAMPLE_RATE_HZ}], "
             f"got {target_rate_hz}"
         )
-    with backend_call(
-        f"cannot decode {media.path}", stage="decode", source_id=str(media.path), error=DecodeError
-    ):
-        samples, native_rate = decoder.decode(str(media.path))
+    where = str(media.path)
+    with backend_call(f"cannot decode {where}", stage="decode", source_id=where, error=DecodeError):
+        if hasattr(decoder, "decode_blocks"):
+            native_rate, n_samples, blocks = decoder.decode_blocks(where)
+        else:
+            samples, native_rate = decoder.decode(where)
+            blocks = [downmix_mean(samples)]
+            n_samples = blocks[0].size
+    if n_samples == 0:
+        raise EmptyAudioError(f"{media.path} has no audio samples", source_id=where)
 
-    samples = np.asarray(samples, dtype=np.float32)
-    if samples.ndim == 2:
-        samples = downmix_mean(samples)
-    if samples.size == 0:
-        raise EmptyAudioError(f"{media.path} has no audio samples", source_id=str(media.path))
-
-    native_duration = samples.size / native_rate
+    native_duration = n_samples / native_rate
     if media.duration_s is not None and abs(native_duration - media.duration_s) > DURATION_TOLERANCE_S:
         media.path.unlink(missing_ok=True)
         raise DecodeError(
             f"decoded duration {native_duration:.3f}s disagrees with container "
             f"duration {media.duration_s:.3f}s for {media.path}",
             stage="decode",
-            source_id=str(media.path),
+            source_id=where,
         )
 
-    clip = AudioClip(
-        samples=samples,
-        sample_rate_hz=native_rate,
-        source_id=source_id_for(media.path),
-        offset_s=0.0,
+    source = SampleBlocks(
+        native_rate, n_samples, _checked(blocks, n_samples, where), source_id_for(media.path)
     )
-    return resample(clip, target_rate_hz)
+    return resample(source, target_rate_hz)
+
+
+def _checked(blocks: Iterable[np.ndarray], n_samples: int, where: str) -> Iterator[np.ndarray]:
+    """The decoder's blocks, downmixed and range-checked, holding exactly n_samples in all."""
+    seen = 0
+    pending = iter(blocks)
+    while True:
+        with backend_call(f"cannot decode {where}", stage="decode", source_id=where, error=DecodeError):
+            block = next(pending, None)
+        if block is None:
+            break
+        block = downmix_mean(block)
+        require_amplitude(block)
+        seen += block.size
+        if seen > n_samples:
+            break
+        yield block
+    if seen != n_samples:
+        raise DecodeError(
+            f"the decoder reported {n_samples} samples but its blocks hold "
+            f"{'more' if seen > n_samples else seen} for {where}",
+            stage="decode",
+            source_id=where,
+        )

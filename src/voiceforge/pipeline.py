@@ -144,9 +144,10 @@ def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> Adapt
 def plan(config: PipelineConfig) -> list[str]:
     """Human-readable stage list for --dry-run output."""
     job = job_for(config)
-    steps: list[str] = [f"source: {config.source.uri} ({config.source.kind.value})"]
+    steps: list[str] = []
     pp = config.preprocessing
     if job.reads_source:
+        steps.append(f"source: {config.source.uri} ({config.source.kind.value})")
         steps.append(
             f"decode to {job.decode_at.value} native rate" if job.decode_at
             else f"decode to {config.training.target_sample_rate_hz} Hz"
@@ -466,6 +467,30 @@ CONVERT = Job(
 )
 
 
+# The stages that apply to some jobs only: the jobs they take, and the refusal.
+_STAGE_JOBS = {
+    "prep": (
+        (CLONE, LJ_PREP),
+        "the prep stage does not apply to conversion, which reads "
+        "conversion.input_corpus, not the source",
+    ),
+    "prompt": ((CLONE,), "the prompt stage applies to methodology: bark_prompt"),
+    "synth": ((CLONE,), "the synth stage applies to methodology: bark_prompt"),
+    "convert": (
+        (CONVERT,),
+        "convert needs methodology: rvc_convert with conversion.model_ref, "
+        "conversion.index_ref and conversion.input_corpus",
+    ),
+}
+
+
+def check_stage(stage: str, config: PipelineConfig) -> None:
+    """Raise ConfigurationError if `stage` does not apply to the config's job."""
+    jobs, refusal = _STAGE_JOBS.get(stage, (None, ""))
+    if jobs is not None and job_for(config) not in jobs:
+        raise ConfigurationError(refusal)
+
+
 def run(
     config: PipelineConfig, registry: AdapterRegistry | None = None, resume: bool = False
 ) -> RunSummary:
@@ -487,8 +512,7 @@ def synth_stage(
     resume: bool = False,
 ) -> RunSummary:
     """Generate (or resume generating) the batch clips without packaging them."""
-    if job_for(config) is not CLONE:
-        raise ConfigurationError("the synth stage applies to methodology: bark_prompt")
+    check_stage("synth", config)
     adapters = resolve_adapters(config, registry or default_registry())
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
     _clone(config, adapters, summary, resume)  # the candidates load lazily, so none is read
@@ -530,11 +554,7 @@ def acquire_stage(config: PipelineConfig, registry: AdapterRegistry | None = Non
 
 def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> list[Path]:
     """Acquire, decode, run optional passes, and segment; writes work-dir WAVs."""
-    if not job_for(config).reads_source:
-        raise ConfigurationError(
-            "the prep stage does not apply to conversion, which reads "
-            "conversion.input_corpus, not the source"
-        )
+    check_stage("prep", config)
     adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
@@ -552,8 +572,7 @@ def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) 
 
 def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> Path:
     """Build and save the speaker prompt; returns the npz path."""
-    if job_for(config) is not CLONE:
-        raise ConfigurationError("the prompt stage applies to methodology: bark_prompt")
+    check_stage("prompt", config)
     adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)

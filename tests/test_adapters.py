@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from voiceforge.adapters import (
     VcAdapter,
     default_registry,
 )
+from voiceforge.adapters import mocks
 from voiceforge.adapters.builtin import WavTranscodeAdapter
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
@@ -33,8 +35,10 @@ from voiceforge.adapters.mocks import (
     MockTtsAdapter,
     MockVcAdapter,
     _voiced_spans,
+    speechlike_blocks,
     speechlike_waveform,
 )
+from voiceforge.audio import AudioClip, encode_wav_pcm16
 from voiceforge.config import DEFAULT_ADAPTERS
 from voiceforge.conversion import default_conversion_params
 from voiceforge.errors import (
@@ -300,6 +304,55 @@ def test_voiced_spans_match_loop_oracle():
         samples = _mask_samples(mask)
         assert _voiced_spans(samples, rate) == expected, name
         assert _voiced_spans_loop(samples, rate) == expected, name
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 16])
+def test_blockwise_voiced_spans_match_loop_oracle(monkeypatch, block):
+    monkeypatch.setattr(mocks, "SPAN_BLOCK", block)  # spans and runs cross block edges
+    rng = np.random.default_rng(block)
+    for _ in range(600):
+        rate = int(rng.choice([1, 2, 3, int(rng.integers(4, 61))]))  # gap == 0 below 4 Hz
+        n = int(rng.integers(0, 120))
+        mask = rng.random(n) < rng.uniform(0.02, 0.98)
+        voiced = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-4, 1.0, n)
+        samples = np.where(mask, voiced, rng.uniform(-9e-5, 9e-5, n)).astype(np.float32)
+        assert _voiced_spans(samples, rate) == _voiced_spans_loop(samples, rate), (rate, n)
+
+
+def test_blockwise_voiced_spans_of_speech_match_loop_oracle(monkeypatch):
+    samples = _fixed_ten_seconds()
+    expected = _voiced_spans_loop(samples, 16000)
+    for block in (997, 4800, 1 << 18):
+        monkeypatch.setattr(mocks, "SPAN_BLOCK", block)
+        assert _voiced_spans(samples, 16000) == expected, block
+
+
+@pytest.mark.parametrize(
+    "n_samples, rate, seed",
+    [(441000, 44100, 1), (240000, 24000, 7), (16001, 16000, 3), (5, 8000, 2), (0, 8000, 2)],
+)
+def test_mock_decoder_blocks_concatenate_to_decode(tmp_path, n_samples, rate, seed):
+    path = tmp_path / "src.mockav"
+    path.write_bytes(mocks.MOCKAV_MAGIC + struct.pack("<IQQ", rate, n_samples, seed))
+    samples, decoded_rate = MockDecoder().decode(str(path))
+    block_rate, block_n, blocks = MockDecoder().decode_blocks(str(path))
+    blocks = list(blocks)
+    assert (block_rate, block_n) == (decoded_rate, samples.size) == (rate, n_samples)
+    assert len(blocks) > 1 or n_samples < 6 * rate  # one utterance plus its gap per block
+    joined = np.concatenate(blocks) if blocks else np.zeros(0, np.float32)
+    assert joined.dtype == np.float32 and joined.tobytes() == samples.tobytes()
+    assert speechlike_waveform(n_samples, rate, seed).tobytes() == samples.tobytes()
+    assert [b.size for b in speechlike_blocks(n_samples, rate, seed)] == [b.size for b in blocks]
+
+
+def test_mock_decoder_blocks_of_a_wav_file(tmp_path):
+    path = tmp_path / "src.wav"
+    clip = AudioClip(samples=speechlike_waveform(8001, 8000, seed=4), sample_rate_hz=8000)
+    path.write_bytes(encode_wav_pcm16(clip))
+    samples, rate = MockDecoder().decode(str(path))
+    block_rate, n_samples, blocks = MockDecoder().decode_blocks(str(path))
+    assert (block_rate, n_samples) == (rate, 8001)
+    assert np.concatenate(list(blocks)).tobytes() == samples.tobytes()
 
 
 def _fixed_ten_seconds() -> np.ndarray:

@@ -7,11 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.signal import resample_poly
 
 from voiceforge import audio
+from voiceforge.adapters.builtin import WavFileDecoder
 from voiceforge.audio import (
     AudioClip,
+    SampleBlocks,
     decode_wav_pcm16,
     dequantize_pcm16,
     downmix_mean,
@@ -176,6 +180,56 @@ def test_resample_memory_is_bounded_by_its_output():
     assert peak < out.samples.nbytes + 10 * 2**20
 
 
+STREAM_SETTINGS = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # monkeypatch sets a constant
+)
+STREAM_RATES = [(44100, 32000), (48000, 16000), (22050, 24000), (24000, 32000), (24000, 24000)]
+
+
+def split_blocks(whole: np.ndarray, data) -> list[np.ndarray]:
+    """`whole` cut along its last axis at drawn points; repeated or adjacent cuts give
+    empty and one-sample blocks."""
+    n = whole.shape[-1]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12), label="cuts"))
+    bounds = [0, *cuts, n]
+    return [whole[..., a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@STREAM_SETTINGS
+@given(rates=st.sampled_from(STREAM_RATES), n=st.integers(1, 4000), data=st.data())
+def test_streaming_resample_equals_resample_for_any_split(monkeypatch, rates, n, data):
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 700)  # many output blocks per input
+    rate_hz, target_rate_hz = rates
+    samples = np.random.default_rng(n).uniform(-1.0, 1.0, n).astype(np.float32)
+    expected = resample(AudioClip(samples=samples, sample_rate_hz=rate_hz), target_rate_hz)
+    blocks = split_blocks(samples, data)
+    out = resample(SampleBlocks(rate_hz, n, iter(blocks), "src"), target_rate_hz)
+    assert out.sample_rate_hz == target_rate_hz and out.source_id == "src"
+    assert out.samples.tobytes() == expected.samples.tobytes()
+
+
+@pytest.mark.parametrize("rate_hz,target_rate_hz", STREAM_RATES)
+def test_streaming_resample_of_one_sample_blocks(monkeypatch, rate_hz, target_rate_hz):
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 700)
+    samples = np.random.default_rng(3).uniform(-1.0, 1.0, 3001).astype(np.float32)
+    expected = resample(AudioClip(samples=samples, sample_rate_hz=rate_hz), target_rate_hz)
+    out = resample(SampleBlocks(rate_hz, samples.size, iter(samples[:, None])), target_rate_hz)
+    assert out.samples.tobytes() == expected.samples.tobytes()
+
+
+@pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 32000), (24000, 24000)])
+@pytest.mark.parametrize("n_blocks", [9, 11])
+def test_streaming_resample_refuses_a_wrong_sample_count(rate_hz, target_rate_hz, n_blocks):
+    blocks = [np.zeros(1000, np.float32)] * n_blocks
+    held = f"expected 10000 input samples, the blocks held {1000 * n_blocks}"
+    with pytest.raises(ValidationError, match=held):
+        resample(SampleBlocks(rate_hz, 10_000, iter(blocks)), target_rate_hz)
+
+
 def test_quantize_is_symmetric():
     x = np.array([-1.0, 0.0, 1.0], np.float32)
     q = quantize_pcm16(x)
@@ -279,7 +333,7 @@ _PCM16_MONO_FMT = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
 _PCM16_STEREO_FMT = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
 
 
-@pytest.mark.parametrize(
+MALFORMED = pytest.mark.parametrize(
     "payload, match",
     [
         (_riff((b"fmt ", _PCM16_MONO_FMT[:8]), (b"data", b"\x00" * 100)), "fmt chunk is 8 bytes"),
@@ -289,9 +343,84 @@ _PCM16_STEREO_FMT = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
     ],
     ids=["short_fmt_chunk", "odd_data_chunk", "truncated_data_chunk", "odd_stereo_data_chunk"],
 )
+
+
+@MALFORMED
 def test_decoder_rejects_malformed_chunks(payload, match):
     with pytest.raises(FormatError, match=match):
         decode_wav_pcm16(payload)
+
+
+def _float_pcm() -> bytes:
+    payload = bytearray(encode_wav_pcm16(_clip(n=10)))
+    payload[20:22] = struct.pack("<H", 3)  # IEEE float format tag
+    return bytes(payload)
+
+
+@MALFORMED
+def test_block_decoder_rejects_malformed_chunks(tmp_path, payload, match):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(payload)
+    with pytest.raises(FormatError, match=match):
+        WavFileDecoder().decode_blocks(str(path))
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        (b"", "not a RIFF/WAV file"),
+        (b"RIFF\x00\x00\x00\x00JUNK" + b"\x00" * 40, "not a RIFF/WAVE payload"),
+        (b"OggS" + b"\x00" * 60, "not a RIFF/WAV file"),
+        (_float_pcm(), "PCM16"),
+        (_riff((b"fmt ", struct.pack("<HHIIHH", 1, 3, 8000, 48000, 6, 16)), (b"data", b"")), "channel"),
+        (_riff((b"data", b"\x00" * 40)), "missing its fmt or data chunk"),
+    ],
+    ids=["empty", "not_wave", "ogg", "float_pcm", "three_channels", "no_fmt_chunk"],
+)
+def test_block_decoder_rejects_what_decode_rejects(tmp_path, payload, match):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(payload)
+    for decode in (WavFileDecoder().decode, WavFileDecoder().decode_blocks):
+        with pytest.raises(FormatError, match=match):
+            decode(str(path))
+
+
+def _stereo(n: int, rate: int) -> bytes:
+    inter = np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n)
+    pcm = quantize_pcm16(inter).astype("<i2").tobytes()
+    return _riff((b"fmt ", struct.pack("<HHIIHH", 1, 2, rate, rate * 4, 4, 16)), (b"data", pcm))
+
+
+def _with_extra_chunks(payload: bytes) -> bytes:
+    """An odd-length chunk (and its pad byte) before the data, a metadata chunk after it."""
+    odd = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\x00"
+    tail = b"cue " + struct.pack("<I", 4) + b"\x00" * 4
+    body = payload[12:36] + odd + payload[36:] + tail
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        encode_wav_pcm16(_clip(n=1001, rate=16000)),
+        _stereo(1001, 22050),
+        _with_extra_chunks(encode_wav_pcm16(_clip(n=1001, rate=16000))),
+        _with_extra_chunks(_stereo(1001, 22050)),
+    ],
+    ids=["mono", "stereo", "mono_extra_chunks", "stereo_extra_chunks"],
+)
+@pytest.mark.parametrize("block_bytes", [4, 12, 1 << 18])
+def test_block_decoder_matches_decode(tmp_path, monkeypatch, payload, block_bytes):
+    monkeypatch.setattr(WavFileDecoder, "BLOCK_BYTES", block_bytes)
+    path = tmp_path / "audio.wav"
+    path.write_bytes(payload)
+    samples, rate = WavFileDecoder().decode(str(path))
+    block_rate, n_samples, blocks = WavFileDecoder().decode_blocks(str(path))
+    blocks = list(blocks)
+    assert (block_rate, n_samples) == (rate, samples.size) == (rate, 1001)
+    assert all(b.dtype == np.float32 and b.ndim == 1 for b in blocks)
+    assert len(blocks) > 1 or block_bytes == 1 << 18
+    assert np.concatenate(blocks).tobytes() == samples.tobytes()
 
 
 def test_save_and_load_wav(tmp_path):

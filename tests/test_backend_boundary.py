@@ -62,6 +62,25 @@ def _failing(adapter, method: str, exc: BaseException):
     return adapter
 
 
+class _WholeDecoder:
+    """A decoder without `decode_blocks`: decode_to_audio takes its `decode` as one block."""
+
+    def decode(self, path: str):
+        return MockDecoder().decode(path)
+
+
+def _failing_midway(exc: BaseException):
+    """A MockDecoder whose second block raises exc."""
+
+    def blocks():
+        yield np.zeros(10, np.float32)
+        raise exc
+
+    decoder = MockDecoder()
+    decoder.decode_blocks = lambda path: (24000, 20, blocks())
+    return decoder
+
+
 def _prompt() -> SpeakerPrompt:
     codes = np.zeros((8, 4), dtype=np.int64)
     fine = CodebookMatrix(codes=codes, frame_rate_hz=75.0, codebook_size=1024)
@@ -117,7 +136,11 @@ CALLS = {
         TEXT, _prompt(), default_generation_params(), _failing(MockTtsAdapter(), "synthesize", exc)
     ),
     "decode": lambda exc, tmp: decode_to_audio(
-        _media(tmp), 24000, _failing(MockDecoder(), "decode", exc)
+        _media(tmp), 24000, _failing(MockDecoder(), "decode_blocks", exc)
+    ),
+    "decode_midway": lambda exc, tmp: decode_to_audio(_media(tmp), 24000, _failing_midway(exc)),
+    "decode_whole": lambda exc, tmp: decode_to_audio(
+        _media(tmp), 24000, _failing(_WholeDecoder(), "decode", exc)
     ),
 }
 
@@ -180,6 +203,7 @@ EXPECTED = {
         "[decode] cannot decode {path}: boom (source {path})",
     ),
 }
+EXPECTED["decode_midway"] = EXPECTED["decode_whole"] = EXPECTED["decode"]
 
 
 @pytest.mark.parametrize("site", sorted(CALLS))

@@ -312,3 +312,56 @@ class TestStageCommands:
             "conversion.input_corpus, not the source\n"
         )
         assert not (tmp_path / "out.work").exists()
+
+
+def _lj_prep_yaml(tmp_path) -> str:
+    return _write_config(
+        tmp_path,
+        {
+            "methodology": "rvc_convert",
+            "source": {"uri": "mock://lecture?duration=60&rate=32000"},
+            "output": {"root": str(tmp_path / "out")},
+            "adapters": {"downloader": "mock", "decoder": "mock"},
+        },
+    )
+
+
+def _conversion_yaml(tmp_path) -> str:
+    return _write_config(
+        tmp_path,
+        {
+            "methodology": "rvc_convert",
+            "source": {"uri": "mock://unused?duration=1"},
+            "conversion": {
+                "model_ref": "voice.pth",
+                "index_ref": "voice.index",
+                "input_corpus": str(tmp_path / "corpus"),
+            },
+            "output": {"root": str(tmp_path / "out")},
+            "adapters": {"downloader": "mock", "decoder": "mock", "vc": "mock"},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "command, config, refusal",
+    [
+        ("convert", _lj_prep_yaml, "convert needs methodology: rvc_convert with conversion.model_ref"),
+        ("prep", _conversion_yaml, "the prep stage does not apply to conversion"),
+        ("prompt", _lj_prep_yaml, "the prompt stage applies to methodology: bark_prompt"),
+        ("synth", _conversion_yaml, "the synth stage applies to methodology: bark_prompt"),
+    ],
+    ids=["convert", "prep", "prompt", "synth"],
+)
+def test_dry_run_refuses_what_the_command_refuses(tmp_path, capsys, command, config, refusal):
+    cfg = config(tmp_path)
+    stderr = []
+    for flags in ([], ["--dry-run"]):
+        assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        stderr.append(err)
+    assert stderr[0] == stderr[1]
+    assert stderr[0].startswith(f"configuration error: {refusal}")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.work").exists()

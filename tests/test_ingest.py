@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from voiceforge import audio
 from voiceforge.adapters.base import DownloadResult
 from voiceforge.adapters.builtin import WavFileDecoder
-from voiceforge.adapters.mocks import MockDecoder, MockDownloader
-from voiceforge.audio import encode_wav_pcm16, quantize_pcm16, AudioClip
+from voiceforge.adapters.mocks import MockAsrAdapter, MockDecoder, MockDownloader
+from voiceforge.audio import encode_wav_pcm16, quantize_pcm16, AudioClip, downmix_mean, resample
 from voiceforge.errors import (
     AcquisitionError,
     ConfigurationError,
@@ -25,6 +29,9 @@ from voiceforge.ingest import (
     decode_to_audio,
     source_id_for,
 )
+from voiceforge.transcribe import AsrConfig
+
+from test_audio import STREAM_RATES, STREAM_SETTINGS, split_blocks
 
 
 class TestSourceSpec:
@@ -235,3 +242,125 @@ def test_media_handle_requires_existing_file(tmp_path):
     empty.touch()
     with pytest.raises(IntegrityError, match="empty"):
         RawMediaHandle(path=empty)
+
+
+class _BlockDecoder:
+    """Hands decode_to_audio fixed blocks, of any shape, through decode_blocks."""
+
+    def __init__(self, rate: int, n_samples: int, blocks: list[np.ndarray]):
+        self.rate, self.n_samples, self.blocks = rate, n_samples, blocks
+
+    def decode(self, path: str):
+        raise AssertionError("a decoder with decode_blocks is read block by block")
+
+    def decode_blocks(self, path: str):
+        return self.rate, self.n_samples, iter(self.blocks)
+
+
+class _WholeDecoder:
+    """A decoder with only `decode`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decode(self, path: str):
+        return self.inner.decode(path)
+
+
+def _stub(tmp_path) -> RawMediaHandle:
+    path = tmp_path / "media.bin"
+    path.write_bytes(b"any media")
+    return RawMediaHandle(path=path)
+
+
+@STREAM_SETTINGS
+@given(
+    rates=st.sampled_from(STREAM_RATES),
+    n=st.integers(1, 3000),
+    stereo=st.booleans(),
+    data=st.data(),
+)
+def test_block_route_equals_resampling_the_whole_source(tmp_path, monkeypatch, rates, n, stereo, data):
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 700)
+    rate_hz, target_rate_hz = rates
+    rng = np.random.default_rng(n)
+    whole = rng.uniform(-1.0, 1.0, (2, n) if stereo else n).astype(np.float32)
+    expected = resample(AudioClip(samples=downmix_mean(whole), sample_rate_hz=rate_hz), target_rate_hz)
+    decoder = _BlockDecoder(rate_hz, n, split_blocks(whole, data))  # 2-D blocks when stereo
+    out = decode_to_audio(_stub(tmp_path), target_rate_hz, decoder)
+    assert out.samples.tobytes() == expected.samples.tobytes()
+    assert out.source_id == source_id_for(tmp_path / "media.bin")
+
+
+class TestBlockRoute:
+    def test_duration_mismatch_deletes_the_cached_file(self, tmp_path):
+        class LongClaimDownloader:
+            """Writes a 1 s MOCKAV stub but reports 10 s."""
+
+            def download(self, uri: str, dest_path: str) -> DownloadResult:
+                MockDownloader().download("mock://x?duration=1&rate=8000&seed=1", dest_path)
+                return DownloadResult(container_format="mockav", duration_s=10.0)
+
+        spec = SourceSpec(uri="mock://long-claim", kind=SourceKind.REMOTE)
+        handle = acquire_source(spec, LongClaimDownloader(), cache_dir=tmp_path)
+        assert hasattr(MockDecoder(), "decode_blocks")
+        with pytest.raises(DecodeError, match="disagrees"):
+            decode_to_audio(handle, 8000, MockDecoder())
+        assert not handle.path.exists()
+
+    @pytest.mark.parametrize("bad", [1.5, -1.01, np.nan])
+    def test_out_of_range_sample_in_a_late_block(self, tmp_path, bad):
+        blocks = [np.zeros(400, np.float32) for _ in range(5)]
+        blocks[4][399] = bad
+        with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+            decode_to_audio(_stub(tmp_path), 8000, _BlockDecoder(16000, 2000, blocks))
+
+    @pytest.mark.parametrize("n_blocks", [4, 6])
+    @pytest.mark.parametrize("rate_hz", [16000, 8000])
+    def test_blocks_that_do_not_add_up_are_a_decode_error(self, tmp_path, n_blocks, rate_hz):
+        blocks = [np.zeros(400, np.float32) for _ in range(n_blocks)]
+        with pytest.raises(DecodeError, match="reported 2000 samples but its blocks hold"):
+            decode_to_audio(_stub(tmp_path), 8000, _BlockDecoder(rate_hz, 2000, blocks))
+
+    def test_reading_stops_at_the_first_block_past_the_reported_count(self, tmp_path):
+        pulled = []
+
+        def runaway():
+            for _ in range(50):
+                pulled.append(1)
+                yield np.zeros(400, np.float32)
+
+        decoder = _BlockDecoder(16000, 2000, runaway())
+        with pytest.raises(DecodeError, match="reported 2000 samples but its blocks hold more"):
+            decode_to_audio(_stub(tmp_path), 8000, decoder)
+        assert len(pulled) == 6
+
+    def test_no_blocks_is_empty_audio(self, tmp_path):
+        with pytest.raises(EmptyAudioError):
+            decode_to_audio(_stub(tmp_path), 8000, _BlockDecoder(8000, 0, []))
+
+    @pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 32000), (24000, 24000)])
+    def test_decoder_with_only_decode_gives_the_same_clip(self, tmp_path, rate_hz, target_rate_hz):
+        spec = SourceSpec(uri=f"mock://x?duration=7&rate={rate_hz}&seed=2", kind=SourceKind.REMOTE)
+        handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
+        blockwise = decode_to_audio(handle, target_rate_hz, MockDecoder())
+        whole = decode_to_audio(handle, target_rate_hz, _WholeDecoder(MockDecoder()))
+        assert not hasattr(_WholeDecoder(MockDecoder()), "decode_blocks")
+        assert whole.samples.tobytes() == blockwise.samples.tobytes()
+        assert whole.source_id == blockwise.source_id
+
+
+def test_native_rate_source_is_never_whole(tmp_path):
+    """Decoding 120 s of 44.1 kHz audio to 32 kHz and transcribing it stays near the output."""
+    spec = SourceSpec(uri="mock://x?duration=120&rate=44100&seed=3", kind=SourceKind.REMOTE)
+    handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        clip = decode_to_audio(handle, 32000, MockDecoder())
+        segments = MockAsrAdapter().transcribe(clip.samples, 32000, AsrConfig(language="hi"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clip.n_samples == 120 * 32000 and segments
+    # the whole native source alone would be 120 * 44100 * 4 bytes (20 MiB)
+    assert peak < clip.samples.nbytes + 16 * 2**20

@@ -242,8 +242,8 @@ class TestPlanAndWiring:
         index.touch()
         config = _m2_convert_config(tmp_path / "out", corpus, model, index)
         assert config.output.format.value == "lj"  # the rvc default
+        # conversion never reads the source, so its plan names none
         assert pipeline.plan(config) == [
-            "source: mock://unused?duration=1 (remote)",
             f"read input corpus {corpus}",
             f"convert every clip with model {model}",
             "quality-gate clips and write the quality report",
