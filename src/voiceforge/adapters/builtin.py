@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, pcm16_to_mono, wav_layout
+from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, join_blocks, pcm16_to_mono, wav_layout
 from ..errors import AcquisitionError, ConfigurationError, FormatError
 from .base import DownloadResult
 
@@ -37,16 +37,13 @@ class UrllibDownloader:
 
 
 class WavFileDecoder:
-    """Decoder for PCM16 WAV files on disk, whole or in blocks of BLOCK_BYTES."""
+    """PCM16 WAV files on disk, read in blocks of BLOCK_BYTES; `decode` joins the blocks."""
 
     BLOCK_BYTES = 1 << 18  # a multiple of every frame size (2 or 4 bytes)
 
     def decode(self, path: str) -> tuple[np.ndarray, int]:
-        with open(path, "rb") as fh:
-            payload = fh.read()
-        if payload[:4] != b"RIFF":
-            raise FormatError(f"{path} is not a RIFF/WAV file")
-        return decode_wav_pcm16(payload)
+        rate, n_samples, blocks = self.decode_blocks(path)
+        return join_blocks(n_samples, blocks), rate
 
     def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
         """Read the chunk headers now; the data chunk is read block by block."""
@@ -76,7 +73,7 @@ class WavTranscodeAdapter:
     def encode(self, samples: np.ndarray, rate: int, format: str) -> bytes:
         if format != "wav_pcm16":
             raise ConfigurationError(
-                f"wav transcoder cannot encode {format!r}; register an adapter that can"
+                f"{type(self).__name__} cannot encode {format!r}; register an adapter that can"
             )
         clip = AudioClip(samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
         return encode_wav_pcm16(clip)
@@ -84,6 +81,6 @@ class WavTranscodeAdapter:
     def decode(self, payload: bytes, format: str) -> tuple[np.ndarray, int]:
         if format != "wav_pcm16":
             raise ConfigurationError(
-                f"wav transcoder cannot decode {format!r}; register an adapter that can"
+                f"{type(self).__name__} cannot decode {format!r}; register an adapter that can"
             )
         return decode_wav_pcm16(payload)

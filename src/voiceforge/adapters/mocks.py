@@ -5,6 +5,8 @@ inputs (and seeds) produce bit-identical outputs, and nothing here downloads
 weights or requires a GPU. The mock media container ("MOCKAV") is a 28-byte
 header from which the decoder synthesizes a speech-like waveform, so an
 entire acquisition-to-dataset run is reproducible from a URI string alone.
+WAV is not handled here: `MockDecoder` and `MockTranscodeAdapter` extend the
+builtin WAV adapters and add only the MOCKAV and mock MP3 formats.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from ..audio import AudioClip, decode_wav_pcm16, dequantize_pcm16, encode_wav_pcm16, quantize_pcm16
+from ..audio import AudioClip, dequantize_pcm16, join_blocks, quantize_pcm16
 from ..errors import ConfigurationError, FormatError
+from ..quality import SILENCE_EPS
 from .base import DownloadResult
-from .builtin import WavFileDecoder
+from .builtin import WavFileDecoder, WavTranscodeAdapter
 
 MOCKAV_MAGIC = b"MOCKAV00"
-SILENCE_EPS = 1e-4
 
 _HINDI_SENTENCES = [
     "नमस्ते, आप कैसे हैं",
@@ -104,12 +106,7 @@ def speechlike_blocks(n_samples: int, rate: int, seed: int) -> Iterator[np.ndarr
 
 def speechlike_waveform(n_samples: int, rate: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-speech: harmonic utterances separated by silence."""
-    out = np.empty(n_samples, dtype=np.float32)
-    pos = 0
-    for block in speechlike_blocks(n_samples, rate, seed):
-        out[pos : pos + block.size] = block
-        pos += block.size
-    return out
+    return join_blocks(n_samples, speechlike_blocks(n_samples, rate, seed))
 
 
 # Samples per block in `_voiced_spans`.
@@ -181,38 +178,19 @@ class MockDownloader:
         return DownloadResult(container_format="mockav", duration_s=n_samples / rate)
 
 
-class MockDecoder:
-    """Decodes MOCKAV stubs (synthesized waveform) and real PCM16 WAV files."""
-
-    def _read(self, path: str) -> bytes:
-        with open(path, "rb") as fh:
-            return fh.read()
-
-    def _parse_mockav(self, payload: bytes) -> tuple[int, int, int]:
-        if len(payload) < 28:
-            raise FormatError("truncated MOCKAV payload")
-        rate, n_samples, seed = struct.unpack_from("<IQQ", payload, 8)
-        return rate, n_samples, seed
-
-    def decode(self, path: str) -> tuple[np.ndarray, int]:
-        payload = self._read(path)
-        if payload[:8] == MOCKAV_MAGIC:
-            rate, n_samples, seed = self._parse_mockav(payload)
-            return speechlike_waveform(n_samples, rate, seed), rate
-        if payload[:4] == b"RIFF":
-            return decode_wav_pcm16(payload)
-        raise FormatError(f"mock decoder cannot decode {path}")
+class MockDecoder(WavFileDecoder):
+    """The builtin WAV decoder plus MOCKAV stubs, which decode to a synthesized waveform."""
 
     def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
-        """A MOCKAV stub one utterance plus its silence at a time; WAV as WavFileDecoder does."""
+        """A MOCKAV stub one utterance plus its silence at a time; anything else as WAV."""
         with open(path, "rb") as fh:
             head = fh.read(28)
-        if head[:8] == MOCKAV_MAGIC:
-            rate, n_samples, seed = self._parse_mockav(head)
-            return rate, n_samples, speechlike_blocks(n_samples, rate, seed)
-        if head[:4] == b"RIFF":
-            return WavFileDecoder().decode_blocks(path)
-        raise FormatError(f"mock decoder cannot decode {path}")
+        if head[:8] != MOCKAV_MAGIC:
+            return super().decode_blocks(path)
+        if len(head) < 28:
+            raise FormatError("truncated MOCKAV payload")
+        rate, n_samples, seed = struct.unpack_from("<IQQ", head, 8)
+        return rate, n_samples, speechlike_blocks(n_samples, rate, seed)
 
 
 class MockDenoiseAdapter:
@@ -470,8 +448,8 @@ class MockSpeakerEmbeddingAdapter:
         return out.astype(np.float32)
 
 
-class MockTranscodeAdapter:
-    """WAV via the real PCM16 codec; MP3 as a deterministic ID3-prefixed stub.
+class MockTranscodeAdapter(WavTranscodeAdapter):
+    """The builtin WAV transcoder plus MP3 as a deterministic ID3-prefixed stub.
 
     The stub keeps the exact PCM payload behind an ``ID3`` magic so format
     checks, duration probes, and decode round-trips behave like a lossless
@@ -481,25 +459,21 @@ class MockTranscodeAdapter:
     MP3_TAG = b"ID3VFMK1"
 
     def encode(self, samples: np.ndarray, rate: int, format: str) -> bytes:
+        if format != "mp3":
+            return super().encode(samples, rate, format)
         clip = AudioClip(samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
-        if format == "wav_pcm16":
-            return encode_wav_pcm16(clip)
-        if format == "mp3":
-            pcm = quantize_pcm16(clip.samples).astype("<i2", copy=False).tobytes()
-            return self.MP3_TAG + struct.pack("<IQ", rate, clip.n_samples) + pcm
-        raise ConfigurationError(f"unsupported transcode format {format!r}")
+        pcm = quantize_pcm16(clip.samples).astype("<i2", copy=False).tobytes()
+        return self.MP3_TAG + struct.pack("<IQ", rate, clip.n_samples) + pcm
 
     def decode(self, payload: bytes, format: str) -> tuple[np.ndarray, int]:
-        if format == "wav_pcm16":
-            return decode_wav_pcm16(payload)
-        if format == "mp3":
-            start = 8 + struct.calcsize("<IQ")
-            if payload[:8] != self.MP3_TAG or len(payload) < start:
-                raise FormatError("not a mock MP3 payload")
-            rate, n_samples = struct.unpack_from("<IQ", payload, 8)
-            if len(payload) - start != 2 * n_samples:
-                raise FormatError(
-                    f"mock MP3 body is {len(payload) - start} bytes, header says {2 * n_samples}"
-                )
-            return dequantize_pcm16(np.frombuffer(payload, dtype="<i2", offset=start)), rate
-        raise ConfigurationError(f"unsupported transcode format {format!r}")
+        if format != "mp3":
+            return super().decode(payload, format)
+        start = 8 + struct.calcsize("<IQ")
+        if payload[:8] != self.MP3_TAG or len(payload) < start:
+            raise FormatError("not a mock MP3 payload")
+        rate, n_samples = struct.unpack_from("<IQ", payload, 8)
+        if len(payload) - start != 2 * n_samples:
+            raise FormatError(
+                f"mock MP3 body is {len(payload) - start} bytes, header says {2 * n_samples}"
+            )
+        return dequantize_pcm16(np.frombuffer(payload, dtype="<i2", offset=start)), rate

@@ -145,62 +145,70 @@ def resample(audio: AudioClip | SampleBlocks, target_rate_hz: int) -> AudioClip:
     return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
 
 
+def join_blocks(n_samples: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The blocks one after another in one float32 array; they must hold n_samples in all."""
+    out = np.empty(n_samples, dtype=np.float32)
+    got = 0
+    for block in blocks:
+        got += block.size
+        if got <= n_samples:
+            out[got - block.size : got] = block
+    if got != n_samples:
+        raise ValidationError(f"expected {n_samples} input samples, the blocks held {got}")
+    return out
+
+
 def _resample_blocks(
     rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int
 ) -> np.ndarray:
-    got = 0  # input samples received so far
     if rate_hz == target_rate_hz:
-        out = np.empty(n_in, dtype=np.float32)
-        for chunk in blocks:
-            got += chunk.size
-            if got <= n_in:
-                out[got - chunk.size : got] = chunk
-    else:
-        g = math.gcd(rate_hz, target_rate_hz)
-        up, down = target_rate_hz // g, rate_hz // g
-        n_out = -(-n_in * up // down)
-        step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
-        # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
-        reach = -(-10 * max(up, down) // up)
-        margin = -(-reach // down) * down
+        return join_blocks(n_in, blocks)
+    g = math.gcd(rate_hz, target_rate_hz)
+    up, down = target_rate_hz // g, rate_hz // g
+    n_out = -(-n_in * up // down)
+    step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
+    # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
+    reach = -(-10 * max(up, down) // up)
+    margin = -(-reach // down) * down
 
-        def window(j0: int) -> tuple[int, int, int]:
-            """Output block [j0, j1) and the input window [lo, hi) it is computed from."""
-            j1 = min(j0 + step, n_out)
-            return j1, max(0, j0 // up * down - margin), min(n_in, -(-j1 * down // up) + margin)
+    def window(j0: int) -> tuple[int, int, int]:
+        """Output block [j0, j1) and the input window [lo, hi) it is computed from."""
+        j1 = min(j0 + step, n_out)
+        return j1, max(0, j0 // up * down - margin), min(n_in, -(-j1 * down // up) + margin)
 
-        out = np.empty(n_out, dtype=np.float32)
-        pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
-        base = 0
-        # one float64 buffer serves every window: a fresh one per window, allocated
-        # between the decoder's blocks, costs a page fault per 4 KiB
-        window_buf = np.empty(min(n_in, step // up * down + 2 * margin), dtype=np.float64)
+    out = np.empty(n_out, dtype=np.float32)
+    pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
+    base = 0
+    # one float64 buffer serves every window: a fresh one per window, allocated
+    # between the decoder's blocks, costs a page fault per 4 KiB
+    window_buf = np.empty(min(n_in, step // up * down + 2 * margin), dtype=np.float64)
 
-        def fill(j0: int, j1: int, lo: int, hi: int) -> None:
-            """out[j0:j1] from a float64 copy of the input [lo, hi), gathered from `pieces`."""
-            x = window_buf[: hi - lo]
-            start = base
-            for piece in pieces:
-                a, b = max(lo, start), min(hi, start + piece.size)
-                if a < b:
-                    x[a - lo : b - lo] = piece[a - start : b - start]
-                start += piece.size
-            y = resample_poly(x, up, down)[j0 - lo // down * up : j1 - lo // down * up]
-            # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
-            np.clip(y, -1.0, 1.0, out=y)
-            out[j0:j1] = y
+    def fill(j0: int, j1: int, lo: int, hi: int) -> None:
+        """out[j0:j1] from a float64 copy of the input [lo, hi), gathered from `pieces`."""
+        x = window_buf[: hi - lo]
+        start = base
+        for piece in pieces:
+            a, b = max(lo, start), min(hi, start + piece.size)
+            if a < b:
+                x[a - lo : b - lo] = piece[a - start : b - start]
+            start += piece.size
+        y = resample_poly(x, up, down)[j0 - lo // down * up : j1 - lo // down * up]
+        # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
+        np.clip(y, -1.0, 1.0, out=y)
+        out[j0:j1] = y
 
-        j0 = 0
-        j1, lo, hi = window(j0)
-        for chunk in blocks:
-            pieces.append(chunk)
-            got += chunk.size
-            while j0 < n_out and hi <= got:
-                fill(j0, j1, lo, hi)
-                j0 = j1
-                j1, lo, hi = window(j0)
-                while pieces and base + pieces[0].size <= lo:  # no later window reads it
-                    base += pieces.pop(0).size
+    got = 0  # input samples received so far
+    j0 = 0
+    j1, lo, hi = window(j0)
+    for chunk in blocks:
+        pieces.append(chunk)
+        got += chunk.size
+        while j0 < n_out and hi <= got:
+            fill(j0, j1, lo, hi)
+            j0 = j1
+            j1, lo, hi = window(j0)
+            while pieces and base + pieces[0].size <= lo:  # no later window reads it
+                base += pieces.pop(0).size
     if got != n_in:
         raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
     return out

@@ -136,8 +136,8 @@ def _check_unique(entries: list[CorpusEntry]) -> None:
 class CorpusWriter:
     """Writes one dataset tree clip by clip; only the entries stay in memory.
 
-    `add` checks an entry, writes its audio file and keeps the entry (with its
-    path in the tree), not the payload; `finish` writes the manifests.
+    `add` checks an entry, writes its audio file and keeps the entry as the
+    manifests hold it, not the payload; `finish` writes the manifests.
     """
 
     audio_dir: str
@@ -172,7 +172,10 @@ class CorpusWriter:
         path = f"{self.audio_dir}/{entry.clip_id}.{self.extension}"
         (self.root / path).write_bytes(encoded.payload)
         self._ids.add(entry.clip_id)
-        self.entries.append(replace(entry, relative_audio_path=path))
+        self.entries.append(self._manifest_entry(entry, path))
+
+    def _manifest_entry(self, entry: CorpusEntry, path: str) -> CorpusEntry:
+        return replace(entry, relative_audio_path=path)
 
     def finish(self, split: SplitSpec) -> None:
         parts = split_train_valid(self.entries, split) if self.entries else ([], [])
@@ -200,6 +203,9 @@ class LjWriter(CorpusWriter):
                 raise ValidationError(f"clip {entry.clip_id!r}: {name} contains the '|' delimiter")
             if "\n" in value or "\r" in value:
                 raise ValidationError(f"clip {entry.clip_id!r}: {name} contains a newline")
+
+    def _manifest_entry(self, entry: CorpusEntry, path: str) -> CorpusEntry:
+        return CorpusEntry(clip_id=entry.clip_id, relative_audio_path=path, sentence=entry.sentence)
 
     def _lines(self, part: list[CorpusEntry]) -> list[str]:
         return [f"wavs/{entry.clip_id}.wav|{entry.sentence}\n" for entry in part]

@@ -85,7 +85,7 @@ class RawMediaHandle:
 def _cache_dir(cache_dir: str | Path | None) -> Path:
     if cache_dir is not None:
         return Path(cache_dir)
-    return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
+    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 def _extension_for(uri: str, container_format: str | None) -> str:

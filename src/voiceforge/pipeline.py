@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .adapters import AdapterRegistry, AdapterRole, default_registry
-from .audio import AudioClip, decode_wav_pcm16, save_wav
+from .audio import AudioClip, save_wav
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
@@ -36,6 +36,7 @@ from .corpus import (
     TRAINING_CONFIG_NAME,
     CommonVoiceWriter,
     CorpusEntry,
+    CorpusWriter,
     LjWriter,
     _check_root,
     client_id_for,
@@ -179,18 +180,18 @@ def _acquire_decoded(config: PipelineConfig, adapters: Adapters, work: Path) -> 
     return clip
 
 
-def _read_dataset(fmt: OutputFormat, root: Path) -> list[CorpusEntry]:
-    return read_common_voice(root) if fmt is OutputFormat.COMMON_VOICE else read_lj(root)
+def _layout(fmt: OutputFormat) -> tuple[type[CorpusWriter], Callable[[Path], list[CorpusEntry]]]:
+    """The writer and the reader of a dataset format."""
+    if fmt is OutputFormat.COMMON_VOICE:
+        return CommonVoiceWriter, read_common_voice
+    return LjWriter, read_lj
 
 
-def _decode_clip(root: Path, entry: CorpusEntry, fmt: OutputFormat, transcoder) -> AudioClip:
-    """Decode one clip of a dataset: MP3 through the transcoder, or LJ's PCM16 WAV."""
+def _decode_clip(root: Path, entry: CorpusEntry, audio_format: AudioFormat, transcoder) -> AudioClip:
+    """Decode one clip of a dataset through the transcoder, in its layout's audio format."""
     payload = (root / entry.relative_audio_path).read_bytes()
     try:
-        if fmt is OutputFormat.COMMON_VOICE:
-            samples, rate = transcoder.decode(payload, AudioFormat.MP3.value)
-        else:
-            samples, rate = decode_wav_pcm16(payload)
+        samples, rate = transcoder.decode(payload, audio_format.value)
     except Exception as exc:
         raise DecodeError(
             f"cannot decode {entry.relative_audio_path}: {exc}",
@@ -210,16 +211,14 @@ def _package(
     """Gate, transcode and write each clip into `staging`, then read it back.
 
     Returns the kept durations. Each clip is written as soon as it is
-    transcoded and then dropped; only its entry stays. The dataset format
-    alone decides the writer (and so the audio format, clip path and text
-    rules), the reader, and how much of each entry the read-back must
-    reproduce (LJ manifests keep only the path and sentence). A clip whose
-    text the layout cannot hold fails with a `layout` issue and is skipped.
+    transcoded and then dropped; only its entry, as the manifests hold it,
+    stays. The dataset format alone decides the writer (and so the audio
+    format, clip path and text rules) and the reader. A clip whose text the
+    layout cannot hold fails with a `layout` issue and is skipped.
     """
     job = job_for(config)
-    fmt = job.dataset_format(config)
-    common_voice = fmt is OutputFormat.COMMON_VOICE
-    writer = (CommonVoiceWriter if common_voice else LjWriter)(staging)
+    writer_type, read = _layout(job.dataset_format(config))
+    writer = writer_type(staging)
     constraints = ClipConstraints(required_rate_hz=_rate_hz(job.clip_at, config, adapters))
     transcoder = adapters[AdapterRole.TRANSCODE]
     durations: list[float] = []
@@ -246,13 +245,8 @@ def _package(
         {"clips_in": float(summary.clips_in), "entries_written": float(len(entries))}
     )
     writer.finish(config.output.split)
-
-    def shown(e: CorpusEntry):
-        return e if common_voice else (e.clip_id, e.relative_audio_path, e.sentence)
-
     by_id = lambda e: e.clip_id
-    written = [shown(e) for e in sorted(entries, key=by_id)]
-    if written != [shown(e) for e in sorted(_read_dataset(fmt, staging), key=by_id)]:
+    if sorted(entries, key=by_id) != sorted(read(staging), key=by_id):
         raise StageError(
             f"read-back of {staging} does not match the written manifest", stage="package"
         )
@@ -403,7 +397,7 @@ def _convert(
         causes: dict[str, str] = {}
         for entry in input_entries:
             try:
-                clip = _decode_clip(input_root, entry, OutputFormat.COMMON_VOICE, transcoder)
+                clip = _decode_clip(input_root, entry, CommonVoiceWriter.audio_format, transcoder)
                 clip = convert_voice(clip, conv.model_ref, conv.index_ref, conv.params, vc)
             except StageError as exc:
                 causes[entry.clip_id] = str(exc)
@@ -526,12 +520,12 @@ def validate_dataset(
     adapters = resolve_adapters(config, registry or default_registry())
     job = job_for(config)
     root = Path(config.output.root)
-    fmt = job.dataset_format(config)
     constraints = ClipConstraints(required_rate_hz=_rate_hz(job.clip_at, config, adapters))
-    entries = _read_dataset(fmt, root)
+    writer_type, read = _layout(job.dataset_format(config))
+    entries = read(root)
     report = QualityReport()
     for entry in entries:
-        clip = _decode_clip(root, entry, fmt, adapters[AdapterRole.TRANSCODE])
+        clip = _decode_clip(root, entry, writer_type.audio_format, adapters[AdapterRole.TRANSCODE])
         report.add(entry.clip_id, validate_clip(clip, constraints))
     report.metrics["entries"] = float(len(entries))
     report.metrics["failing_entries"] = float(len(report.failing_clip_ids()))

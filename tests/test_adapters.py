@@ -129,9 +129,15 @@ class TestMockMedia:
 
     def test_decoder_rejects_unknown_container(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"not audio at all")
-        with pytest.raises(FormatError):
-            MockDecoder().decode(str(path))
+        cases = {
+            b"not audio at all": "not a RIFF/WAV file",
+            mocks.MOCKAV_MAGIC + b"\0" * 19: "truncated MOCKAV",
+        }
+        for payload, match in cases.items():
+            path.write_bytes(payload)
+            for decode in (MockDecoder().decode, MockDecoder().decode_blocks):
+                with pytest.raises(FormatError, match=match):
+                    decode(str(path))
 
     def test_waveform_has_speech_and_silence(self):
         wave = speechlike_waveform(16000 * 10, 16000, seed=1)
@@ -239,8 +245,10 @@ class TestTranscoders:
             codec.decode(damage(payload), "mp3")
 
     def test_mock_rejects_unknown_format(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="encode 'flac'"):
             MockTranscodeAdapter().encode(np.zeros(10, np.float32), 8000, "flac")
+        with pytest.raises(ConfigurationError, match="decode 'flac'"):
+            MockTranscodeAdapter().decode(b"fLaC", "flac")
 
     def test_wav_transcoder_is_wav_only(self):
         codec = WavTranscodeAdapter()

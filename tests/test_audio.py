@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.signal import resample_poly
 
 from voiceforge import audio
-from voiceforge.adapters.builtin import WavFileDecoder
+from voiceforge.adapters.builtin import WavFileDecoder, WavTranscodeAdapter
+from voiceforge.adapters.mocks import MockDecoder, MockTranscodeAdapter
 from voiceforge.audio import (
     AudioClip,
     SampleBlocks,
@@ -349,6 +350,9 @@ MALFORMED = pytest.mark.parametrize(
 def test_decoder_rejects_malformed_chunks(payload, match):
     with pytest.raises(FormatError, match=match):
         decode_wav_pcm16(payload)
+    for transcoder in (WavTranscodeAdapter(), MockTranscodeAdapter()):
+        with pytest.raises(FormatError, match=match):
+            transcoder.decode(payload, "wav_pcm16")
 
 
 def _float_pcm() -> bytes:
@@ -357,12 +361,18 @@ def _float_pcm() -> bytes:
     return bytes(payload)
 
 
+# every file decoder of WAV: the builtin one and the mock that extends it
+WAV_DECODERS = (WavFileDecoder(), MockDecoder())
+
+
 @MALFORMED
 def test_block_decoder_rejects_malformed_chunks(tmp_path, payload, match):
     path = tmp_path / "bad.wav"
     path.write_bytes(payload)
-    with pytest.raises(FormatError, match=match):
-        WavFileDecoder().decode_blocks(str(path))
+    for decoder in WAV_DECODERS:
+        for decode in (decoder.decode, decoder.decode_blocks):
+            with pytest.raises(FormatError, match=match):
+                decode(str(path))
 
 
 @pytest.mark.parametrize(
@@ -380,9 +390,10 @@ def test_block_decoder_rejects_malformed_chunks(tmp_path, payload, match):
 def test_block_decoder_rejects_what_decode_rejects(tmp_path, payload, match):
     path = tmp_path / "bad.wav"
     path.write_bytes(payload)
-    for decode in (WavFileDecoder().decode, WavFileDecoder().decode_blocks):
-        with pytest.raises(FormatError, match=match):
-            decode(str(path))
+    for decoder in WAV_DECODERS:
+        for decode in (decoder.decode, decoder.decode_blocks):
+            with pytest.raises(FormatError, match=match):
+                decode(str(path))
 
 
 def _stereo(n: int, rate: int) -> bytes:
@@ -414,13 +425,20 @@ def test_block_decoder_matches_decode(tmp_path, monkeypatch, payload, block_byte
     monkeypatch.setattr(WavFileDecoder, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "audio.wav"
     path.write_bytes(payload)
-    samples, rate = WavFileDecoder().decode(str(path))
-    block_rate, n_samples, blocks = WavFileDecoder().decode_blocks(str(path))
-    blocks = list(blocks)
-    assert (block_rate, n_samples) == (rate, samples.size) == (rate, 1001)
-    assert all(b.dtype == np.float32 and b.ndim == 1 for b in blocks)
-    assert len(blocks) > 1 or block_bytes == 1 << 18
-    assert np.concatenate(blocks).tobytes() == samples.tobytes()
+    expected, rate = decode_wav_pcm16(payload)
+    for decoder in WAV_DECODERS:
+        samples, decoded_rate = decoder.decode(str(path))
+        block_rate, n_samples, blocks = decoder.decode_blocks(str(path))
+        blocks = list(blocks)
+        assert (block_rate, n_samples) == (decoded_rate, samples.size) == (rate, 1001)
+        assert all(b.dtype == np.float32 and b.ndim == 1 for b in blocks)
+        assert len(blocks) > 1 or block_bytes == 1 << 18
+        assert np.concatenate(blocks).tobytes() == samples.tobytes() == expected.tobytes()
+    encoded = encode_wav_pcm16(AudioClip(samples=expected, sample_rate_hz=rate))
+    for transcoder in (WavTranscodeAdapter(), MockTranscodeAdapter()):
+        samples, decoded_rate = transcoder.decode(payload, "wav_pcm16")
+        assert decoded_rate == rate and samples.tobytes() == expected.tobytes()
+        assert transcoder.encode(expected, rate, "wav_pcm16") == encoded
 
 
 def test_save_and_load_wav(tmp_path):

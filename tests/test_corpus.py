@@ -419,9 +419,17 @@ def cv_entry_lists(draw) -> list[CorpusEntry]:
 
 @st.composite
 def lj_entry_lists(draw) -> list[CorpusEntry]:
+    """LJ entries that also carry fields an LJ manifest does not hold."""
     sentences = draw(st.lists(_sentence(LJ_RESERVED), min_size=1, max_size=6))
     return [
-        CorpusEntry(clip_id=make_clip_id("prop", i), relative_audio_path="", sentence=sentence)
+        CorpusEntry(
+            clip_id=make_clip_id("prop", i),
+            relative_audio_path="",
+            sentence=sentence,
+            client_id=draw(_text("", min_size=0)),
+            locale=draw(st.none() | _text("")),
+            extra=draw(st.dictionaries(_text(""), _text(""), max_size=2)),
+        )
         for i, sentence in enumerate(sentences)
     ]
 
@@ -458,6 +466,12 @@ class TestStreamingWriterProperties:
             train, valid = read_lj_split(tmp)
         assert (train, valid) == split_train_valid(writer.entries, SPLIT)
         assert [e.sentence for e in writer.entries] == [e.sentence for e in entries]
+        # the writer keeps only what the manifest holds, so its entries equal the read-back
+        by_id = lambda e: e.clip_id
+        assert sorted(writer.entries, key=by_id) == sorted(train + valid, key=by_id)
+        assert [e.relative_audio_path for e in writer.entries] == [
+            f"wavs/{e.clip_id}.wav" for e in entries
+        ]
 
     @PROPERTY_SETTINGS
     @given(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestAcquire:
         assert handle.path.parent.parent == tmp_path
         assert len(handle.path.parent.name) == 2  # two-hex bucket
         assert handle.duration_s == pytest.approx(1.0)
+
+    def test_empty_cache_env_is_the_default_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", "")
+        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1", kind=SourceKind.REMOTE)
+        handle = acquire_source(spec, MockDownloader())
+        assert handle.path.parent.parent == Path("cache")
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        assert (tmp_path / handle.path).is_file()
 
     def test_second_acquire_hits_cache(self, tmp_path):
         calls = []

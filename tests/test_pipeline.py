@@ -403,6 +403,25 @@ class TestTrainingPrepRun:
         assert report.failing_clip_ids() == []
         assert report.metrics["entries"] > 0
 
+        # LJ clips are decoded through the configured transcoder, once per entry
+        class CountingTranscoder(MockTranscodeAdapter):
+            def __init__(self):
+                self.calls = []
+
+            def decode(self, payload, format):
+                self.calls.append(format)
+                return super().decode(payload, format)
+
+        counting = CountingTranscoder()
+        registry = default_registry()
+        registry.register(AdapterDescriptor(role=AdapterRole.TRANSCODE, id="counting"), counting)
+        for transcode_id in ("counting", "wav"):
+            data = _m2_prep_data(root)
+            data["adapters"]["transcode"] = transcode_id
+            again = pipeline.validate_dataset(parse_config(data), registry)
+            assert again.to_json() == report.to_json(), transcode_id
+        assert counting.calls == ["wav_pcm16"] * len(read_lj(root))
+
 
 class TestConversionRun:
     def test_converts_existing_corpus(self, tmp_path):
