@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import FormatError, ValidationError
 
@@ -120,7 +120,9 @@ def downmix_mean(channels: np.ndarray) -> np.ndarray:
     return channels.mean(axis=0, dtype=np.float32)
 
 
-def resample(audio: AudioClip | SampleBlocks, target_rate_hz: int) -> AudioClip:
+def resample(
+    audio: AudioClip | SampleBlocks, target_rate_hz: int, stop: int | None = None
+) -> AudioClip:
     """Polyphase resample a clip, or a stream of blocks, to target_rate_hz.
 
     A clip already at the target rate passes through bit-exact, and a stream
@@ -133,42 +135,64 @@ def resample(audio: AudioClip | SampleBlocks, target_rate_hz: int) -> AudioClip:
     it, however the input is split into blocks. A block is let go once every
     window that reads it is done, so a stream's memory stays near the
     float32 output plus a few blocks.
+
+    With `stop`, the output is only its first `stop` samples (all of them
+    when `stop` is past the end): the windows end there, and the blocks after
+    the last window are still pulled and counted, then dropped.
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
     if isinstance(audio, SampleBlocks):
-        out = _resample_blocks(audio.sample_rate_hz, audio.n_samples, audio.blocks, target_rate_hz)
+        out = _resample_blocks(
+            audio.sample_rate_hz, audio.n_samples, audio.blocks, target_rate_hz, stop
+        )
         return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
     if audio.sample_rate_hz == target_rate_hz or audio.is_empty:
-        return replace(audio, sample_rate_hz=target_rate_hz)
-    out = _resample_blocks(audio.sample_rate_hz, audio.n_samples, [audio.samples], target_rate_hz)
+        return replace(audio, samples=audio.samples[:stop], sample_rate_hz=target_rate_hz)
+    out = _resample_blocks(
+        audio.sample_rate_hz, audio.n_samples, [audio.samples], target_rate_hz, stop
+    )
     return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
 
 
-def join_blocks(n_samples: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """The blocks one after another in one float32 array; they must hold n_samples in all."""
-    out = np.empty(n_samples, dtype=np.float32)
+def resampled_length(n_samples: int, rate_hz: int, target_rate_hz: int) -> int:
+    """How many samples `resample` makes of n_samples at rate_hz (without `stop`)."""
+    return -(-n_samples * target_rate_hz // rate_hz)
+
+
+def join_blocks(n_samples: int, blocks: Iterable[np.ndarray], stop: int | None = None) -> np.ndarray:
+    """The blocks one after another in one float32 array; they must hold n_samples in all.
+
+    With `stop`, only the first `stop` samples are kept; every block is still counted.
+    """
+    keep = n_samples if stop is None else min(stop, n_samples)
+    out = np.empty(keep, dtype=np.float32)
     got = 0
     for block in blocks:
+        if got < keep:
+            out[got : got + block.size] = block[: keep - got]
         got += block.size
-        if got <= n_samples:
-            out[got - block.size : got] = block
     if got != n_samples:
         raise ValidationError(f"expected {n_samples} input samples, the blocks held {got}")
     return out
 
 
 def _resample_blocks(
-    rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int
+    rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int, stop: int | None
 ) -> np.ndarray:
     if rate_hz == target_rate_hz:
-        return join_blocks(n_in, blocks)
+        return join_blocks(n_in, blocks, stop)
     g = math.gcd(rate_hz, target_rate_hz)
     up, down = target_rate_hz // g, rate_hz // g
-    n_out = -(-n_in * up // down)
+    n_out = resampled_length(n_in, rate_hz, target_rate_hz)
+    if stop is not None:
+        n_out = min(stop, n_out)
     step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
-    # resample_poly's default filter reaches 10*max(up, down) upsampled taps each side
-    reach = -(-10 * max(up, down) // up)
+    # resample_poly's default filter: 10*max(up, down) upsampled taps each side.
+    # Designed once here, it gives the same taps as resample_poly designs per call.
+    half_len = 10 * max(up, down)
+    taps = firwin(2 * half_len + 1, 1 / max(up, down), window=("kaiser", 5.0))
+    reach = -(-half_len // up)
     margin = -(-reach // down) * down
 
     def window(j0: int) -> tuple[int, int, int]:
@@ -192,7 +216,7 @@ def _resample_blocks(
             if a < b:
                 x[a - lo : b - lo] = piece[a - start : b - start]
             start += piece.size
-        y = resample_poly(x, up, down)[j0 - lo // down * up : j1 - lo // down * up]
+        y = resample_poly(x, up, down, window=taps)[j0 - lo // down * up : j1 - lo // down * up]
         # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
         np.clip(y, -1.0, 1.0, out=y)
         out[j0:j1] = y
@@ -201,8 +225,11 @@ def _resample_blocks(
     j0 = 0
     j1, lo, hi = window(j0)
     for chunk in blocks:
-        pieces.append(chunk)
         got += chunk.size
+        if j0 == n_out:  # every window is done: the rest is only counted
+            pieces.clear()
+            continue
+        pieces.append(chunk)
         while j0 < n_out and hi <= got:
             fill(j0, j1, lo, hi)
             j0 = j1

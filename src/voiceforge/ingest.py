@@ -164,13 +164,24 @@ def decode_to_audio(
 ) -> AudioClip:
     """Decode a media file to a mono AudioClip at exactly target_rate_hz.
 
+    The source is opened with `open_source` and resampled block by block, so
+    the source at its native rate is never held whole.
+    """
+    return resample(open_source(media, target_rate_hz, decoder), target_rate_hz)
+
+
+def open_source(
+    media: RawMediaHandle, target_rate_hz: int, decoder: DecoderAdapter
+) -> SampleBlocks:
+    """Open a media file for decoding at target_rate_hz: its samples at their native rate.
+
     The decoder's blocks (`decode_blocks`, or `decode` as one block when the
-    decoder has no `decode_blocks`) are downmixed, range-checked and
-    resampled one at a time, so the source at its native rate is never held
-    whole. A file whose decoded duration disagrees with the downloader's
-    report is a truncated or corrupt download. It is deleted before
-    DecodeError is raised: a cache hit carries no reported duration, so a
-    rerun would otherwise decode it unchecked.
+    decoder has no `decode_blocks`) are downmixed and range-checked one at a
+    time as they are pulled, and they must hold the reported sample count.
+    A file whose decoded duration disagrees with the downloader's report is a
+    truncated or corrupt download. It is deleted before DecodeError is
+    raised: a cache hit carries no reported duration, so a rerun would
+    otherwise decode it unchecked.
     """
     if not MIN_SAMPLE_RATE_HZ <= target_rate_hz <= MAX_SAMPLE_RATE_HZ:
         raise ConfigurationError(
@@ -197,11 +208,9 @@ def decode_to_audio(
             stage="decode",
             source_id=where,
         )
-
-    source = SampleBlocks(
+    return SampleBlocks(
         native_rate, n_samples, _checked(blocks, n_samples, where), source_id_for(media.path)
     )
-    return resample(source, target_rate_hz)
 
 
 def _checked(blocks: Iterable[np.ndarray], n_samples: int, where: str) -> Iterator[np.ndarray]:

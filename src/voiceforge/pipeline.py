@@ -27,8 +27,9 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import ingest
 from .adapters import AdapterRegistry, AdapterRole, default_registry
-from .audio import AudioClip, save_wav
+from .audio import AudioClip, resampled_length, save_wav
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
@@ -52,6 +53,7 @@ from .preprocess import (
     AudioFormat,
     denoise,
     segment,
+    segment_bounds,
     separate_vocals,
     transcode,
 )
@@ -166,11 +168,18 @@ def plan(config: PipelineConfig) -> list[str]:
     return steps
 
 
-def _acquire_decoded(config: PipelineConfig, adapters: Adapters, work: Path) -> AudioClip:
-    """Acquire the source, decode it at the job's rate and run the optional passes."""
+def _acquire(
+    config: PipelineConfig, adapters: Adapters, work: Path
+) -> tuple[ingest.RawMediaHandle, int]:
+    """Acquire the source; returns it and the rate the job decodes it at."""
     downloader = adapters.get(AdapterRole.DOWNLOADER)
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
-    rate_hz = _rate_hz(job_for(config).decode_at, config, adapters)
+    return handle, _rate_hz(job_for(config).decode_at, config, adapters)
+
+
+def _acquire_decoded(config: PipelineConfig, adapters: Adapters, work: Path) -> AudioClip:
+    """Acquire the source, decode it at the job's rate and run the optional passes."""
+    handle, rate_hz = _acquire(config, adapters, work)
     clip = decode_to_audio(handle, rate_hz, adapters[AdapterRole.DECODER])
     pp = config.preprocessing
     if pp.denoise_strength is not None:
@@ -267,6 +276,37 @@ def _numbered(
         ), clip
 
 
+def _first_segment(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[AudioClip, int]:
+    """The source's first segment at the job's rate, and how many segments the source has.
+
+    Without the optional passes only that segment is resampled and kept:
+    every decoder block is still pulled and checked, and the count comes from
+    the source's length. The passes take the whole source (stem separation
+    may change its length), so with either one the whole source is decoded.
+    """
+    pp = config.preprocessing
+    policy = pp.segmentation
+    if pp.denoise_strength is None and pp.stems is None:
+        handle, rate_hz = _acquire(config, adapters, work)
+        source = ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER])
+        n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
+        bounds = segment_bounds(n, rate_hz, policy)
+        # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
+        clip = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
+    else:
+        clip = _acquire_decoded(config, adapters, work)
+        n = clip.n_samples
+        bounds = segment_bounds(n, clip.sample_rate_hz, policy)
+    if not bounds:
+        raise StageError(
+            f"source ({n / clip.sample_rate_hz:.1f} s) yields no full "
+            f"{policy.target_len_s} s segment",
+            stage="segment",
+            source_id=clip.source_id,
+        )
+    return clip.slice_samples(*bounds[0]), len(bounds)
+
+
 def _speaker_prompt(
     config: PipelineConfig, adapters: Adapters, work: Path
 ) -> tuple[str, int, SpeakerPrompt, Path]:
@@ -274,28 +314,19 @@ def _speaker_prompt(
 
     Returns the source id, the segment count, the prompt and its path.
     """
-    codec = adapters[AdapterRole.CODEC]
-    source_clip = _acquire_decoded(config, adapters, work)
-    segments = segment(source_clip, config.preprocessing.segmentation)
-    if not segments:
-        raise StageError(
-            f"source ({source_clip.duration_s:.1f} s) yields no full "
-            f"{config.preprocessing.segmentation.target_len_s} s segment",
-            stage="segment",
-            source_id=source_clip.source_id,
-        )
-    fine, _ = extract_codebooks(segments[0], codec, PROMPT_N_COARSE)
+    first, n_segments = _first_segment(config, adapters, work)
+    fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
     semantic = extract_semantic_tokens(
-        segments[0],
+        first,
         adapters[AdapterRole.SEMANTIC_ENCODER],
         adapters[AdapterRole.TOKEN_QUANTIZER],
     )
-    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source_clip.source_id)
+    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, first.source_id)
     assets = work / "assets"
     assets.mkdir(parents=True, exist_ok=True)
     path = assets / f"prompt_{prompt_digest(prompt)}.npz"
     save_prompt(prompt, path)
-    return source_clip.source_id, len(segments), prompt, path
+    return first.source_id, n_segments, prompt, path
 
 
 def _clone(

@@ -101,40 +101,29 @@ def separate_vocals(clip: AudioClip, stem_model: StemModel, adapter: StemAdapter
     return replace(clip, samples=np.asarray(out, dtype=np.float32))
 
 
+def segment_bounds(n: int, rate: int, policy: SegmentationPolicy) -> list[tuple[int, int]]:
+    """The [lo, hi) sample range of each piece `segment` cuts from n samples at rate."""
+    step = policy.target_len_s * rate
+    bounds: list[tuple[int, int]] = []
+    while (hi := round((len(bounds) + 1) * step)) <= n:
+        bounds.append((round(len(bounds) * step), hi))
+    lo = round(len(bounds) * step)
+    if policy.tail is TailPolicy.KEEP_LAST and n > lo and (n - lo) / rate >= policy.min_tail_s:
+        bounds.append((lo, n))
+    return bounds
+
+
 def segment(clip: AudioClip, policy: SegmentationPolicy) -> list[AudioClip]:
     """Split into contiguous fixed-length clips; see SegmentationPolicy for tails."""
-    n = clip.n_samples
-    rate = clip.sample_rate_hz
-    step = policy.target_len_s * rate
-    segments: list[AudioClip] = []
-    k = 0
-    while True:
-        lo = round(k * step)
-        hi = round((k + 1) * step)
-        if hi > n:
-            break
-        segments.append(
-            AudioClip(
-                samples=clip.samples[lo:hi],
-                sample_rate_hz=rate,
-                source_id=clip.source_id,
-                offset_s=clip.offset_s + k * policy.target_len_s,
-            )
+    return [
+        AudioClip(
+            samples=clip.samples[lo:hi],
+            sample_rate_hz=clip.sample_rate_hz,
+            source_id=clip.source_id,
+            offset_s=clip.offset_s + k * policy.target_len_s,
         )
-        k += 1
-    if policy.tail is TailPolicy.KEEP_LAST:
-        lo = round(k * step)
-        remainder = n - lo
-        if remainder > 0 and remainder / rate >= policy.min_tail_s:
-            segments.append(
-                AudioClip(
-                    samples=clip.samples[lo:n],
-                    sample_rate_hz=rate,
-                    source_id=clip.source_id,
-                    offset_s=clip.offset_s + k * policy.target_len_s,
-                )
-            )
-    return segments
+        for k, (lo, hi) in enumerate(segment_bounds(clip.n_samples, clip.sample_rate_hz, policy))
+    ]
 
 
 def transcode(clip: AudioClip, format: AudioFormat, codec: TranscodeAdapter) -> EncodedAudio:

@@ -25,6 +25,7 @@ from voiceforge.audio import (
     quantize_pcm16,
     replace_file,
     resample,
+    resampled_length,
     save_wav,
 )
 from voiceforge.errors import FormatError, ValidationError
@@ -156,9 +157,9 @@ def test_resample_matches_whole_array_oracle(monkeypatch, rate_hz, target_rate_h
 def test_resample_of_a_short_input_is_one_call(monkeypatch):
     calls = []
 
-    def counting_resample_poly(x, up, down):
+    def counting_resample_poly(x, up, down, **kwargs):
         calls.append(x.size)
-        return resample_poly(x, up, down)
+        return resample_poly(x, up, down, **kwargs)
 
     monkeypatch.setattr(audio, "resample_poly", counting_resample_poly)
     clip = _clip(n=5 * 24000, rate=24000)
@@ -229,6 +230,44 @@ def test_streaming_resample_refuses_a_wrong_sample_count(rate_hz, target_rate_hz
     held = f"expected 10000 input samples, the blocks held {1000 * n_blocks}"
     with pytest.raises(ValidationError, match=held):
         resample(SampleBlocks(rate_hz, 10_000, iter(blocks)), target_rate_hz)
+
+
+# the rates a source reaches the 24 kHz codec from
+STOP_RATES = [(44100, 24000), (48000, 24000), (22050, 24000), (16000, 24000), (24000, 24000)]
+
+
+@STREAM_SETTINGS
+@given(rates=st.sampled_from(STOP_RATES), n=st.integers(1, 4000), data=st.data())
+def test_resample_with_stop_is_a_prefix_of_the_whole_output(monkeypatch, rates, n, data):
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 700)  # stops inside and between windows
+    rate_hz, target_rate_hz = rates
+    samples = np.random.default_rng(n).uniform(-1.0, 1.0, n).astype(np.float32)
+    whole = resample(SampleBlocks(rate_hz, n, iter(split_blocks(samples, data))), target_rate_hz)
+    assert whole.n_samples == resampled_length(n, rate_hz, target_rate_hz)
+    stop = data.draw(st.integers(0, whole.n_samples + 50), label="stop")  # past the end too
+    blocks = split_blocks(samples, data)
+    out = resample(SampleBlocks(rate_hz, n, iter(blocks), "src"), target_rate_hz, stop=stop)
+    assert out.source_id == "src"
+    assert out.samples.tobytes() == whole.samples[:stop].tobytes()
+    clip = AudioClip(samples=samples, sample_rate_hz=rate_hz)
+    assert resample(clip, target_rate_hz, stop=stop).samples.tobytes() == out.samples.tobytes()
+
+
+@pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 24000), (24000, 24000)])
+@pytest.mark.parametrize("n_blocks", [9, 11])
+@pytest.mark.parametrize("stop", [0, 5, 3000])
+def test_resample_with_stop_counts_every_block(rate_hz, target_rate_hz, n_blocks, stop):
+    pulled = []
+
+    def blocks():
+        for _ in range(n_blocks):
+            pulled.append(1)
+            yield np.zeros(1000, np.float32)
+
+    held = f"expected 10000 input samples, the blocks held {1000 * n_blocks}"
+    with pytest.raises(ValidationError, match=held):
+        resample(SampleBlocks(rate_hz, 10_000, blocks()), target_rate_hz, stop=stop)
+    assert len(pulled) == n_blocks
 
 
 def test_quantize_is_symmetric():

@@ -28,6 +28,7 @@ from voiceforge.ingest import (
     SourceSpec,
     acquire_source,
     decode_to_audio,
+    open_source,
     source_id_for,
 )
 from voiceforge.transcribe import AsrConfig
@@ -358,6 +359,51 @@ class TestBlockRoute:
         assert not hasattr(_WholeDecoder(MockDecoder()), "decode_blocks")
         assert whole.samples.tobytes() == blockwise.samples.tobytes()
         assert whole.source_id == blockwise.source_id
+
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises((DecodeError, ValidationError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestKeptPrefix:
+    """A source resampled with `stop` still pulls and checks every block after it."""
+
+    @pytest.mark.parametrize("rate_hz", [16000, 8000])
+    @pytest.mark.parametrize("bad", [1.5, -1.01, np.nan])
+    def test_out_of_range_sample_after_the_stop(self, tmp_path, rate_hz, bad):
+        blocks = [np.zeros(400, np.float32) for _ in range(5)]
+        blocks[4][399] = bad
+        decoder = _BlockDecoder(rate_hz, 2000, blocks)
+        whole = _raised(lambda: decode_to_audio(_stub(tmp_path), 8000, decoder))
+        kept = _raised(lambda: resample(open_source(_stub(tmp_path), 8000, decoder), 8000, stop=10))
+        assert kept == whole and kept[0] is ValidationError
+
+    @pytest.mark.parametrize("n_blocks", [4, 6, 50])
+    @pytest.mark.parametrize("rate_hz", [16000, 8000])
+    def test_blocks_that_do_not_add_up_after_the_stop(self, tmp_path, n_blocks, rate_hz):
+        decoder = _BlockDecoder(rate_hz, 2000, [np.zeros(400, np.float32)] * n_blocks)
+        whole = _raised(lambda: decode_to_audio(_stub(tmp_path), 8000, decoder))
+        kept = _raised(lambda: resample(open_source(_stub(tmp_path), 8000, decoder), 8000, stop=10))
+        assert kept == whole and kept[0] is DecodeError
+        assert "reported 2000 samples but its blocks hold" in kept[1]
+
+    @pytest.mark.parametrize("rate_hz", [44100, 24000])
+    def test_the_prefix_is_the_decoded_source_cut(self, tmp_path, rate_hz):
+        spec = SourceSpec(uri=f"mock://x?duration=7&rate={rate_hz}&seed=2", kind=SourceKind.REMOTE)
+        handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
+        whole = decode_to_audio(handle, 24000, MockDecoder())
+        source = open_source(handle, 24000, MockDecoder())
+        assert source.n_samples == 7 * rate_hz
+        kept = resample(source, 24000, stop=50_000)
+        assert kept.samples.tobytes() == whole.samples[:50_000].tobytes()
+        assert kept.source_id == whole.source_id
+
+    def test_open_checks_the_target_rate_first(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="target_rate_hz"):
+            open_source(_stub(tmp_path), 96000, _BlockDecoder(8000, 0, []))
 
 
 def test_native_rate_source_is_never_whole(tmp_path):

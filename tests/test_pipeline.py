@@ -17,6 +17,7 @@ from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
+    MockDecoder,
     MockTranscodeAdapter,
     MockTtsAdapter,
     MockVcAdapter,
@@ -32,7 +33,13 @@ from voiceforge.corpus import (
     read_lj,
     write_common_voice,
 )
-from voiceforge.errors import AdapterLookupError, ConfigurationError, StageError
+from voiceforge.errors import (
+    AdapterLookupError,
+    ConfigurationError,
+    DecodeError,
+    StageError,
+    ValidationError,
+)
 from voiceforge.preprocess import AudioFormat, transcode
 from voiceforge.voiceprompt import load_prompt
 
@@ -571,6 +578,71 @@ class TestStages:
             pipeline.synth_stage(_m2_prep_config(tmp_path / "out"))
 
 
+class FaultyDecoder(MockDecoder):
+    """The mock decoder with one fault in the source's last block, long after segment 0."""
+
+    def __init__(self, fault: str | None = None):
+        self.fault = fault
+        self.exhausted = False  # whether the mock's blocks were all pulled
+
+    def decode_blocks(self, path: str):
+        rate, n_samples, blocks = super().decode_blocks(path)
+        return rate, n_samples, self._blocks(blocks)
+
+    def _blocks(self, blocks):
+        previous = next(blocks)
+        for block in blocks:
+            yield previous
+            previous = block
+        self.exhausted = True
+        if self.fault == "nan":
+            previous = previous.copy()
+            previous[-1] = np.nan
+        if self.fault != "short":
+            yield previous
+        if self.fault == "long":
+            yield previous
+
+
+def _prompt_with(tmp_path, decoder, **preprocessing):
+    registry = default_registry()
+    registry.register(AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), decoder)
+    data = _m1_data(tmp_path / "out", adapters={"decoder": "faulty"})
+    data["preprocessing"] = preprocessing
+    return pipeline.prompt_stage(parse_config(data), registry)
+
+
+class TestPromptKeepsTheFirstSegment:
+    """The prompt keeps segment 0 of the source, yet reads and checks every block."""
+
+    def test_same_prompt_as_from_the_whole_source(self, tmp_path):
+        decoder = FaultyDecoder()
+        kept = _prompt_with(tmp_path / "kept", decoder)
+        assert decoder.exhausted
+        # a denoise pass of strength 0 changes nothing but decodes the whole source
+        whole = _prompt_with(tmp_path / "whole", FaultyDecoder(), denoise=0.0)
+        assert kept.name == whole.name
+        assert kept.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fault,error", [("nan", ValidationError), ("short", DecodeError), ("long", DecodeError)]
+    )
+    def test_a_fault_after_the_first_segment_fails_as_a_whole_decode(self, tmp_path, fault, error):
+        with pytest.raises(error) as kept:
+            _prompt_with(tmp_path, FaultyDecoder(fault))
+        with pytest.raises(error) as whole:
+            _prompt_with(tmp_path, FaultyDecoder(fault), denoise=0.0)
+        assert str(kept.value) == str(whole.value)
+
+    @pytest.mark.parametrize("rate", [24000, 44100])
+    def test_too_short_a_source_reports_its_whole_duration(self, tmp_path, rate):
+        data = _m1_data(tmp_path / "out")
+        data["source"]["uri"] = f"mock://talk?duration=45&rate={rate}&seed=7"
+        data["preprocessing"] = {"segmentation": {"target_len_s": 60.0}}
+        with pytest.raises(StageError, match=r"source \(45\.0 s\) yields no full 60\.0 s segment"):
+            pipeline.prompt_stage(parse_config(data))
+
+
 class TestStreaming:
     """Packaging consumes one clip at a time; nothing upstream buffers them."""
 
@@ -644,6 +716,21 @@ class TestStreaming:
             tracemalloc.stop()
         assert summary.entries_written == 40
         assert peak - base < 4 * payload
+
+    @pytest.mark.parametrize("rate", [24000, 44100])
+    def test_prompt_stage_never_holds_the_whole_source(self, tmp_path, rate):
+        data = _m1_data(tmp_path / "out")
+        data["source"]["uri"] = f"mock://talk?duration=600&rate={rate}&seed=7"
+        config = parse_config(data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipeline.prompt_stage(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole source at 24 kHz is 57.6 MB as float32; segment 0 is 10 s of it
+        assert peak - base < 20 * 2**20
 
     def test_generation_run_loads_each_clip_after_the_last_is_transcoded(
         self, tmp_path, monkeypatch

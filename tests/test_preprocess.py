@@ -20,6 +20,7 @@ from voiceforge.preprocess import (
     TailPolicy,
     denoise,
     segment,
+    segment_bounds,
     separate_vocals,
     transcode,
 )
@@ -230,3 +231,27 @@ class TestSegmentBoundaries:
             assert pieces[-1].offset_s == offset_s + full * target_len_s
         joined = np.concatenate([p.samples for p in pieces]) if pieces else clip.samples[:0]
         assert np.array_equal(joined, clip.samples[: n if has_tail else end])  # contiguous
+
+    @BOUNDARY_SETTINGS
+    @given(
+        n=st.integers(0, 20000),
+        rate=RATES,
+        target_len_s=st.floats(0.01, 1.0),
+        tail=st.sampled_from(list(TailPolicy)),
+        data=st.data(),
+    )
+    def test_bounds_from_the_length_are_the_pieces(self, n, rate, target_len_s, tail, data):
+        step = target_len_s * rate
+        full = 0
+        while round((full + 1) * step) <= n:
+            full += 1
+        remainder = n - round(full * step)
+        # half the draws put the tail threshold exactly on the remainder
+        min_tail_s = data.draw(st.just(remainder / rate) | st.floats(0.0, target_len_s, exclude_max=True))
+        assume(min_tail_s < target_len_s)
+        policy = SegmentationPolicy(target_len_s=target_len_s, tail=tail, min_tail_s=min_tail_s)
+        # samples that are their own index (exact in float32 below 2**15)
+        clip = AudioClip(samples=np.arange(n) / 2**15, sample_rate_hz=rate)
+        pieces = segment(clip, policy)
+        spans = [(round(p.samples[0] * 2**15), round(p.samples[0] * 2**15) + p.n_samples) for p in pieces]
+        assert segment_bounds(n, rate, policy) == spans
