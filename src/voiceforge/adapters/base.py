@@ -83,6 +83,10 @@ class DecoderAdapter(Protocol):
     of blocks shaped as `decode`'s samples that hold exactly n_samples in
     all. `decode_to_audio` then resamples block by block and never holds
     the native-rate source whole. Without it, `decode` is one block.
+
+    The blocks iterator is advanced from one worker thread, in order, at
+    most `ingest.AHEAD_BLOCKS` blocks ahead of the resampler. So it must not
+    depend on the thread that called `decode_blocks`.
     """
 
     def decode(self, path: str) -> tuple[np.ndarray, int]:

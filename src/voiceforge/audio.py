@@ -9,6 +9,7 @@ metadata chunks, as long as the audio payload is 16-bit PCM.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -139,13 +140,21 @@ def resample(
     With `stop`, the output is only its first `stop` samples (all of them
     when `stop` is past the end): the windows end there, and the blocks after
     the last window are still pulled and counted, then dropped.
+
+    A stream's iterator is closed when this returns or raises, if it has `close`.
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
     if isinstance(audio, SampleBlocks):
-        out = _resample_blocks(
-            audio.sample_rate_hz, audio.n_samples, audio.blocks, target_rate_hz, stop
-        )
+        blocks = iter(audio.blocks)
+        try:
+            out = _resample_blocks(
+                audio.sample_rate_hz, audio.n_samples, blocks, target_rate_hz, stop
+            )
+        finally:
+            # a generator lets its producer go now (a decode-ahead thread, an
+            # open file), even while a traceback keeps this frame alive
+            getattr(blocks, "close", lambda: None)()
         return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
     if audio.sample_rate_hz == target_rate_hz or audio.is_empty:
         return replace(audio, samples=audio.samples[:stop], sample_rate_hz=target_rate_hz)
@@ -177,6 +186,20 @@ def join_blocks(n_samples: int, blocks: Iterable[np.ndarray], stop: int | None =
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _kaiser_taps(up: int, down: int) -> np.ndarray:
+    """resample_poly's default filter for up/down: 10*max(up, down) upsampled taps each side.
+
+    Passed as `window=`, it gives the same taps as resample_poly designs per
+    call; resample_poly copies the array before scaling it, so the cached
+    taps stay read-only and unchanged.
+    """
+    half_len = 10 * max(up, down)
+    taps = firwin(2 * half_len + 1, 1 / max(up, down), window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
+
+
 def _resample_blocks(
     rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int, stop: int | None
 ) -> np.ndarray:
@@ -188,10 +211,8 @@ def _resample_blocks(
     if stop is not None:
         n_out = min(stop, n_out)
     step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
-    # resample_poly's default filter: 10*max(up, down) upsampled taps each side.
-    # Designed once here, it gives the same taps as resample_poly designs per call.
-    half_len = 10 * max(up, down)
-    taps = firwin(2 * half_len + 1, 1 / max(up, down), window=("kaiser", 5.0))
+    taps = _kaiser_taps(up, down)
+    half_len = taps.size // 2
     reach = -(-half_len // up)
     margin = -(-reach // down) * down
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import tempfile
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +42,8 @@ from .errors import (
 CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
 DEFAULT_CACHE_DIR = "cache"
 DURATION_TOLERANCE_S = 0.1
+# Checked decoder blocks that `_ahead`'s worker may hold ready for the resampler.
+AHEAD_BLOCKS = 2
 
 
 class SourceKind(str, Enum):
@@ -178,6 +182,8 @@ def open_source(
     The decoder's blocks (`decode_blocks`, or `decode` as one block when the
     decoder has no `decode_blocks`) are downmixed and range-checked one at a
     time as they are pulled, and they must hold the reported sample count.
+    They are pulled on one worker thread, at most AHEAD_BLOCKS ahead of the
+    consumer (see `_ahead`), so decoding overlaps the resampling.
     A file whose decoded duration disagrees with the downloader's report is a
     truncated or corrupt download. It is deleted before DecodeError is
     raised: a cache hit carries no reported duration, so a rerun would
@@ -208,9 +214,51 @@ def open_source(
             stage="decode",
             source_id=where,
         )
-    return SampleBlocks(
-        native_rate, n_samples, _checked(blocks, n_samples, where), source_id_for(media.path)
-    )
+    blocks = _ahead(_checked(blocks, n_samples, where))
+    return SampleBlocks(native_rate, n_samples, blocks, source_id_for(media.path))
+
+
+def _ahead(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """`blocks` in order, pulled on one worker thread into a queue of AHEAD_BLOCKS.
+
+    The worker starts on the first pull. An exception it meets is raised here,
+    after every block before it. However the stream ends (exhausted, closed,
+    dropped, or abandoned when its consumer raised), the worker is stopped
+    and joined before this generator finishes.
+    """
+    ready: queue.Queue = queue.Queue(AHEAD_BLOCKS)
+    stop = threading.Event()
+
+    def pull() -> None:
+        # stop is checked after every put, so once it is set the worker makes
+        # at most one more put, and the consumer's drain leaves room for it
+        try:
+            for block in blocks:
+                ready.put((block, None))
+                if stop.is_set():
+                    return
+            ready.put((None, None))
+        except BaseException as exc:  # the consumer raises it
+            ready.put((None, exc))
+
+    worker = threading.Thread(target=pull, name="voiceforge-decode-ahead", daemon=True)
+    worker.start()
+    try:
+        while True:
+            block, exc = ready.get()
+            if exc is not None:
+                raise exc
+            if block is None:
+                return
+            yield block
+    finally:
+        stop.set()
+        try:
+            while True:
+                ready.get_nowait()
+        except queue.Empty:
+            pass
+        worker.join()
 
 
 def _checked(blocks: Iterable[np.ndarray], n_samples: int, where: str) -> Iterator[np.ndarray]:

@@ -1,6 +1,9 @@
-"""Shared pytest wiring: per-criterion result lines for the acceptance suite."""
+"""Shared pytest wiring: per-criterion result lines for the acceptance suite, and a
+check that no test leaves a source's decode-ahead thread running."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -34,3 +37,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for label, verdict in _ACCEPTANCE_RESULTS.items():
         terminalreporter.write_line(f"ACCEPTANCE {verdict}: {label}")
+
+
+@pytest.fixture(autouse=True)
+def _no_decode_ahead_thread_left():
+    yield
+    left = [t for t in threading.enumerate() if t.name == "voiceforge-decode-ahead"]
+    assert not left, "a decode-ahead worker outlived its test"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import struct
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from voiceforge.errors import (
     ValidationError,
 )
 from voiceforge.ingest import (
+    AHEAD_BLOCKS,
     RawMediaHandle,
     SourceKind,
     SourceSpec,
@@ -266,6 +269,130 @@ class _BlockDecoder:
 
     def decode_blocks(self, path: str):
         return self.rate, self.n_samples, iter(self.blocks)
+
+
+class _RecordingDecoder(_BlockDecoder):
+    """A _BlockDecoder that records the thread that pulls each of its blocks."""
+
+    def __init__(self, rate: int, n_samples: int, blocks: list[np.ndarray]):
+        super().__init__(rate, n_samples, blocks)
+        self.pulled_by: list[threading.Thread] = []
+
+    def decode_blocks(self, path: str):
+        rate, n_samples, blocks = super().decode_blocks(path)
+
+        def recorded():
+            for block in blocks:
+                self.pulled_by.append(threading.current_thread())
+                yield block
+
+        return rate, n_samples, recorded()
+
+
+AHEAD_WORKER = "voiceforge-decode-ahead"
+
+
+def _workers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == AHEAD_WORKER]
+
+
+def _wait_for(condition) -> None:
+    deadline = time.monotonic() + 10.0
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def _zeros(n_blocks: int) -> list[np.ndarray]:
+    return [np.zeros(400, np.float32) for _ in range(n_blocks)]
+
+
+class TestDecodeAhead:
+    """open_source's blocks are pulled on one worker thread that never outlives them."""
+
+    def test_blocks_are_pulled_off_the_calling_thread(self, tmp_path):
+        decoder = _RecordingDecoder(16000, 4000, _zeros(10))
+        decode_to_audio(_stub(tmp_path), 8000, decoder)
+        assert len(decoder.pulled_by) == 10
+        assert len(set(decoder.pulled_by)) == 1
+        assert decoder.pulled_by[0].name == AHEAD_WORKER
+        assert decoder.pulled_by[0] is not threading.current_thread()
+
+    def test_the_decoder_runs_at_most_ahead_blocks_ahead(self, tmp_path):
+        decoder = _RecordingDecoder(8000, 400 * 12, _zeros(12))
+        consumed = 0
+        for _ in open_source(_stub(tmp_path), 8000, decoder).blocks:
+            consumed += 1
+            # one block blocked on the full queue, AHEAD_BLOCKS in it
+            bound = min(12, consumed + AHEAD_BLOCKS + 1)
+            _wait_for(lambda: len(decoder.pulled_by) >= bound)
+            time.sleep(0.005)  # room for the worker to overrun, if it could
+            assert len(decoder.pulled_by) == bound
+        assert consumed == 12
+
+    def test_an_unread_source_starts_no_thread(self, tmp_path):
+        decoder = _RecordingDecoder(16000, 4000, _zeros(10))
+        before = threading.enumerate()
+        source = open_source(_stub(tmp_path), 8000, decoder)
+        assert threading.enumerate() == before
+        del source
+        assert threading.enumerate() == before
+        assert decoder.pulled_by == []
+
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "dropped", "consumer raised"])
+    def test_no_worker_outlives_the_stream(self, tmp_path, monkeypatch, end):
+        decoder = _RecordingDecoder(16000, 400 * 20, _zeros(20))
+        source = open_source(_stub(tmp_path), 8000, decoder)
+        if end == "exhausted":
+            assert len(list(source.blocks)) == 20
+        elif end in ("closed", "dropped"):
+            blocks = source.blocks
+            next(blocks)
+            # the worker is blocked putting a block into the full queue
+            _wait_for(lambda: len(decoder.pulled_by) == AHEAD_BLOCKS + 2)
+            assert len(_workers()) == 1
+            if end == "closed":
+                blocks.close()
+            else:
+                del source, blocks
+        else:
+            real = audio.resample_poly
+            calls = []
+
+            def second_window_fails(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError("consumer failed")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 400)
+            monkeypatch.setattr(audio, "resample_poly", second_window_fails)
+            # `info` keeps the traceback, and with it the stream, alive below
+            with pytest.raises(RuntimeError, match="consumer failed") as info:
+                resample(source, 8000)
+        assert decoder.pulled_by
+        assert not _workers()
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_a_decoder_fault_is_the_same_decode_error_after_every_block_before_it(self, tmp_path, k):
+        def faulty():
+            for i in range(10):
+                if i == k:
+                    raise RuntimeError("disk gone")
+                yield np.zeros(400, np.float32)
+
+        where = tmp_path / "media.bin"
+        expected = f"[decode] cannot decode {where}: disk gone (source {where})"
+        with pytest.raises(DecodeError) as info:
+            decode_to_audio(_stub(tmp_path), 8000, _BlockDecoder(16000, 4000, faulty()))
+        assert str(info.value) == expected
+        assert isinstance(info.value.__cause__, RuntimeError)
+        got = []
+        with pytest.raises(DecodeError) as info:
+            for block in open_source(_stub(tmp_path), 8000, _BlockDecoder(16000, 4000, faulty())).blocks:
+                got.append(block)
+        assert str(info.value) == expected
+        assert len(got) == k
 
 
 class _WholeDecoder:
