@@ -179,14 +179,23 @@ class VcAdapter(Protocol):
 @runtime_checkable
 class AsrAdapter(Protocol):
     def transcribe(self, samples: np.ndarray, rate: int, config: "AsrConfig") -> list:
-        """Return TranscriptSegment-compatible (start_s, end_s, text) items."""
+        """Return TranscriptSegment-compatible (start_s, end_s, text) items.
+
+        LJ prep calls it once per window of the source, each cut inside a
+        silence, so the timestamps are relative to the window's start.
+        """
         ...
 
 
 @runtime_checkable
 class DiarizationAdapter(Protocol):
     def diarize(self, samples: np.ndarray, rate: int) -> list:
-        """Return SpeakerTurn-compatible (start_s, end_s, speaker_label) items."""
+        """Return SpeakerTurn-compatible (start_s, end_s, speaker_label) items.
+
+        LJ prep calls it once per window of the source, each cut inside a
+        silence: the timestamps are relative to the window's start, and the
+        labels are local to the window.
+        """
         ...
 
 

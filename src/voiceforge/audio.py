@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import struct
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +30,7 @@ PCM16_SCALE = 32767
 MIN_SAMPLE_RATE_HZ = 8000
 MAX_SAMPLE_RATE_HZ = 48000
 
-# Output samples per resample_poly call in `resample` (rounded down to a multiple of `up`).
+# Output samples per resample_poly call in `resampled_pieces` (rounded down to a multiple of `up`).
 RESAMPLE_BLOCK = 1 << 18
 # Samples per float64 block in `quantize_pcm16`.
 QUANTIZE_BLOCK = 1 << 15
@@ -126,42 +126,25 @@ def resample(
 ) -> AudioClip:
     """Polyphase resample a clip, or a stream of blocks, to target_rate_hz.
 
-    A clip already at the target rate passes through bit-exact, and a stream
-    at the target rate is copied block by block into one output array.
-    Otherwise the output is filled one block of about RESAMPLE_BLOCK samples
-    at a time, each from a float64 copy of only the input window it needs.
-    Each window starts at a multiple of `down` and carries a margin of whole
-    multiples of `down` beyond the filter's half-length, so every kept sample
-    is computed exactly as a single call over the whole input would compute
-    it, however the input is split into blocks. A block is let go once every
-    window that reads it is done, so a stream's memory stays near the
-    float32 output plus a few blocks.
-
-    With `stop`, the output is only its first `stop` samples (all of them
-    when `stop` is past the end): the windows end there, and the blocks after
-    the last window are still pulled and counted, then dropped.
-
-    A stream's iterator is closed when this returns or raises, if it has `close`.
+    A clip already at the target rate passes through bit-exact. Otherwise
+    `join_blocks` casts the pieces of `resampled_pieces` one after another
+    into one float32 output array, so a stream's memory stays near that
+    output plus a few blocks. With `stop`, the output is only its first
+    `stop` samples (all of them when `stop` is past the end).
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
-    if isinstance(audio, SampleBlocks):
-        blocks = iter(audio.blocks)
-        try:
-            out = _resample_blocks(
-                audio.sample_rate_hz, audio.n_samples, blocks, target_rate_hz, stop
-            )
-        finally:
-            # a generator lets its producer go now (a decode-ahead thread, an
-            # open file), even while a traceback keeps this frame alive
-            getattr(blocks, "close", lambda: None)()
-        return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
-    if audio.sample_rate_hz == target_rate_hz or audio.is_empty:
-        return replace(audio, samples=audio.samples[:stop], sample_rate_hz=target_rate_hz)
-    out = _resample_blocks(
-        audio.sample_rate_hz, audio.n_samples, [audio.samples], target_rate_hz, stop
-    )
-    return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
+    stream = audio
+    if isinstance(audio, AudioClip):
+        if audio.sample_rate_hz == target_rate_hz or audio.is_empty:
+            return replace(audio, samples=audio.samples[:stop], sample_rate_hz=target_rate_hz)
+        stream = SampleBlocks(audio.sample_rate_hz, audio.n_samples, [audio.samples])
+    n_out = resampled_length(stream.n_samples, stream.sample_rate_hz, target_rate_hz)
+    n_out = n_out if stop is None else min(stop, n_out)
+    out = join_blocks(n_out, resampled_pieces(stream, target_rate_hz, stop))
+    if isinstance(audio, AudioClip):
+        return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
+    return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
 
 
 def resampled_length(n_samples: int, rate_hz: int, target_rate_hz: int) -> int:
@@ -181,6 +164,7 @@ def join_blocks(n_samples: int, blocks: Iterable[np.ndarray], stop: int | None =
         if got < keep:
             out[got : got + block.size] = block[: keep - got]
         got += block.size
+        del block  # let it go before the next one is made
     if got != n_samples:
         raise ValidationError(f"expected {n_samples} input samples, the blocks held {got}")
     return out
@@ -200,16 +184,51 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
     return taps
 
 
-def _resample_blocks(
-    rate_hz: int, n_in: int, blocks: Iterable[np.ndarray], target_rate_hz: int, stop: int | None
-) -> np.ndarray:
-    if rate_hz == target_rate_hz:
-        return join_blocks(n_in, blocks, stop)
-    g = math.gcd(rate_hz, target_rate_hz)
-    up, down = target_rate_hz // g, rate_hz // g
+def resampled_pieces(
+    audio: SampleBlocks, target_rate_hz: int, stop: int | None = None
+) -> Iterator[np.ndarray]:
+    """`resample`'s output as consecutive pieces, each made as soon as its input has arrived.
+
+    At the target rate a piece is one of the stream's blocks. Otherwise it is
+    a clipped float64 array of about RESAMPLE_BLOCK samples, which the caller
+    casts into a float32 buffer of its own. It is computed from a float64 copy
+    of only the input window it needs: each window starts at a multiple of
+    `down` and carries a margin of whole multiples of `down` beyond the
+    filter's half-length, so every sample is computed exactly as one call over
+    the whole input would compute it, however the input is split into blocks.
+    A block is let go once every window that reads it is done.
+
+    With `stop`, the pieces end after `stop` samples; the later blocks are
+    still pulled and counted. The stream's iterator is closed when this ends
+    or raises, if it has `close`, so a producer (a decode-ahead thread, an
+    open file) is let go even while a traceback keeps the caller alive.
+    """
+    rate_hz, n_in = audio.sample_rate_hz, audio.n_samples
     n_out = resampled_length(n_in, rate_hz, target_rate_hz)
     if stop is not None:
         n_out = min(stop, n_out)
+    blocks = iter(audio.blocks)
+    try:
+        if rate_hz == target_rate_hz:
+            got = 0
+            for block in blocks:
+                if got < n_out:
+                    yield block[: n_out - got]
+                got += block.size
+        else:
+            got = yield from _polyphase(rate_hz, n_in, n_out, blocks, target_rate_hz)
+        if got != n_in:
+            raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
+    finally:
+        getattr(blocks, "close", lambda: None)()
+
+
+def _polyphase(
+    rate_hz: int, n_in: int, n_out: int, blocks: Iterator[np.ndarray], target_rate_hz: int
+) -> Generator[np.ndarray, None, int]:
+    """The pieces of `resampled_pieces` off the target rate; returns the input samples pulled."""
+    g = math.gcd(rate_hz, target_rate_hz)
+    up, down = target_rate_hz // g, rate_hz // g
     step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
     taps = _kaiser_taps(up, down)
     half_len = taps.size // 2
@@ -217,19 +236,18 @@ def _resample_blocks(
     margin = -(-reach // down) * down
 
     def window(j0: int) -> tuple[int, int, int]:
-        """Output block [j0, j1) and the input window [lo, hi) it is computed from."""
+        """Output piece [j0, j1) and the input window [lo, hi) it is computed from."""
         j1 = min(j0 + step, n_out)
         return j1, max(0, j0 // up * down - margin), min(n_in, -(-j1 * down // up) + margin)
 
-    out = np.empty(n_out, dtype=np.float32)
     pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
     base = 0
     # one float64 buffer serves every window: a fresh one per window, allocated
     # between the decoder's blocks, costs a page fault per 4 KiB
     window_buf = np.empty(min(n_in, step // up * down + 2 * margin), dtype=np.float64)
 
-    def fill(j0: int, j1: int, lo: int, hi: int) -> None:
-        """out[j0:j1] from a float64 copy of the input [lo, hi), gathered from `pieces`."""
+    def filtered(j0: int, j1: int, lo: int, hi: int) -> np.ndarray:
+        """Output [j0, j1) from a float64 copy of the input [lo, hi), gathered from `pieces`."""
         x = window_buf[: hi - lo]
         start = base
         for piece in pieces:
@@ -239,8 +257,7 @@ def _resample_blocks(
             start += piece.size
         y = resample_poly(x, up, down, window=taps)[j0 - lo // down * up : j1 - lo // down * up]
         # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
-        np.clip(y, -1.0, 1.0, out=y)
-        out[j0:j1] = y
+        return np.clip(y, -1.0, 1.0, out=y)
 
     got = 0  # input samples received so far
     j0 = 0
@@ -252,14 +269,12 @@ def _resample_blocks(
             continue
         pieces.append(chunk)
         while j0 < n_out and hi <= got:
-            fill(j0, j1, lo, hi)
+            yield filtered(j0, j1, lo, hi)
             j0 = j1
             j1, lo, hi = window(j0)
             while pieces and base + pieces[0].size <= lo:  # no later window reads it
                 base += pieces.pop(0).size
-    if got != n_in:
-        raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
-    return out
+    return got
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ place that tells them apart:
 - clone (`bark_prompt`): acquire -> decode at the codec's rate -> optional
   passes -> segment -> speaker prompt -> batch synthesis -> Common Voice or LJ.
 - LJ prep (`rvc_convert` without `model_ref`): acquire -> decode at the
-  training rate -> optional passes -> diarize, transcribe and slice -> an LJ
-  training corpus plus the trainer's config.
+  training rate -> optional passes -> windows cut at silences -> diarize,
+  transcribe and slice each window -> an LJ training corpus plus the
+  trainer's config.
 - conversion (`rvc_convert` with `model_ref`): read `conversion.input_corpus`
   and convert each clip -> always Common Voice.
 
@@ -24,12 +25,15 @@ from __future__ import annotations
 import os
 import shutil
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import ingest
 from .adapters import AdapterRegistry, AdapterRole, default_registry
-from .audio import AudioClip, resampled_length, save_wav
+from .audio import AudioClip, SampleBlocks, resampled_length, resampled_pieces, save_wav
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
@@ -57,7 +61,7 @@ from .preprocess import (
     separate_vocals,
     transcode,
 )
-from .quality import ClipConstraints, Issue, QualityReport, Severity, validate_clip
+from .quality import SILENCE_EPS, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
 from .voiceprompt import (
@@ -70,9 +74,14 @@ from .voiceprompt import (
 
 PROMPT_N_COARSE = 2
 MULTI_SPEAKER_WARN_FRACTION = 0.1
+# LJ prep diarizes and transcribes windows of at least WINDOW_S seconds, each
+# cut inside at least CUT_SILENCE_S seconds below SILENCE_EPS. That is the gap
+# the mock ASR merges speech over, so a cut moves no span and changes no text.
+WINDOW_S = 30
+CUT_SILENCE_S = 0.3
 
 Adapters = dict[AdapterRole, object]
-Candidates = Iterable[tuple[CorpusEntry, AudioClip]]
+Candidates = Iterator[tuple[CorpusEntry, AudioClip]]
 
 
 @dataclass
@@ -96,10 +105,10 @@ class Job:
 
     A rate is the named adapter's `native_rate_hz`, or the training rate for
     None. `produce` works up to the first clip, then yields `_package`'s
-    candidates one at a time; `finish` adds the job's metrics, files and
-    messages to staging. Both look each stage up in this module's globals
-    when they run, so a stage patched on the module (as perfbench's tracer
-    does) is the one called.
+    candidates one at a time, and `run` closes them however packaging ends;
+    `finish` adds the job's metrics, files and messages to staging. Both look
+    each stage up in this module's globals when they run, so a stage patched
+    on the module (as perfbench's tracer does) is the one called.
     """
 
     roles: tuple[AdapterRole, ...]
@@ -276,31 +285,38 @@ def _numbered(
         ), clip
 
 
+def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[SampleBlocks, int]:
+    """The acquired source as a stream of blocks, and the rate the job decodes it at.
+
+    Without the optional passes it is the decoder's stream at its native rate.
+    The passes take the whole source (stem separation may change its length),
+    so with either one the source is decoded and passed whole, and the stream
+    is that array as one block at the job's rate.
+    """
+    pp = config.preprocessing
+    if pp.denoise_strength is None and pp.stems is None:
+        handle, rate_hz = _acquire(config, adapters, work)
+        return ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER]), rate_hz
+    clip = _acquire_decoded(config, adapters, work)
+    blocks = SampleBlocks(clip.sample_rate_hz, clip.n_samples, [clip.samples], clip.source_id)
+    return blocks, clip.sample_rate_hz
+
+
 def _first_segment(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[AudioClip, int]:
     """The source's first segment at the job's rate, and how many segments the source has.
 
-    Without the optional passes only that segment is resampled and kept:
-    every decoder block is still pulled and checked, and the count comes from
-    the source's length. The passes take the whole source (stem separation
-    may change its length), so with either one the whole source is decoded.
+    Only that segment is resampled and kept: every decoder block is still
+    pulled and checked, and the count comes from the source's length.
     """
-    pp = config.preprocessing
-    policy = pp.segmentation
-    if pp.denoise_strength is None and pp.stems is None:
-        handle, rate_hz = _acquire(config, adapters, work)
-        source = ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER])
-        n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
-        bounds = segment_bounds(n, rate_hz, policy)
-        # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
-        clip = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
-    else:
-        clip = _acquire_decoded(config, adapters, work)
-        n = clip.n_samples
-        bounds = segment_bounds(n, clip.sample_rate_hz, policy)
+    policy = config.preprocessing.segmentation
+    source, rate_hz = _source(config, adapters, work)
+    n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
+    bounds = segment_bounds(n, rate_hz, policy)
+    # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
+    clip = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
     if not bounds:
         raise StageError(
-            f"source ({n / clip.sample_rate_hz:.1f} s) yields no full "
-            f"{policy.target_len_s} s segment",
+            f"source ({n / rate_hz:.1f} s) yields no full {policy.target_len_s} s segment",
             stage="segment",
             source_id=clip.source_id,
         )
@@ -373,26 +389,85 @@ def _clone_finish(
 def _lj_prep(
     config: PipelineConfig, adapters: Adapters, summary: RunSummary, resume: bool
 ) -> Candidates:
-    """Diarize, transcribe and slice the source into (transcript, clip) candidates."""
-    source_clip = _acquire_decoded(config, adapters, work_dir_for(config.output.root))
-    turns = diarize(source_clip, adapters[AdapterRole.DIARIZATION])
-    minority = minority_speaker_fraction(turns)
-    if minority > MULTI_SPEAKER_WARN_FRACTION:
-        summary.messages.append(
-            f"diarization found {minority:.0%} of speech from non-dominant speakers; "
-            "the training set assumes one voice"
-        )
-    segments = transcribe(source_clip, config.asr, adapters[AdapterRole.ASR])
-    pairs = slice_by_segments(source_clip, segments)
-    summary.clips_in = len(pairs)
-    if not pairs:
-        raise StageError(
-            "transcription produced no speech segments",
-            stage="transcribe",
-            source_id=source_clip.source_id,
-        )
-    source_id = source_clip.source_id
-    return _numbered(config, source_id, source_id, ((text, clip) for clip, text in pairs))
+    """Diarize, transcribe and slice the source into (transcript, clip) candidates.
+
+    The source streams through one window at a time (see `_windows`), so
+    memory holds about one window plus a few blocks. The adapters see each
+    window on its own: their timestamps are window-local, and so are the
+    diarizer's labels. `clips_in`, the multi-speaker warning and the "no
+    speech" error come at the end of the stream.
+    """
+    source, rate_hz = _source(config, adapters, work_dir_for(config.output.root))
+
+    def pairs() -> Iterator[tuple[str, AudioClip]]:
+        spoken_s = minority_s = 0.0
+        for window in _windows(resampled_pieces(source, rate_hz), rate_hz, source.source_id):
+            turns = diarize(window, adapters[AdapterRole.DIARIZATION])
+            spoken = sum(turn.end_s - turn.start_s for turn in turns)
+            spoken_s += spoken
+            minority_s += minority_speaker_fraction(turns) * spoken
+            segments = transcribe(window, config.asr, adapters[AdapterRole.ASR])
+            sliced = slice_by_segments(window, segments)
+            summary.clips_in += len(sliced)
+            yield from ((text, clip) for clip, text in sliced)
+        # the minority share of each window, weighted by the window's diarized speech
+        if spoken_s and minority_s / spoken_s > MULTI_SPEAKER_WARN_FRACTION:
+            summary.messages.append(
+                f"diarization found {minority_s / spoken_s:.0%} of speech from non-dominant "
+                "speakers; the training set assumes one voice"
+            )
+        if not summary.clips_in:
+            raise StageError(
+                "transcription produced no speech segments",
+                stage="transcribe",
+                source_id=source.source_id,
+            )
+
+    return _numbered(config, source.source_id, source.source_id, pairs())
+
+
+def _windows(pieces: Iterable[np.ndarray], rate_hz: int, source_id: str) -> Iterator[AudioClip]:
+    """The samples of consecutive pieces as consecutive windows, each cut inside a silence.
+
+    A window closes at its first sample c at or after WINDOW_S s such that
+    the CUT_SILENCE_S s before c are all below SILENCE_EPS (after the cast to
+    float32, as the adapters see them). Without such a silence the window
+    grows to the source's end. Each window is a fresh float32 buffer that the
+    pieces are cast into once; its `offset_s` is its first sample's index
+    over the rate.
+    """
+    least, quiet = int(WINDOW_S * rate_hz), int(CUT_SILENCE_S * rate_hz)
+    buf = np.empty(2 * least, dtype=np.float32)
+    n = start = 0  # samples in the window so far, and the window's first sample
+    quiet_from = 0  # where the silence that ends the window began
+    for piece in pieces:
+        # a part holds at most one cut: what follows a cut is shorter than `least`
+        for k in range(0, piece.size, least):
+            part = piece[k : k + least]
+            end = n + part.size
+            if end > buf.size:  # no silence to cut at yet
+                grown = np.empty(2 * end, dtype=np.float32)
+                grown[:n] = buf[:n]
+                buf = grown
+            buf[n:end] = part
+            silent = np.abs(buf[n:end]) < SILENCE_EPS
+            edges = np.diff(silent.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+            runs, run_ends = n + np.flatnonzero(edges == 1), n + np.flatnonzero(edges == -1)
+            if runs.size and runs[0] == n:
+                runs[0] = quiet_from  # the silence goes on from the previous part
+            cuts = np.maximum(runs + quiet, least)
+            cut = np.flatnonzero(cuts <= run_ends)
+            quiet_from = int(runs[-1]) if silent[-1] else end
+            n = end
+            if cut.size:
+                c = int(cuts[cut[0]])
+                yield AudioClip(buf[:c], rate_hz, source_id, offset_s=start / rate_hz)
+                rest = buf[c:end]
+                buf = np.empty(2 * least, dtype=np.float32)
+                buf[: rest.size] = rest
+                n, start, quiet_from = end - c, start + c, max(quiet_from, c) - c
+    if n:
+        yield AudioClip(buf[:n], rate_hz, source_id, offset_s=start / rate_hz)
 
 
 def _lj_prep_finish(
@@ -524,7 +599,8 @@ def run(
     adapters = resolve_adapters(config, registry or default_registry())
     summary = RunSummary(methodology=config.methodology.value, output_root=config.output.root)
     candidates = job.produce(config, adapters, summary, resume)
-    with publishing(config.output.root) as staging:
+    # closed on a fault too, so a streaming source lets its decoder go at once
+    with closing(candidates), publishing(config.output.root) as staging:
         durations = _package(config, adapters, candidates, summary, staging)
         job.finish(config, summary, durations, staging)
         summary.quality.save(staging / QUALITY_REPORT_NAME)

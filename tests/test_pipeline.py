@@ -868,10 +868,21 @@ class TestPublish:
 
 
 class PipedAsr(MockAsrAdapter):
-    """Mock ASR whose first transcript holds LJ's '|' delimiter."""
+    """Mock ASR whose first transcript of the run holds LJ's '|' delimiter.
+
+    LJ prep calls it once per window, so only the first call that returns
+    segments pipes one.
+    """
+
+    def __init__(self):
+        self.piped = False
 
     def transcribe(self, samples, rate, config):
-        first, *rest = super().transcribe(samples, rate, config)
+        segments = super().transcribe(samples, rate, config)
+        if self.piped or not segments:
+            return segments
+        self.piped = True
+        first, *rest = segments
         return [replace(first, text=first.text + " | दो"), *rest]
 
 
