@@ -21,7 +21,7 @@ import numpy as np
 
 from ..audio import AudioClip, dequantize_pcm16, join_blocks, quantize_pcm16
 from ..errors import ConfigurationError, FormatError
-from ..quality import SILENCE_EPS
+from ..quality import SILENCE_EPS, SPEECH_GAP_S
 from .base import DownloadResult
 from .builtin import WavFileDecoder, WavTranscodeAdapter
 
@@ -114,14 +114,14 @@ SPAN_BLOCK = 1 << 18
 
 
 def _voiced_spans(samples: np.ndarray, rate: int) -> list[tuple[int, int]]:
-    """Sample-index spans of non-silent audio, merged over gaps < 0.3 s.
+    """Sample-index spans of non-silent audio, merged over gaps < SPEECH_GAP_S.
 
     Two voiced samples i < j with no voiced sample between them fall into
-    one span when j - i <= int(0.3 * rate). The scan runs over SPAN_BLOCK
+    one span when j - i <= int(SPEECH_GAP_S * rate). The scan runs over SPAN_BLOCK
     samples at a time, carrying a voiced run and a span open at a block's
     end into the next block.
     """
-    gap = int(0.3 * rate)
+    gap = int(SPEECH_GAP_S * rate)
     spans: list[tuple[int, int]] = []
     span_start = last_end = None  # the open span, and the end of its last voiced run
     run_start = None  # a voiced run still open at the end of the previous block

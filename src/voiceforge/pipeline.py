@@ -61,7 +61,7 @@ from .preprocess import (
     separate_vocals,
     transcode,
 )
-from .quality import SILENCE_EPS, ClipConstraints, Issue, QualityReport, Severity, validate_clip
+from .quality import SILENCE_EPS, SPEECH_GAP_S, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
 from .voiceprompt import (
@@ -75,10 +75,8 @@ from .voiceprompt import (
 PROMPT_N_COARSE = 2
 MULTI_SPEAKER_WARN_FRACTION = 0.1
 # LJ prep diarizes and transcribes windows of at least WINDOW_S seconds, each
-# cut inside at least CUT_SILENCE_S seconds below SILENCE_EPS. That is the gap
-# the mock ASR merges speech over, so a cut moves no span and changes no text.
+# cut inside at least SPEECH_GAP_S seconds below SILENCE_EPS.
 WINDOW_S = 30
-CUT_SILENCE_S = 0.3
 
 Adapters = dict[AdapterRole, object]
 Candidates = Iterator[tuple[CorpusEntry, AudioClip]]
@@ -392,7 +390,9 @@ def _lj_prep(
     """Diarize, transcribe and slice the source into (transcript, clip) candidates.
 
     The source streams through one window at a time (see `_windows`), so
-    memory holds about one window plus a few blocks. The adapters see each
+    memory holds about one window plus a few blocks where the source has
+    digital silence to cut at; a source without it (a noise floor above
+    about -80 dBFS) is one window, held whole. The adapters see each
     window on its own: their timestamps are window-local, and so are the
     diarizer's labels. `clips_in`, the multi-speaker warning and the "no
     speech" error come at the end of the stream.
@@ -401,7 +401,9 @@ def _lj_prep(
 
     def pairs() -> Iterator[tuple[str, AudioClip]]:
         spoken_s = minority_s = 0.0
-        for window in _windows(resampled_pieces(source, rate_hz), rate_hz, source.source_id):
+        n_out = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
+        pieces = resampled_pieces(source, rate_hz)
+        for window in _windows(pieces, n_out, rate_hz, source.source_id):
             turns = diarize(window, adapters[AdapterRole.DIARIZATION])
             spoken = sum(turn.end_s - turn.start_s for turn in turns)
             spoken_s += spoken
@@ -426,19 +428,21 @@ def _lj_prep(
     return _numbered(config, source.source_id, source.source_id, pairs())
 
 
-def _windows(pieces: Iterable[np.ndarray], rate_hz: int, source_id: str) -> Iterator[AudioClip]:
-    """The samples of consecutive pieces as consecutive windows, each cut inside a silence.
+def _windows(
+    pieces: Iterable[np.ndarray], n_out: int, rate_hz: int, source_id: str
+) -> Iterator[AudioClip]:
+    """The `n_out` samples of consecutive pieces as consecutive windows, each cut inside a silence.
 
     A window closes at its first sample c at or after WINDOW_S s such that
-    the CUT_SILENCE_S s before c are all below SILENCE_EPS (after the cast to
-    float32, as the adapters see them). Without such a silence the window
-    grows to the source's end. Each window is a fresh float32 buffer that the
-    pieces are cast into once; its `offset_s` is its first sample's index
-    over the rate.
+    the SPEECH_GAP_S s before c are all below SILENCE_EPS (after the cast to
+    float32, as the adapters see them). Each window is a fresh float32 buffer
+    that the pieces are cast into once; its `offset_s` is its first sample's
+    index over the rate. A window that finds no such silence in its first
+    2 * WINDOW_S s is moved once into a buffer for the rest of the source.
     """
-    least, quiet = int(WINDOW_S * rate_hz), int(CUT_SILENCE_S * rate_hz)
-    buf = np.empty(2 * least, dtype=np.float32)
-    n = start = 0  # samples in the window so far, and the window's first sample
+    least, quiet = int(WINDOW_S * rate_hz), int(SPEECH_GAP_S * rate_hz)
+    start = n = 0  # the window's first sample in the source, and its samples so far
+    buf = np.empty(min(2 * least, n_out), dtype=np.float32)
     quiet_from = 0  # where the silence that ends the window began
     for piece in pieces:
         # a part holds at most one cut: what follows a cut is shorter than `least`
@@ -446,7 +450,7 @@ def _windows(pieces: Iterable[np.ndarray], rate_hz: int, source_id: str) -> Iter
             part = piece[k : k + least]
             end = n + part.size
             if end > buf.size:  # no silence to cut at yet
-                grown = np.empty(2 * end, dtype=np.float32)
+                grown = np.empty(n_out - start, dtype=np.float32)
                 grown[:n] = buf[:n]
                 buf = grown
             buf[n:end] = part
@@ -463,9 +467,10 @@ def _windows(pieces: Iterable[np.ndarray], rate_hz: int, source_id: str) -> Iter
                 c = int(cuts[cut[0]])
                 yield AudioClip(buf[:c], rate_hz, source_id, offset_s=start / rate_hz)
                 rest = buf[c:end]
-                buf = np.empty(2 * least, dtype=np.float32)
+                start += c
+                buf = np.empty(min(2 * least, n_out - start), dtype=np.float32)
                 buf[: rest.size] = rest
-                n, start, quiet_from = end - c, start + c, max(quiet_from, c) - c
+                n, quiet_from = end - c, max(quiet_from, c) - c
     if n:
         yield AudioClip(buf[:n], rate_hz, source_id, offset_s=start / rate_hz)
 

@@ -15,6 +15,10 @@ from .audio import AudioClip
 from .errors import ValidationError
 
 SILENCE_EPS = 1e-4
+# Voiced samples less than SPEECH_GAP_S apart belong to one utterance: the mock
+# ASR merges speech over shorter silences, and LJ prep cuts its windows only
+# inside a silence at least this long, so a cut splits no utterance.
+SPEECH_GAP_S = 0.3
 
 
 class Severity(str, Enum):

@@ -21,13 +21,15 @@ from voiceforge.config import parse_config
 from voiceforge.corpus import work_dir_for
 from voiceforge.ingest import decode_to_audio
 from voiceforge.quality import SILENCE_EPS
-from voiceforge.transcribe import slice_by_segments, transcribe
+from voiceforge.transcribe import diarize, slice_by_segments, transcribe
 
 from test_pipeline import FaultyDecoder
 
 # the gaps (s) between the speech runs of a generated WAV source: both sides of
-# the mock ASR's 0.3 s merge gap, and only below it
+# SPEECH_GAP_S (0.3 s), and only below it
 WIDE_GAPS, SHORT_GAPS = (0.05, 0.8), (0.2, 0.3)
+# the standard deviation of a noise floor at -60 dBFS: no run of 0.3 s stays below SILENCE_EPS
+FLOOR = 1e-3
 
 
 @pytest.fixture(autouse=True)
@@ -46,8 +48,10 @@ def _config(root: Path, uri: str, decoder: str = "mock", **adapters):
     )
 
 
-def _gappy_wav(path: Path, rate: int, seed: int, duration_s: float, gaps: tuple) -> Path:
-    """Harmonic speech runs of 0.5-3 s with digital silence of `gaps` seconds between them."""
+def _gappy_wav(
+    path: Path, rate: int, seed: int, duration_s: float, gaps: tuple, floor: float = 0.0
+) -> Path:
+    """Harmonic speech runs of 0.5-3 s, `gaps` seconds apart, over noise of deviation `floor`."""
     rng = np.random.default_rng(seed)
     samples = np.zeros(int(duration_s * rate), dtype=np.float32)
     pos = 0
@@ -56,6 +60,7 @@ def _gappy_wav(path: Path, rate: int, seed: int, duration_s: float, gaps: tuple)
         w = 2 * np.pi * rng.uniform(90.0, 220.0) * t
         samples[pos : pos + t.size] = 0.4 * np.sin(w + 0.5) + 0.1 * np.sin(3 * w)
         pos += t.size + int(rng.uniform(*gaps) * rate)
+    samples += rng.normal(0.0, floor, samples.size).astype(np.float32) if floor else 0.0
     save_wav(AudioClip(samples=samples, sample_rate_hz=rate), path)
     return path
 
@@ -63,8 +68,10 @@ def _gappy_wav(path: Path, rate: int, seed: int, duration_s: float, gaps: tuple)
 def _source_config(tmp: Path, kind: str, rate: int, seed: int, duration_s: float):
     if kind == "mock":
         return _config(tmp / "out", f"mock://talk?duration={duration_s}&rate={rate}&seed={seed}")
-    gaps = WIDE_GAPS if kind == "wav" else SHORT_GAPS
-    return _config(tmp / "out", str(_gappy_wav(tmp / "a.wav", rate, seed, duration_s, gaps)), "wav")
+    gaps = SHORT_GAPS if kind == "short-gaps" else WIDE_GAPS
+    floor = FLOOR if kind == "noise-floor" else 0.0
+    wav = _gappy_wav(tmp / "a.wav", rate, seed, duration_s, gaps, floor)
+    return _config(tmp / "out", str(wav), "wav")
 
 
 def _windowed(config, registry=None):
@@ -87,7 +94,7 @@ def _whole(config):
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kind=st.sampled_from(["mock", "wav", "short-gaps"]),
+    kind=st.sampled_from(["mock", "wav", "short-gaps", "noise-floor"]),
     rate=st.sampled_from([44100, 32000]),
     seed=st.integers(0, 2**16),
     duration_s=st.floats(31.0, 80.0),
@@ -114,23 +121,28 @@ def test_a_source_that_ends_mid_utterance(tmp_path, rate):
 
 
 def test_a_cut_in_a_silence_shorter_than_the_merge_gap_would_split_a_span(tmp_path, monkeypatch):
-    """Why CUT_SILENCE_S is the mock ASR's merge gap, not less."""
+    """Why windows are cut only in a silence of SPEECH_GAP_S, the mock ASR's merge gap."""
     config = _source_config(tmp_path, "short-gaps", 32000, 1, 45.0)
     whole, _ = _whole(config)
     assert _windowed(config)[0] == whole
-    monkeypatch.setattr(pipeline, "CUT_SILENCE_S", 0.2)
+    monkeypatch.setattr(pipeline, "SPEECH_GAP_S", 0.2)  # the cutter's name only, not the mock's
     assert _windowed(config)[0] != whole
+
+
+def _peak(work) -> int:
+    """The most memory that `work()` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _lj_peak(root: Path, duration_s: int) -> int:
     config = _config(root, f"mock://talk?duration={duration_s}&rate=44100&seed=5")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        pipeline.run(config)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return _peak(lambda: pipeline.run(config))
 
 
 def test_lj_prep_memory_does_not_grow_with_the_source(tmp_path):
@@ -138,6 +150,35 @@ def test_lj_prep_memory_does_not_grow_with_the_source(tmp_path):
     short = _lj_peak(tmp_path / "short", 60)
     long = _lj_peak(tmp_path / "long", 240)
     assert long - short < 10 * 2**20, (short, long)
+
+
+def test_a_source_without_digital_silence_costs_no_more_than_holding_it_whole(tmp_path):
+    """A noise floor leaves no silence to cut at: LJ prep is then one window of the whole source.
+
+    Its peak stays within 1 MiB of the whole-source path (decode, then one
+    diarize, transcribe and slice), though the window outgrows its
+    first buffer: it is moved once into one for the rest of the source, not
+    doubled as it grows. 140 s is just past a doubling (about 130 s), where a
+    doubled buffer would peak at about 390 s of samples, against 280 s.
+    """
+    config = _source_config(tmp_path, "noise-floor", 32000, 3, 140.0)
+    adapters = pipeline.resolve_adapters(config, default_registry())
+    summary = pipeline.RunSummary(methodology="rvc_convert", output_root=config.output.root)
+
+    def windowed():
+        for _ in pipeline._lj_prep(config, adapters, summary, False):
+            pass
+
+    def whole():
+        clip = pipeline._acquire_decoded(config, adapters, work_dir_for(config.output.root))
+        diarize(clip, adapters[AdapterRole.DIARIZATION])
+        for _ in slice_by_segments(clip, transcribe(clip, config.asr, adapters[AdapterRole.ASR])):
+            pass
+
+    whole_peak = _peak(whole)
+    windowed_peak = _peak(windowed)
+    assert summary.clips_in == 1  # one span, so one window
+    assert windowed_peak <= whole_peak + 2**20, (windowed_peak, whole_peak)
 
 
 class CountingAsr(MockAsrAdapter):
