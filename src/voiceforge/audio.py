@@ -122,7 +122,10 @@ def downmix_mean(channels: np.ndarray) -> np.ndarray:
 
 
 def resample(
-    audio: AudioClip | SampleBlocks, target_rate_hz: int, stop: int | None = None
+    audio: AudioClip | SampleBlocks,
+    target_rate_hz: int,
+    stop: int | None = None,
+    leave_rest: bool = False,
 ) -> AudioClip:
     """Polyphase resample a clip, or a stream of blocks, to target_rate_hz.
 
@@ -130,7 +133,10 @@ def resample(
     `join_blocks` casts the pieces of `resampled_pieces` one after another
     into one float32 output array, so a stream's memory stays near that
     output plus a few blocks. With `stop`, the output is only its first
-    `stop` samples (all of them when `stop` is past the end).
+    `stop` samples (all of them when `stop` is past the end); the stream's
+    later blocks are pulled and counted too, unless `leave_rest`, where this
+    returns as soon as `stop` samples exist and leaves the rest of the stream
+    to its owner.
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
@@ -141,7 +147,7 @@ def resample(
         stream = SampleBlocks(audio.sample_rate_hz, audio.n_samples, [audio.samples])
     n_out = resampled_length(stream.n_samples, stream.sample_rate_hz, target_rate_hz)
     n_out = n_out if stop is None else min(stop, n_out)
-    out = join_blocks(n_out, resampled_pieces(stream, target_rate_hz, stop))
+    out = join_blocks(n_out, resampled_pieces(stream, target_rate_hz, stop, leave_rest))
     if isinstance(audio, AudioClip):
         return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
     return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
@@ -185,7 +191,7 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
 
 
 def resampled_pieces(
-    audio: SampleBlocks, target_rate_hz: int, stop: int | None = None
+    audio: SampleBlocks, target_rate_hz: int, stop: int | None = None, leave_rest: bool = False
 ) -> Iterator[np.ndarray]:
     """`resample`'s output as consecutive pieces, each made as soon as its input has arrived.
 
@@ -198,9 +204,11 @@ def resampled_pieces(
     the whole input would compute it, however the input is split into blocks.
     A block is let go once every window that reads it is done.
 
-    With `stop`, the pieces end after `stop` samples; the later blocks are
-    still pulled and counted. The stream's iterator is closed when this ends
-    or raises, if it has `close`, so a producer (a decode-ahead thread, an
+    With `stop`, the pieces end after `stop` samples, and the later blocks
+    are pulled and counted as well, unless `leave_rest`: then no block is
+    pulled once `stop` samples are made, and the stream's iterator is left
+    open for its owner. Otherwise the iterator is closed, if it has `close`,
+    when this raises or is closed, so a producer (a decode-ahead thread, an
     open file) is let go even while a traceback keeps the caller alive.
     """
     rate_hz, n_in = audio.sample_rate_hz, audio.n_samples
@@ -208,19 +216,34 @@ def resampled_pieces(
     if stop is not None:
         n_out = min(stop, n_out)
     blocks = iter(audio.blocks)
+    if rate_hz == target_rate_hz:
+        pieces = _passed(n_out, blocks)
+    else:
+        pieces = _polyphase(rate_hz, n_in, n_out, blocks, target_rate_hz)
     try:
-        if rate_hz == target_rate_hz:
-            got = 0
-            for block in blocks:
-                if got < n_out:
-                    yield block[: n_out - got]
-                got += block.size
-        else:
-            got = yield from _polyphase(rate_hz, n_in, n_out, blocks, target_rate_hz)
-        if got != n_in:
-            raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
-    finally:
+        if leave_rest:
+            made = 0
+            # each piece is made right after the pull that completes it
+            while made < n_out and (piece := next(pieces, None)) is not None:
+                made += piece.size
+                yield piece
+            return
+        got = yield from pieces
+    except BaseException:
         getattr(blocks, "close", lambda: None)()
+        raise
+    if got != n_in:
+        raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
+
+
+def _passed(n_out: int, blocks: Iterator[np.ndarray]) -> Generator[np.ndarray, None, int]:
+    """The pieces of `resampled_pieces` at the target rate; returns the input samples pulled."""
+    got = 0
+    for block in blocks:
+        if got < n_out:
+            yield block[: n_out - got]
+        got += block.size
+    return got
 
 
 def _polyphase(

@@ -42,7 +42,7 @@ from .errors import (
 CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
 DEFAULT_CACHE_DIR = "cache"
 DURATION_TOLERANCE_S = 0.1
-# Checked decoder blocks that `_ahead`'s worker may hold ready for the resampler.
+# Checked decoder blocks that an `Ahead` worker may hold ready for the resampler.
 AHEAD_BLOCKS = 2
 
 
@@ -183,7 +183,7 @@ def open_source(
     decoder has no `decode_blocks`) are downmixed and range-checked one at a
     time as they are pulled, and they must hold the reported sample count.
     They are pulled on one worker thread, at most AHEAD_BLOCKS ahead of the
-    consumer (see `_ahead`), so decoding overlaps the resampling.
+    consumer (see `Ahead`), so decoding overlaps the resampling.
     A file whose decoded duration disagrees with the downloader's report is a
     truncated or corrupt download. It is deleted before DecodeError is
     raised: a cache hit carries no reported duration, so a rerun would
@@ -214,51 +214,98 @@ def open_source(
             stage="decode",
             source_id=where,
         )
-    blocks = _ahead(_checked(blocks, n_samples, where))
+    blocks = Ahead(_checked(blocks, n_samples, where))
     return SampleBlocks(native_rate, n_samples, blocks, source_id_for(media.path))
 
 
-def _ahead(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """`blocks` in order, pulled on one worker thread into a queue of AHEAD_BLOCKS.
+class Ahead:
+    """A stream's blocks in order, pulled on one worker thread into a queue of AHEAD_BLOCKS.
 
-    The worker starts on the first pull. An exception it meets is raised here,
-    after every block before it. However the stream ends (exhausted, closed,
-    dropped, or abandoned when its consumer raised), the worker is stopped
-    and joined before this generator finishes.
+    The worker starts on the first pull. An exception it meets is raised
+    here, after every block before it. A consumer that needs no more blocks
+    may `detach`: the worker then pulls and checks the rest alone, hands
+    nothing over, and `check` raises what it met. The worker is joined once
+    its end or fault is taken, and `close` (also on drop) stops and joins it
+    at once, so it never outlives the stream.
     """
-    ready: queue.Queue = queue.Queue(AHEAD_BLOCKS)
-    stop = threading.Event()
 
-    def pull() -> None:
-        # stop is checked after every put, so once it is set the worker makes
-        # at most one more put, and the consumer's drain leaves room for it
+    def __init__(self, blocks: Iterable[np.ndarray]) -> None:
+        self._blocks = blocks
+        self._ready: queue.Queue = queue.Queue(AHEAD_BLOCKS)
+        self._stop, self._detached = threading.Event(), threading.Event()
+        self._worker: threading.Thread | None = None
+        self._ended = False
+
+    def _start(self) -> None:
+        if self._worker is not None or self._ended:
+            return
+        # the worker holds no reference to self, so a dropped stream is closed
+        blocks, ready, stop, detached = self._blocks, self._ready, self._stop, self._detached
+        self._blocks = None
+
+        def pull() -> None:
+            # stop is checked after every block, so once it is set the worker
+            # makes at most one more put, and `close`'s drain leaves room for it
+            try:
+                for block in blocks:
+                    if not detached.is_set():
+                        ready.put((block, None))
+                    if stop.is_set():
+                        return
+                ready.put((None, None))
+            except BaseException as exc:  # the consumer raises it
+                ready.put((None, exc))
+
+        self._worker = threading.Thread(target=pull, name="voiceforge-decode-ahead", daemon=True)
+        self._worker.start()
+
+    def _take(self, wait: bool) -> np.ndarray | None:
+        """The next queued block; None at the end, or when `wait` is off and none is queued."""
+        if self._ended:
+            return None
         try:
-            for block in blocks:
-                ready.put((block, None))
-                if stop.is_set():
-                    return
-            ready.put((None, None))
-        except BaseException as exc:  # the consumer raises it
-            ready.put((None, exc))
-
-    worker = threading.Thread(target=pull, name="voiceforge-decode-ahead", daemon=True)
-    worker.start()
-    try:
-        while True:
-            block, exc = ready.get()
+            block, exc = self._ready.get(block=wait)
+        except queue.Empty:
+            return None
+        if block is None:
+            self._ended = True
+            self._worker.join()
             if exc is not None:
                 raise exc
-            if block is None:
-                return
-            yield block
-    finally:
-        stop.set()
-        try:
-            while True:
-                ready.get_nowait()
-        except queue.Empty:
+        return block
+
+    def __iter__(self) -> "Ahead":
+        return self
+
+    def __next__(self) -> np.ndarray:
+        self._start()
+        block = self._take(wait=True)
+        if block is None:
+            raise StopIteration
+        return block
+
+    def detach(self) -> None:
+        """Take no more blocks: the worker goes on pulling and checking the rest alone."""
+        self._detached.set()
+        self._start()
+        self.check()  # drops what it queued, which may free it from a blocked put
+
+    def check(self, wait: bool = False) -> None:
+        """Raise what a detached worker met, if it ended on a fault; with `wait`, wait for its end."""
+        while self._take(wait) is not None:
             pass
-        worker.join()
+
+    def close(self) -> None:
+        """Stop the worker and join it, leaving whatever it had yet to pull or raise."""
+        self._ended = True
+        self._stop.set()
+        while not self._ready.empty():  # the worker only puts, so this get cannot block
+            self._ready.get_nowait()
+        if self._worker is not None:
+            self._worker.join()
+
+    def __del__(self) -> None:
+        self.close()
 
 
 def _checked(blocks: Iterable[np.ndarray], n_samples: int, where: str) -> Iterator[np.ndarray]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import shutil
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -289,58 +289,65 @@ def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[Sam
     Without the optional passes it is the decoder's stream at its native rate.
     The passes take the whole source (stem separation may change its length),
     so with either one the source is decoded and passed whole, and the stream
-    is that array as one block at the job's rate.
+    is that array as one block at the job's rate. Either way its blocks are
+    an `ingest.Ahead`.
     """
     pp = config.preprocessing
     if pp.denoise_strength is None and pp.stems is None:
         handle, rate_hz = _acquire(config, adapters, work)
         return ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER]), rate_hz
     clip = _acquire_decoded(config, adapters, work)
-    blocks = SampleBlocks(clip.sample_rate_hz, clip.n_samples, [clip.samples], clip.source_id)
+    blocks = SampleBlocks(
+        clip.sample_rate_hz, clip.n_samples, ingest.Ahead([clip.samples]), clip.source_id
+    )
     return blocks, clip.sample_rate_hz
 
 
-def _first_segment(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[AudioClip, int]:
-    """The source's first segment at the job's rate, and how many segments the source has.
+@contextmanager
+def _speaker_prompt(
+    config: PipelineConfig, adapters: Adapters, work: Path
+) -> Iterator[tuple[str, int, SpeakerPrompt, Path, Callable[[], None]]]:
+    """Build the prompt from the source's first segment and save it under `work`.
 
-    Only that segment is resampled and kept: every decoder block is still
-    pulled and checked, and the count comes from the source's length.
+    Yields the source id, the segment count, the prompt, its path and
+    `check`. Only the first segment is resampled and kept, and the count
+    comes from the source's length. The rest of the source is pulled and
+    checked on the decode-ahead worker beside the prompt and the caller's
+    block, and `check()` raises the fault it has met so far, if any. Leaving
+    the block waits for the whole source's verdict, so a fault is raised by
+    then at the latest; the worker is stopped and joined however the block
+    ends.
     """
     policy = config.preprocessing.segmentation
     source, rate_hz = _source(config, adapters, work)
-    n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
-    bounds = segment_bounds(n, rate_hz, policy)
-    # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
-    clip = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
-    if not bounds:
-        raise StageError(
-            f"source ({n / rate_hz:.1f} s) yields no full {policy.target_len_s} s segment",
-            stage="segment",
-            source_id=clip.source_id,
+    with closing(source.blocks) as rest:
+        n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
+        bounds = segment_bounds(n, rate_hz, policy)
+        # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
+        first = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0, leave_rest=True)
+        rest.detach()
+        if not bounds:
+            rest.check(wait=True)  # a fault in the source is raised before its length
+            raise StageError(
+                f"source ({n / rate_hz:.1f} s) yields no full {policy.target_len_s} s segment",
+                stage="segment",
+                source_id=source.source_id,
+            )
+        first = first.slice_samples(*bounds[0])
+        fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
+        semantic = extract_semantic_tokens(
+            first,
+            adapters[AdapterRole.SEMANTIC_ENCODER],
+            adapters[AdapterRole.TOKEN_QUANTIZER],
         )
-    return clip.slice_samples(*bounds[0]), len(bounds)
-
-
-def _speaker_prompt(
-    config: PipelineConfig, adapters: Adapters, work: Path
-) -> tuple[str, int, SpeakerPrompt, Path]:
-    """Build the prompt from the source's first segment and save it under `work`.
-
-    Returns the source id, the segment count, the prompt and its path.
-    """
-    first, n_segments = _first_segment(config, adapters, work)
-    fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
-    semantic = extract_semantic_tokens(
-        first,
-        adapters[AdapterRole.SEMANTIC_ENCODER],
-        adapters[AdapterRole.TOKEN_QUANTIZER],
-    )
-    prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, first.source_id)
-    assets = work / "assets"
-    assets.mkdir(parents=True, exist_ok=True)
-    path = assets / f"prompt_{prompt_digest(prompt)}.npz"
-    save_prompt(prompt, path)
-    return first.source_id, n_segments, prompt, path
+        del first  # not held through the caller's block
+        prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source.source_id)
+        assets = work / "assets"
+        assets.mkdir(parents=True, exist_ok=True)
+        path = assets / f"prompt_{prompt_digest(prompt)}.npz"
+        save_prompt(prompt, path)
+        yield source.source_id, len(bounds), prompt, path, rest.check
+        rest.check(wait=True)
 
 
 def _clone(
@@ -356,18 +363,20 @@ def _clone(
         shutil.rmtree(synth_dir)
     work.mkdir(parents=True, exist_ok=True)
 
-    source_id, summary.clips_in, prompt, _ = _speaker_prompt(config, adapters, work)
-    summary.prompts_built = 1
-
-    batch = batch_synthesize(
-        list(config.generation.sentences),
-        prompt,
-        config.generation.params,
-        adapters[AdapterRole.TTS],
-        config.adapters[AdapterRole.TTS],
-        work_dir=synth_dir,
-        retries=config.generation.retries,
-    )
+    # the source's tail is checked beside the batch: a fault in it stops the
+    # batch at the next sentence and is raised before any candidate
+    with _speaker_prompt(config, adapters, work) as (source_id, n_segments, prompt, _, check):
+        summary.clips_in, summary.prompts_built = n_segments, 1
+        batch = batch_synthesize(
+            list(config.generation.sentences),
+            prompt,
+            config.generation.params,
+            adapters[AdapterRole.TTS],
+            config.adapters[AdapterRole.TTS],
+            work_dir=synth_dir,
+            retries=config.generation.retries,
+            check=check,
+        )
     summary.sentences_generated = len(batch.clips)
     summary.partial = not batch.complete
     for sentence, cause in batch.failures.items():
@@ -682,7 +691,8 @@ def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None
     adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
-    return _speaker_prompt(config, adapters, work)[3]
+    with _speaker_prompt(config, adapters, work) as (_, _, _, path, _):
+        return path
 
 
 def train_config_stage(config: PipelineConfig) -> Path:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -126,6 +126,7 @@ def batch_synthesize(
     backend_id: str,
     work_dir: str | Path,
     retries: int = DEFAULT_RETRIES,
+    check: Callable[[], None] = lambda: None,
 ) -> BatchResult:
     """Generate one clip per sentence with fault isolation and resumption.
 
@@ -134,7 +135,8 @@ def batch_synthesize(
     (the TTS adapter's registry id). A sentence whose clip file exists is not
     generated again. A batch that returns deletes every other entry in
     `<work_dir>/clips/`: clips of other contexts or of dropped sentences, and
-    the temp file of a killed write.
+    the temp file of a killed write. `check` is called before each sentence;
+    what it raises ends the batch there.
     """
     if not sentences:
         return BatchResult(clips=[])
@@ -158,6 +160,7 @@ def batch_synthesize(
     clips: list[tuple[str, Path]] = []
     failures: dict[str, str] = {}
     for sentence in sentences:
+        check()
         clip_path = clip_dir / f"{sentence_digest(sentence)}-{context}.wav"
         if not clip_path.is_file():
             try:

@@ -357,23 +357,30 @@ def test_corpus_writers_and_readers_are_inverses(tmp_path):
 
 
 def test_split_is_deterministic_across_processes():
+    # each child times its own split, after its imports (numpy and scipy can
+    # take seconds to import on a loaded host), and prints it after the ids
     script = (
+        "import time\n"
         "from voiceforge.corpus import CorpusEntry, SplitSpec, split_train_valid\n"
+        "start = time.monotonic()\n"
         "entries = [CorpusEntry(clip_id=f'clip_{i:03d}',"
         " relative_audio_path=f'wavs/clip_{i:03d}.wav',"
         " sentence=f'sentence number {i}') for i in range(20)]\n"
         "train, valid = split_train_valid(entries, SplitSpec(valid_fraction=0.2, seed=42))\n"
         "print(','.join(e.clip_id for e in valid))\n"
+        "print(time.monotonic() - start)\n"
     )
-    with _Budget(5.0):
-        outputs = [
-            subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, check=True
-            ).stdout
-            for _ in range(2)
-        ]
-        assert outputs[0] == outputs[1]
+    outputs = []
+    for _ in range(2):
+        stdout = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+        ids, elapsed = stdout.splitlines()
+        assert float(elapsed) < 5.0, f"the split took {float(elapsed):.2f} s in a child, budget 5.0 s"
+        outputs.append(ids)
+    assert outputs[0] == outputs[1]
 
+    with _Budget(5.0):
         entries = [
             CorpusEntry(
                 clip_id=f"clip_{i:03d}",

@@ -270,6 +270,25 @@ def test_resample_with_stop_counts_every_block(rate_hz, target_rate_hz, n_blocks
     assert len(pulled) == n_blocks
 
 
+@pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 24000), (24000, 24000)])
+@pytest.mark.parametrize("stop", [0, 5, 3000])
+def test_resample_leaving_the_rest_pulls_no_block_past_what_stop_needs(rate_hz, target_rate_hz, stop):
+    samples = np.random.default_rng(stop).uniform(-1.0, 1.0, 20_000).astype(np.float32)
+    pulled = []
+
+    def blocks():
+        for k in range(0, samples.size, 1000):
+            pulled.append(1)
+            yield samples[k : k + 1000]
+
+    stream = blocks()
+    out = resample(SampleBlocks(rate_hz, samples.size, stream), target_rate_hz, stop=stop, leave_rest=True)
+    whole = resample(SampleBlocks(rate_hz, samples.size, [samples]), target_rate_hz, stop=stop)
+    assert out.samples.tobytes() == whole.samples.tobytes()
+    assert len(pulled) <= stop * rate_hz // target_rate_hz // 1000 + 2  # the filter's reach is < 1000
+    assert next(stream) is not None  # the rest is left open for its owner
+
+
 def test_quantize_is_symmetric():
     x = np.array([-1.0, 0.0, 1.0], np.float32)
     q = quantize_pcm16(x)

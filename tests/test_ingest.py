@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import struct
 import threading
 import time
@@ -371,6 +372,37 @@ class TestDecodeAhead:
             with pytest.raises(RuntimeError, match="consumer failed") as info:
                 resample(source, 8000)
         assert decoder.pulled_by
+        assert not _workers()
+
+    @pytest.mark.parametrize("bad", [None, 2.0])
+    def test_a_detached_worker_checks_the_rest_without_handing_it_over(self, tmp_path, bad):
+        blocks = _zeros(12)
+        if bad is not None:
+            blocks[11][0] = bad
+        decoder = _RecordingDecoder(8000, 400 * 12, blocks)
+        stream = open_source(_stub(tmp_path), 8000, decoder).blocks
+        next(stream)
+        stream.detach()
+        with pytest.raises(ValidationError) if bad else contextlib.nullcontext():
+            stream.check(wait=True)
+        assert len(decoder.pulled_by) == 12
+        assert not _workers()
+        assert next(stream, None) is None
+
+    def test_a_detached_worker_stops_when_closed(self, tmp_path):
+        release = threading.Event()
+
+        def slow():
+            for _ in range(50):
+                release.wait(10.0)
+                yield np.zeros(400, np.float32)
+
+        stream = open_source(_stub(tmp_path), 8000, _BlockDecoder(8000, 400 * 50, slow())).blocks
+        stream.detach()
+        stream.check()  # the worker is still pulling: nothing to raise yet
+        assert len(_workers()) == 1
+        release.set()
+        stream.close()
         assert not _workers()
 
     @pytest.mark.parametrize("k", [0, 3, 9])

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +19,7 @@ from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
+    MockCodecAdapter,
     MockDecoder,
     MockTranscodeAdapter,
     MockTtsAdapter,
@@ -35,6 +38,7 @@ from voiceforge.corpus import (
 )
 from voiceforge.errors import (
     AdapterLookupError,
+    BatchError,
     ConfigurationError,
     DecodeError,
     StageError,
@@ -641,6 +645,155 @@ class TestPromptKeepsTheFirstSegment:
         data["preprocessing"] = {"segmentation": {"target_len_s": 60.0}}
         with pytest.raises(StageError, match=r"source \(45\.0 s\) yields no full 60\.0 s segment"):
             pipeline.prompt_stage(parse_config(data))
+
+
+AHEAD_WORKER = "voiceforge-decode-ahead"
+GATE_TIMEOUT_S = 10.0
+SOURCE_120S = "mock://talk?duration=120&rate=24000&seed=7"
+
+
+def _worker_alive() -> bool:
+    return any(t.name == AHEAD_WORKER for t in threading.enumerate())
+
+
+class GatedDecoder(FaultyDecoder):
+    """A FaultyDecoder whose blocks from `open_s` seconds on wait for `gate` before they are pulled.
+
+    A wait that times out raises, so code that pulls the whole source before
+    the gate opens fails instead of hanging.
+    """
+
+    def __init__(self, fault: str | None = None, open_s: float = 60.0):
+        super().__init__(fault)
+        self.gate = threading.Event()
+        self.open_s = open_s
+
+    def decode_blocks(self, path: str):
+        rate, n_samples, blocks = super().decode_blocks(path)
+        return rate, n_samples, self._gated(blocks, rate)
+
+    def _gated(self, blocks, rate):
+        pulled = 0
+        for block in blocks:
+            if pulled >= self.open_s * rate and not self.gate.wait(GATE_TIMEOUT_S):
+                raise RuntimeError("the source's tail was pulled while its gate stayed shut")
+            pulled += block.size
+            yield block
+
+
+class GateTts(MockTtsAdapter):
+    """The mock TTS; every call opens `gate` first, and `before_call` runs before each call."""
+
+    def __init__(self, gate: threading.Event, before_call=lambda calls: None):
+        super().__init__()
+        self.gate, self.before_call, self.calls = gate, before_call, 0
+
+    def synthesize(self, *args):
+        self.gate.set()
+        self.before_call(self.calls)
+        self.calls += 1
+        return super().synthesize(*args)
+
+
+def _gated_run(root, decoder, tts=None, codec=None, sentences=SENTENCES):
+    """A clone run on a 120 s source through `decoder` and, when given, `tts` and `codec`."""
+    registry = default_registry()
+    adapters = {"decoder": "gated"}
+    registry.register(AdapterDescriptor(role=AdapterRole.DECODER, id="gated"), decoder)
+    for role, adapter in ((AdapterRole.TTS, tts), (AdapterRole.CODEC, codec)):
+        if adapter is not None:
+            registry.register(AdapterDescriptor(role=role, id="gated"), adapter)
+            adapters[role.value] = "gated"
+    data = _m1_data(root, sentences=sentences, adapters=adapters)
+    data["source"]["uri"] = SOURCE_120S
+    return pipeline.run(parse_config(data), registry)
+
+
+class TestTailBesideSynthesis:
+    """The clone checks the source's tail on the decode-ahead worker while it synthesizes."""
+
+    def test_synthesis_starts_before_the_tail_is_pulled(self, tmp_path):
+        decoder = GatedDecoder()
+        tts = GateTts(decoder.gate)
+        summary = _gated_run(tmp_path / "out", decoder, tts)
+        assert decoder.exhausted
+        assert summary.entries_written == len(SENTENCES) == tts.calls
+
+    @pytest.mark.parametrize(
+        "fault,error", [("nan", ValidationError), ("short", DecodeError), ("long", DecodeError)]
+    )
+    def test_a_faulty_tail_fails_the_run_as_a_whole_decode_and_publishes_nothing(
+        self, tmp_path, monkeypatch, fault, error
+    ):
+        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", str(tmp_path / "cache"))  # one path in both errors
+        root = tmp_path / "out"
+        pipeline.run(_m1_config(root))
+        old = _tree_bytes(root)
+        # denoise of strength 0 decodes the whole source before anything else
+        registry = default_registry()
+        registry.register(
+            AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), FaultyDecoder(fault)
+        )
+        data = _m1_data(tmp_path / "whole", adapters={"decoder": "faulty"})
+        data["source"]["uri"] = SOURCE_120S
+        data["preprocessing"] = {"denoise": 0.0}
+        with pytest.raises(error) as whole:
+            pipeline.run(parse_config(data), registry)
+
+        decoder = GatedDecoder(fault)
+        reported_at = []
+
+        def wait_for_the_fault(calls):
+            # the second call waits until the worker has reported the fault
+            if calls == 1:
+                deadline = time.monotonic() + GATE_TIMEOUT_S
+                while _worker_alive():
+                    assert time.monotonic() < deadline, "the tail fault was never reported"
+                    time.sleep(0.001)
+                reported_at.append(calls + 1)
+
+        tts = GateTts(decoder.gate, wait_for_the_fault)
+        sentences = [f"वाक्य संख्या {i}" for i in range(8)]
+        with pytest.raises(error) as beside:
+            _gated_run(root, decoder, tts, sentences=sentences)
+        assert (type(beside.value), str(beside.value)) == (type(whole.value), str(whole.value))
+        assert _tree_bytes(root) == old
+        # the batch stops at the first sentence boundary after the fault is reported
+        assert reported_at == [2] and tts.calls == 2
+
+    def test_prompt_error_stops_the_worker(self, tmp_path):
+        decoder = GatedDecoder()
+
+        class FailingCodec(MockCodecAdapter):
+            def encode(self, *args):
+                decoder.gate.set()  # lets the worker reach its stop check
+                raise RuntimeError("codec gone")
+
+        with pytest.raises(StageError, match="codec gone"):
+            _gated_run(tmp_path / "out", decoder, codec=FailingCodec())
+        assert not decoder.exhausted
+
+    def test_every_sentence_failing_stops_the_worker(self, tmp_path):
+        decoder = GatedDecoder()
+
+        class DeadTts(GateTts):
+            def synthesize(self, *args):
+                self.gate.set()
+                raise RuntimeError("tts gone")
+
+        with pytest.raises(BatchError, match="every sentence"):
+            _gated_run(tmp_path / "out", decoder, DeadTts(decoder.gate))
+        assert not decoder.exhausted
+
+    def test_a_tail_fault_outranks_a_too_short_source(self, tmp_path):
+        registry = default_registry()
+        registry.register(
+            AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), FaultyDecoder("nan")
+        )
+        data = _m1_data(tmp_path / "out", adapters={"decoder": "faulty"})
+        data["preprocessing"] = {"segmentation": {"target_len_s": 60.0}}
+        with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+            pipeline.run(parse_config(data), registry)
 
 
 class TestStreaming:
