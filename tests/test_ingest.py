@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -403,6 +404,47 @@ class TestDecodeAhead:
         assert len(_workers()) == 1
         release.set()
         stream.close()
+        assert not _workers()
+
+    def test_detach_check_and_close_hold_under_frequent_thread_switches(self, tmp_path):
+        """Four streams at once (more workers than cores), detached after 0 to 4 blocks."""
+        outcomes = []
+
+        def scenario():
+            for round_ in range(10):
+                decoders, streams = [], []
+                for i in range(4):
+                    blocks = _zeros(12)
+                    if (round_ + i) % 3 == 0:
+                        blocks[11][0] = 2.0
+                    decoders.append(_RecordingDecoder(8000, 400 * 12, blocks))
+                    streams.append(open_source(_stub(tmp_path), 8000, decoders[-1]).blocks)
+                for i, stream in enumerate(streams):
+                    for _ in range((round_ + i) % 5):
+                        next(stream)
+                    stream.detach()
+                for i, (decoder, stream) in enumerate(zip(decoders, streams)):
+                    if (round_ + i) % 4 == 3:
+                        stream.close()
+                        continue
+                    try:
+                        stream.check(wait=True)
+                        outcomes.append(((round_ + i) % 3 != 0, len(decoder.pulled_by)))
+                    except ValidationError:
+                        outcomes.append(((round_ + i) % 3 == 0, len(decoder.pulled_by)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=scenario)
+            runner.start()
+            runner.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(outcomes) == 30
+        # every fault is raised, and only where there is one, after all 12 blocks were checked
+        assert outcomes == [(True, 12)] * 30
         assert not _workers()
 
     @pytest.mark.parametrize("k", [0, 3, 9])

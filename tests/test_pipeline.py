@@ -649,7 +649,8 @@ class TestPromptKeepsTheFirstSegment:
 
 AHEAD_WORKER = "voiceforge-decode-ahead"
 GATE_TIMEOUT_S = 10.0
-SOURCE_120S = "mock://talk?duration=120&rate=24000&seed=7"
+# long enough that a worker let go at 60 s is still pulling when the run unwinds
+SOURCE_600S = "mock://talk?duration=600&rate=24000&seed=7"
 
 
 def _worker_alive() -> bool:
@@ -696,7 +697,7 @@ class GateTts(MockTtsAdapter):
 
 
 def _gated_run(root, decoder, tts=None, codec=None, sentences=SENTENCES):
-    """A clone run on a 120 s source through `decoder` and, when given, `tts` and `codec`."""
+    """A clone run on a 600 s source through `decoder` and, when given, `tts` and `codec`."""
     registry = default_registry()
     adapters = {"decoder": "gated"}
     registry.register(AdapterDescriptor(role=AdapterRole.DECODER, id="gated"), decoder)
@@ -705,7 +706,7 @@ def _gated_run(root, decoder, tts=None, codec=None, sentences=SENTENCES):
             registry.register(AdapterDescriptor(role=role, id="gated"), adapter)
             adapters[role.value] = "gated"
     data = _m1_data(root, sentences=sentences, adapters=adapters)
-    data["source"]["uri"] = SOURCE_120S
+    data["source"]["uri"] = SOURCE_600S
     return pipeline.run(parse_config(data), registry)
 
 
@@ -735,7 +736,7 @@ class TestTailBesideSynthesis:
             AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), FaultyDecoder(fault)
         )
         data = _m1_data(tmp_path / "whole", adapters={"decoder": "faulty"})
-        data["source"]["uri"] = SOURCE_120S
+        data["source"]["uri"] = SOURCE_600S
         data["preprocessing"] = {"denoise": 0.0}
         with pytest.raises(error) as whole:
             pipeline.run(parse_config(data), registry)
