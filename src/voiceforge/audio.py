@@ -122,10 +122,7 @@ def downmix_mean(channels: np.ndarray) -> np.ndarray:
 
 
 def resample(
-    audio: AudioClip | SampleBlocks,
-    target_rate_hz: int,
-    stop: int | None = None,
-    leave_rest: bool = False,
+    audio: AudioClip | SampleBlocks, target_rate_hz: int, stop: int | None = None
 ) -> AudioClip:
     """Polyphase resample a clip, or a stream of blocks, to target_rate_hz.
 
@@ -133,10 +130,9 @@ def resample(
     `join_blocks` casts the pieces of `resampled_pieces` one after another
     into one float32 output array, so a stream's memory stays near that
     output plus a few blocks. With `stop`, the output is only its first
-    `stop` samples (all of them when `stop` is past the end); the stream's
-    later blocks are pulled and counted too, unless `leave_rest`, where this
-    returns as soon as `stop` samples exist and leaves the rest of the stream
-    to its owner.
+    `stop` samples (all of them when `stop` is past the end), and this
+    returns as soon as they exist: the rest of the stream is left to its
+    owner, and so is checking that the blocks hold `n_samples`.
     """
     if target_rate_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate_hz}")
@@ -147,7 +143,7 @@ def resample(
         stream = SampleBlocks(audio.sample_rate_hz, audio.n_samples, [audio.samples])
     n_out = resampled_length(stream.n_samples, stream.sample_rate_hz, target_rate_hz)
     n_out = n_out if stop is None else min(stop, n_out)
-    out = join_blocks(n_out, resampled_pieces(stream, target_rate_hz, stop, leave_rest))
+    out = join_blocks(n_out, resampled_pieces(stream, target_rate_hz, stop))
     if isinstance(audio, AudioClip):
         return replace(audio, samples=out, sample_rate_hz=target_rate_hz)
     return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=audio.source_id)
@@ -191,7 +187,7 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
 
 
 def resampled_pieces(
-    audio: SampleBlocks, target_rate_hz: int, stop: int | None = None, leave_rest: bool = False
+    audio: SampleBlocks, target_rate_hz: int, stop: int | None = None
 ) -> Iterator[np.ndarray]:
     """`resample`'s output as consecutive pieces, each made as soon as its input has arrived.
 
@@ -204,12 +200,12 @@ def resampled_pieces(
     the whole input would compute it, however the input is split into blocks.
     A block is let go once every window that reads it is done.
 
-    With `stop`, the pieces end after `stop` samples, and the later blocks
-    are pulled and counted as well, unless `leave_rest`: then no block is
-    pulled once `stop` samples are made, and the stream's iterator is left
-    open for its owner. Otherwise the iterator is closed, if it has `close`,
-    when this raises or is closed, so a producer (a decode-ahead thread, an
-    open file) is let go even while a traceback keeps the caller alive.
+    Without `stop`, the blocks must hold `n_samples` in all. With `stop`,
+    the pieces end after `stop` samples, no block is pulled once they are
+    made, and the stream's iterator is left open for its owner, who pulls
+    and counts the rest. The iterator is closed, if it has `close`, when
+    this raises or is closed, so a producer (a decode-ahead thread, an open
+    file) is let go even while a traceback keeps the caller alive.
     """
     rate_hz, n_in = audio.sample_rate_hz, audio.n_samples
     n_out = resampled_length(n_in, rate_hz, target_rate_hz)
@@ -221,19 +217,19 @@ def resampled_pieces(
     else:
         pieces = _polyphase(rate_hz, n_in, n_out, blocks, target_rate_hz)
     try:
-        if leave_rest:
-            made = 0
-            # each piece is made right after the pull that completes it
-            while made < n_out and (piece := next(pieces, None)) is not None:
-                made += piece.size
-                yield piece
+        if stop is None:
+            got = yield from pieces
+            if got != n_in:
+                raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
             return
-        got = yield from pieces
+        made = 0
+        # each piece is made right after the pull that completes it
+        while made < n_out and (piece := next(pieces, None)) is not None:
+            made += piece.size
+            yield piece
     except BaseException:
         getattr(blocks, "close", lambda: None)()
         raise
-    if got != n_in:
-        raise ValidationError(f"resample expected {n_in} input samples, the blocks held {got}")
 
 
 def _passed(n_out: int, blocks: Iterator[np.ndarray]) -> Generator[np.ndarray, None, int]:

@@ -306,17 +306,18 @@ def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[Sam
 @contextmanager
 def _speaker_prompt(
     config: PipelineConfig, adapters: Adapters, work: Path
-) -> Iterator[tuple[str, int, SpeakerPrompt, Path, Callable[[], None]]]:
-    """Build the prompt from the source's first segment and save it under `work`.
+) -> Iterator[tuple[str, int, SpeakerPrompt, Callable[[], None]]]:
+    """Build the prompt from the source's first segment.
 
-    Yields the source id, the segment count, the prompt, its path and
-    `check`. Only the first segment is resampled and kept, and the count
-    comes from the source's length. The rest of the source is pulled and
-    checked on the decode-ahead worker beside the prompt and the caller's
-    block, and `check()` raises the fault it has met so far, if any. Leaving
-    the block waits for the whole source's verdict, so a fault is raised by
-    then at the latest; the worker is stopped and joined however the block
-    ends.
+    Yields the source id, the segment count, the prompt and `check`. Only
+    the first segment is resampled and kept, and the count comes from the
+    source's length. The rest of the source is pulled and checked on the
+    decode-ahead worker beside the prompt and the caller's block, and
+    `check()` raises the fault it has met so far, if any. Unless the run is
+    interrupted, the whole source's verdict is waited for before this
+    leaves, however the prompt or the block ends, and a fault in the source
+    outranks any other error, as it did when the source was checked first.
+    The worker is stopped and joined on every path.
     """
     policy = config.preprocessing.segmentation
     source, rate_hz = _source(config, adapters, work)
@@ -324,30 +325,38 @@ def _speaker_prompt(
         n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
         bounds = segment_bounds(n, rate_hz, policy)
         # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
-        first = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0, leave_rest=True)
+        first = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
         rest.detach()
-        if not bounds:
-            rest.check(wait=True)  # a fault in the source is raised before its length
-            raise StageError(
-                f"source ({n / rate_hz:.1f} s) yields no full {policy.target_len_s} s segment",
-                stage="segment",
-                source_id=source.source_id,
+        try:
+            if not bounds:
+                raise StageError(
+                    f"source ({n / rate_hz:.1f} s) yields no full {policy.target_len_s} s segment",
+                    stage="segment",
+                    source_id=source.source_id,
+                )
+            first = first.slice_samples(*bounds[0])
+            fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
+            semantic = extract_semantic_tokens(
+                first,
+                adapters[AdapterRole.SEMANTIC_ENCODER],
+                adapters[AdapterRole.TOKEN_QUANTIZER],
             )
-        first = first.slice_samples(*bounds[0])
-        fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
-        semantic = extract_semantic_tokens(
-            first,
-            adapters[AdapterRole.SEMANTIC_ENCODER],
-            adapters[AdapterRole.TOKEN_QUANTIZER],
-        )
-        del first  # not held through the caller's block
-        prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source.source_id)
-        assets = work / "assets"
-        assets.mkdir(parents=True, exist_ok=True)
-        path = assets / f"prompt_{prompt_digest(prompt)}.npz"
-        save_prompt(prompt, path)
-        yield source.source_id, len(bounds), prompt, path, rest.check
+            del first  # not held through the caller's block
+            prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source.source_id)
+            yield source.source_id, len(bounds), prompt, rest.check
+        except Exception:
+            rest.check(wait=True)  # a fault in the source outranks this error
+            raise
         rest.check(wait=True)
+
+
+def _save_prompt(prompt: SpeakerPrompt, work: Path) -> Path:
+    """Save the prompt as `<work>/assets/prompt_<digest>.npz`; returns the path."""
+    assets = work / "assets"
+    assets.mkdir(parents=True, exist_ok=True)
+    path = assets / f"prompt_{prompt_digest(prompt)}.npz"
+    save_prompt(prompt, path)
+    return path
 
 
 def _clone(
@@ -365,7 +374,7 @@ def _clone(
 
     # the source's tail is checked beside the batch: a fault in it stops the
     # batch at the next sentence and is raised before any candidate
-    with _speaker_prompt(config, adapters, work) as (source_id, n_segments, prompt, _, check):
+    with _speaker_prompt(config, adapters, work) as (source_id, n_segments, prompt, check):
         summary.clips_in, summary.prompts_built = n_segments, 1
         batch = batch_synthesize(
             list(config.generation.sentences),
@@ -377,6 +386,7 @@ def _clone(
             retries=config.generation.retries,
             check=check,
         )
+    _save_prompt(prompt, work)  # only once the whole source has passed its check
     summary.sentences_generated = len(batch.clips)
     summary.partial = not batch.complete
     for sentence, cause in batch.failures.items():
@@ -691,8 +701,9 @@ def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None
     adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
-    with _speaker_prompt(config, adapters, work) as (_, _, _, path, _):
-        return path
+    with _speaker_prompt(config, adapters, work) as (_, _, prompt, _):
+        pass
+    return _save_prompt(prompt, work)
 
 
 def train_config_stage(config: PipelineConfig) -> Path:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -28,7 +29,8 @@ from voiceforge.audio import (
     resampled_length,
     save_wav,
 )
-from voiceforge.errors import FormatError, ValidationError
+from voiceforge.errors import DecodeError, FormatError, ValidationError
+from voiceforge.ingest import RawMediaHandle, open_source
 from voiceforge.voiceprompt import CodebookMatrix, build_prompt, save_prompt
 
 
@@ -256,23 +258,37 @@ def test_resample_with_stop_is_a_prefix_of_the_whole_output(monkeypatch, rates, 
 @pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 24000), (24000, 24000)])
 @pytest.mark.parametrize("n_blocks", [9, 11])
 @pytest.mark.parametrize("stop", [0, 5, 3000])
-def test_resample_with_stop_counts_every_block(rate_hz, target_rate_hz, n_blocks, stop):
+def test_resample_with_stop_counts_every_block(tmp_path, rate_hz, target_rate_hz, n_blocks, stop):
+    """`stop` leaves the count to the stream's owner: an opened source's `Ahead` pulls every block."""
+    samples = np.random.default_rng(stop).uniform(-1.0, 1.0, 1000 * n_blocks).astype(np.float32)
     pulled = []
 
-    def blocks():
-        for _ in range(n_blocks):
-            pulled.append(1)
-            yield np.zeros(1000, np.float32)
+    class Decoder(MockDecoder):
+        def decode_blocks(self, path):
+            def blocks():
+                for k in range(0, samples.size, 1000):
+                    pulled.append(1)
+                    yield samples[k : k + 1000]
 
-    held = f"expected 10000 input samples, the blocks held {1000 * n_blocks}"
-    with pytest.raises(ValidationError, match=held):
-        resample(SampleBlocks(rate_hz, 10_000, blocks()), target_rate_hz, stop=stop)
+            return rate_hz, 10_000, blocks()
+
+    media = tmp_path / "media.bin"
+    media.write_bytes(b"any media")
+    source = open_source(RawMediaHandle(path=media), target_rate_hz, Decoder())
+    with contextlib.closing(source.blocks) as rest:
+        out = resample(source, target_rate_hz, stop=stop)
+        held = f"reported 10000 samples but its blocks hold {'more' if n_blocks > 10 else 9000}"
+        with pytest.raises(DecodeError, match=held):
+            rest.detach()  # raises what the worker has already met
+            rest.check(wait=True)
+    clip = AudioClip(samples=samples, sample_rate_hz=rate_hz)
+    assert out.samples.tobytes() == resample(clip, target_rate_hz, stop=stop).samples.tobytes()
     assert len(pulled) == n_blocks
 
 
 @pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 24000), (24000, 24000)])
 @pytest.mark.parametrize("stop", [0, 5, 3000])
-def test_resample_leaving_the_rest_pulls_no_block_past_what_stop_needs(rate_hz, target_rate_hz, stop):
+def test_resample_with_stop_pulls_no_block_past_what_it_needs(rate_hz, target_rate_hz, stop):
     samples = np.random.default_rng(stop).uniform(-1.0, 1.0, 20_000).astype(np.float32)
     pulled = []
 
@@ -282,9 +298,9 @@ def test_resample_leaving_the_rest_pulls_no_block_past_what_stop_needs(rate_hz, 
             yield samples[k : k + 1000]
 
     stream = blocks()
-    out = resample(SampleBlocks(rate_hz, samples.size, stream), target_rate_hz, stop=stop, leave_rest=True)
-    whole = resample(SampleBlocks(rate_hz, samples.size, [samples]), target_rate_hz, stop=stop)
-    assert out.samples.tobytes() == whole.samples.tobytes()
+    out = resample(SampleBlocks(rate_hz, samples.size, stream), target_rate_hz, stop=stop)
+    whole = resample(SampleBlocks(rate_hz, samples.size, [samples]), target_rate_hz)
+    assert out.samples.tobytes() == whole.samples[:stop].tobytes()
     assert len(pulled) <= stop * rate_hz // target_rate_hz // 1000 + 2  # the filter's reach is < 1000
     assert next(stream) is not None  # the rest is left open for its owner
 

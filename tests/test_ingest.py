@@ -569,8 +569,17 @@ def _raised(call) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+def _kept(source, target_rate_hz: int, stop: int):
+    """`source` resampled to `stop`, once its detached `Ahead` has checked every later block."""
+    with contextlib.closing(source.blocks) as rest:
+        kept = resample(source, target_rate_hz, stop=stop)
+        rest.detach()
+        rest.check(wait=True)
+    return kept
+
+
 class TestKeptPrefix:
-    """A source resampled with `stop` still pulls and checks every block after it."""
+    """A source resampled with `stop` still has every block after it pulled and checked."""
 
     @pytest.mark.parametrize("rate_hz", [16000, 8000])
     @pytest.mark.parametrize("bad", [1.5, -1.01, np.nan])
@@ -579,7 +588,7 @@ class TestKeptPrefix:
         blocks[4][399] = bad
         decoder = _BlockDecoder(rate_hz, 2000, blocks)
         whole = _raised(lambda: decode_to_audio(_stub(tmp_path), 8000, decoder))
-        kept = _raised(lambda: resample(open_source(_stub(tmp_path), 8000, decoder), 8000, stop=10))
+        kept = _raised(lambda: _kept(open_source(_stub(tmp_path), 8000, decoder), 8000, 10))
         assert kept == whole and kept[0] is ValidationError
 
     @pytest.mark.parametrize("n_blocks", [4, 6, 50])
@@ -587,7 +596,7 @@ class TestKeptPrefix:
     def test_blocks_that_do_not_add_up_after_the_stop(self, tmp_path, n_blocks, rate_hz):
         decoder = _BlockDecoder(rate_hz, 2000, [np.zeros(400, np.float32)] * n_blocks)
         whole = _raised(lambda: decode_to_audio(_stub(tmp_path), 8000, decoder))
-        kept = _raised(lambda: resample(open_source(_stub(tmp_path), 8000, decoder), 8000, stop=10))
+        kept = _raised(lambda: _kept(open_source(_stub(tmp_path), 8000, decoder), 8000, 10))
         assert kept == whole and kept[0] is DecodeError
         assert "reported 2000 samples but its blocks hold" in kept[1]
 
@@ -598,7 +607,7 @@ class TestKeptPrefix:
         whole = decode_to_audio(handle, 24000, MockDecoder())
         source = open_source(handle, 24000, MockDecoder())
         assert source.n_samples == 7 * rate_hz
-        kept = resample(source, 24000, stop=50_000)
+        kept = _kept(source, 24000, 50_000)
         assert kept.samples.tobytes() == whole.samples[:50_000].tobytes()
         assert kept.source_id == whole.source_id
 

@@ -762,29 +762,41 @@ class TestTailBesideSynthesis:
         # the batch stops at the first sentence boundary after the fault is reported
         assert reported_at == [2] and tts.calls == 2
 
-    def test_prompt_error_stops_the_worker(self, tmp_path):
-        decoder = GatedDecoder()
+    @pytest.mark.parametrize(
+        "fault,error,match", [(None, StageError, "codec gone"), ("nan", ValidationError, r"\[-1, 1\]")]
+    )
+    def test_a_prompt_error_waits_for_the_tails_verdict(self, tmp_path, fault, error, match):
+        decoder = GatedDecoder(fault)
 
         class FailingCodec(MockCodecAdapter):
             def encode(self, *args):
-                decoder.gate.set()  # lets the worker reach its stop check
+                decoder.gate.set()
                 raise RuntimeError("codec gone")
 
-        with pytest.raises(StageError, match="codec gone"):
+        # a fault in the tail outranks the codec's error, however far the worker has got
+        with pytest.raises(error, match=match):
             _gated_run(tmp_path / "out", decoder, codec=FailingCodec())
-        assert not decoder.exhausted
+        assert decoder.exhausted
 
-    def test_every_sentence_failing_stops_the_worker(self, tmp_path):
-        decoder = GatedDecoder()
+    @pytest.mark.parametrize(
+        "fault,error,match", [(None, BatchError, "every sentence"), ("nan", ValidationError, r"\[-1, 1\]")]
+    )
+    def test_every_sentence_failing_waits_for_the_tails_verdict(self, tmp_path, fault, error, match):
+        decoder = GatedDecoder(fault)
 
         class DeadTts(GateTts):
             def synthesize(self, *args):
                 self.gate.set()
                 raise RuntimeError("tts gone")
 
-        with pytest.raises(BatchError, match="every sentence"):
+        with pytest.raises(error, match=match):
             _gated_run(tmp_path / "out", decoder, DeadTts(decoder.gate))
-        assert not decoder.exhausted
+        assert decoder.exhausted
+
+    def test_a_faulty_tail_leaves_no_prompt_file(self, tmp_path):
+        with pytest.raises(ValidationError):
+            _prompt_with(tmp_path, FaultyDecoder("nan"))
+        assert not list(pipeline.work_dir_for(tmp_path / "out").glob("assets/*"))
 
     def test_a_tail_fault_outranks_a_too_short_source(self, tmp_path):
         registry = default_registry()
