@@ -154,17 +154,13 @@ def resampled_length(n_samples: int, rate_hz: int, target_rate_hz: int) -> int:
     return -(-n_samples * target_rate_hz // rate_hz)
 
 
-def join_blocks(n_samples: int, blocks: Iterable[np.ndarray], stop: int | None = None) -> np.ndarray:
-    """The blocks one after another in one float32 array; they must hold n_samples in all.
-
-    With `stop`, only the first `stop` samples are kept; every block is still counted.
-    """
-    keep = n_samples if stop is None else min(stop, n_samples)
-    out = np.empty(keep, dtype=np.float32)
+def join_blocks(n_samples: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The blocks one after another in one float32 array; they must hold n_samples in all."""
+    out = np.empty(n_samples, dtype=np.float32)
     got = 0
     for block in blocks:
-        if got < keep:
-            out[got : got + block.size] = block[: keep - got]
+        if got < n_samples:
+            out[got : got + block.size] = block[: n_samples - got]
         got += block.size
         del block  # let it go before the next one is made
     if got != n_samples:
