@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
+from numpy.lib.stride_tricks import as_strided
+from scipy.special import i0
 
 from .errors import FormatError, ValidationError
 
@@ -30,7 +31,7 @@ PCM16_SCALE = 32767
 MIN_SAMPLE_RATE_HZ = 8000
 MAX_SAMPLE_RATE_HZ = 48000
 
-# Output samples per resample_poly call in `resampled_pieces` (rounded down to a multiple of `up`).
+# Output samples per `_upfirdn` call in `resampled_pieces` (rounded down to a multiple of `up`).
 RESAMPLE_BLOCK = 1 << 18
 # Samples per float64 block in `quantize_pcm16`.
 QUANTIZE_BLOCK = 1 << 15
@@ -172,14 +173,100 @@ def join_blocks(n_samples: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
 def _kaiser_taps(up: int, down: int) -> np.ndarray:
     """resample_poly's default filter for up/down: 10*max(up, down) upsampled taps each side.
 
-    Passed as `window=`, it gives the same taps as resample_poly designs per
-    call; resample_poly copies the array before scaling it, so the cached
-    taps stay read-only and unchanged.
+    A windowed sinc with cutoff 1/max(up, down) and a Kaiser window of beta
+    5, scaled to unit gain at zero frequency. The operations, and their
+    order, are those of `scipy.signal.firwin(2 * half_len + 1, cutoff,
+    window=("kaiser", 5.0))`, so the taps are the same bytes.
     """
-    half_len = 10 * max(up, down)
-    taps = firwin(2 * half_len + 1, 1 / max(up, down), window=("kaiser", 5.0))
+    numtaps = 20 * max(up, down) + 1
+    cutoff = np.float64(1 / max(up, down))
+    m = np.arange(0, numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    taps = cutoff * np.sinc(cutoff * m)
+    n = np.arange(0, numtaps, dtype=np.float64)
+    alpha = (numtaps - 1) / 2.0
+    taps *= i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(np.asarray(5.0))
+    taps /= np.sum(taps)  # firwin weighs each tap by cos(0) = 1 before it sums them
     taps.flags.writeable = False
     return taps
+
+
+class _FilterBank(NamedTuple):
+    """`_kaiser_taps(up, down)`, times `up` as resample_poly scales it, split into its phases.
+
+    Outputs come in groups of `up`, and group g reads the `span` inputs from
+    g*down + first on. Output g*up + r is the sum, over k in ascending order,
+    of taps[r, k] times input g*down + first + starts[r] + k. A phase with
+    fewer taps than the longest is padded with zeros at its start.
+    """
+
+    up: int
+    down: int
+    first: int
+    span: int
+    starts: tuple[int, ...]
+    taps: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _filter_bank(up: int, down: int) -> _FilterBank:
+    taps = _kaiser_taps(up, down)
+    per = (taps.size - 1) // up + 1  # the most taps that one output meets
+    h = np.zeros(per * up)
+    h[: taps.size] = taps * up
+    v = np.arange(up) * down + taps.size // 2  # output r of group 0, on the upsampled grid
+    # column q of row r is the tap that meets input v[r] // up - q; read back to front,
+    # the rows list them in input order, with a negative stride, which numpy's
+    # matmul never hands to BLAS (see `_upfirdn`)
+    back_to_front = h[v[:, None] % up + up * np.arange(per)]
+    back_to_front.flags.writeable = False
+    starts = v // up - (per - 1)
+    first = int(starts[0])
+    return _FilterBank(
+        up, down, first, int(starts[-1]) - first + per, tuple(int(a) - first for a in starts), back_to_front[:, ::-1]
+    )
+
+
+def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: np.ndarray) -> np.ndarray:
+    """Outputs [j0, j1) of `resample_poly(input, up, down, window=_kaiser_taps(up, down))`.
+
+    `x` is the float64 input from sample `lo` on, and is taken as zero
+    outside; it must hold every input sample that those outputs read. The
+    outputs are clipped to [-1, 1] in `acc`, a float64 buffer that holds
+    their groups (j0 is a multiple of `up`, or `acc` holds one group more),
+    and returned as a view of it.
+
+    Each output is 0.0 plus its terms, input times tap, in the order of the
+    inputs: the order in which scipy's upfirdn adds them, so the bytes are
+    the same. Phase r of the groups is one `matmul` of its taps with a
+    transposed view of the input, whose column m holds the inputs that
+    group m reads. Off BLAS, numpy's matmul (and the dot it calls for one
+    column) starts each sum at 0.0 and adds the products in order; a
+    negative stride keeps it off BLAS, whose sums run in another order.
+    """
+    up, down, first, span = bank.up, bank.down, bank.first, bank.span
+    per = bank.taps.shape[1]
+    g0, g1 = j0 // up, -(-j1 // up)
+    # groups [inner_lo, inner_hi) read only inside x; the groups around them read zeros too
+    inner_lo = min(g1, max(g0, -((first - lo) // down)))
+    inner_hi = max(inner_lo, min(g1, (x.size + lo - first - span) // down + 1))
+    out = acc[: (g1 - g0) * up].reshape(g1 - g0, up)
+    for a, b in ((g0, inner_lo), (inner_lo, inner_hi), (inner_hi, g1)):
+        if a == b:
+            continue
+        start = a * down + first - lo
+        stop = start + (b - a - 1) * down + span
+        if 0 <= start and stop <= x.size:
+            src = x[start:stop]
+        else:
+            src = np.zeros(stop - start)
+            p, q = max(start, 0), min(stop, x.size)
+            src[p - start : q - start] = x[p:q]
+        columns = as_strided(src, (span, b - a), (src.itemsize, down * src.itemsize), writeable=False)
+        for r, (k, taps) in enumerate(zip(bank.starts, bank.taps)):
+            np.matmul(taps, columns[k : k + per], out=out[a - g0 : b - g0, r])
+    # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant
+    np.clip(out, -1.0, 1.0, out=out)
+    return out.reshape(-1)[j0 - g0 * up : j1 - g0 * up]
 
 
 def resampled_pieces(
@@ -188,13 +275,14 @@ def resampled_pieces(
     """`resample`'s output as consecutive pieces, each made as soon as its input has arrived.
 
     At the target rate a piece is one of the stream's blocks. Otherwise it is
-    a clipped float64 array of about RESAMPLE_BLOCK samples, which the caller
-    casts into a float32 buffer of its own. It is computed from a float64 copy
-    of only the input window it needs: each window starts at a multiple of
-    `down` and carries a margin of whole multiples of `down` beyond the
-    filter's half-length, so every sample is computed exactly as one call over
-    the whole input would compute it, however the input is split into blocks.
-    A block is let go once every window that reads it is done.
+    RESAMPLE_BLOCK clipped float64 samples (the last one fewer) in a buffer
+    that the next piece reuses, so the caller casts each piece into a float32
+    buffer of its own before it pulls the next. A piece is computed by
+    `_upfirdn` from a float64 copy of only the input window it needs: every
+    input sample its outputs read, as far as the input has them. So every
+    sample is computed exactly as one pass over the whole input would compute
+    it, however the input is split into blocks. A block is let go once every
+    window that reads it is done.
 
     Without `stop`, the blocks must hold `n_samples` in all. With `stop`,
     the pieces end after `stop` samples, no block is pulled once they are
@@ -245,21 +333,20 @@ def _polyphase(
     g = math.gcd(rate_hz, target_rate_hz)
     up, down = target_rate_hz // g, rate_hz // g
     step = max(up, RESAMPLE_BLOCK - RESAMPLE_BLOCK % up)
-    taps = _kaiser_taps(up, down)
-    half_len = taps.size // 2
-    reach = -(-half_len // up)
-    margin = -(-reach // down) * down
+    bank = _filter_bank(up, down)
+    first, span = bank.first, bank.span
 
     def window(j0: int) -> tuple[int, int, int]:
-        """Output piece [j0, j1) and the input window [lo, hi) it is computed from."""
+        """Output piece [j0, j1) and the input window [lo, hi) that holds every sample it reads."""
         j1 = min(j0 + step, n_out)
-        return j1, max(0, j0 // up * down - margin), min(n_in, -(-j1 * down // up) + margin)
+        return j1, max(0, j0 // up * down + first), min(n_in, (-(-j1 // up) - 1) * down + first + span)
 
     pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
     base = 0
     # one float64 buffer serves every window: a fresh one per window, allocated
     # between the decoder's blocks, costs a page fault per 4 KiB
-    window_buf = np.empty(min(n_in, step // up * down + 2 * margin), dtype=np.float64)
+    window_buf = np.empty(min(n_in, (step // up - 1) * down + span), dtype=np.float64)
+    acc = np.empty(-(-min(step, n_out) // up) * up, dtype=np.float64)  # and one for the output
 
     def filtered(j0: int, j1: int, lo: int, hi: int) -> np.ndarray:
         """Output [j0, j1) from a float64 copy of the input [lo, hi), gathered from `pieces`."""
@@ -270,9 +357,7 @@ def _polyphase(
             if a < b:
                 x[a - lo : b - lo] = piece[a - start : b - start]
             start += piece.size
-        y = resample_poly(x, up, down, window=taps)[j0 - lo // down * up : j1 - lo // down * up]
-        # anti-alias filter ringing can overshoot; clamp to keep the amplitude invariant
-        return np.clip(y, -1.0, 1.0, out=y)
+        return _upfirdn(x, lo, j0, j1, bank, acc)
 
     got = 0  # input samples received so far
     j0 = 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,25 @@ class TestMockModels:
         out, rate = vc.convert(samples, 24000, "m", "i", default_conversion_params())
         assert rate == 32000
         assert out.size / rate == pytest.approx(samples.size / 24000, rel=0.02)
+
+    def test_vc_resample_adds_only_its_output_to_the_peak(self):
+        """A 12 s clip at 24 kHz peaks no higher than one at the native 32 kHz, plus the 32 kHz copy."""
+        vc = MockVcAdapter(known_models={"m", "i"})
+        params = default_conversion_params()
+        rng = np.random.default_rng(12)
+
+        def peak(rate: int) -> int:
+            samples = rng.uniform(-0.5, 0.5, 12 * rate).astype(np.float32)
+            vc.convert(samples, rate, "m", "i", params)  # caches the filter outside the count
+            tracemalloc.start()
+            try:
+                vc.convert(samples, rate, "m", "i", params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        resampled = 12 * 32000 * np.dtype(np.float32).itemsize
+        assert peak(24000) <= peak(32000) + resampled + 64 * 1024
 
     def test_asr_skips_silence(self):
         assert MockAsrAdapter().transcribe(np.zeros(16000, np.float32), 16000, AsrConfig()) == []

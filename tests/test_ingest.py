@@ -358,7 +358,7 @@ class TestDecodeAhead:
             else:
                 del source, blocks
         else:
-            real = audio.resample_poly
+            real = audio._upfirdn
             calls = []
 
             def second_window_fails(*args, **kwargs):
@@ -368,7 +368,7 @@ class TestDecodeAhead:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(audio, "RESAMPLE_BLOCK", 400)
-            monkeypatch.setattr(audio, "resample_poly", second_window_fails)
+            monkeypatch.setattr(audio, "_upfirdn", second_window_fails)
             # `info` keeps the traceback, and with it the stream, alive below
             with pytest.raises(RuntimeError, match="consumer failed") as info:
                 resample(source, 8000)
