@@ -196,7 +196,9 @@ class _FilterBank(NamedTuple):
     Outputs come in groups of `up`, and group g reads the `span` inputs from
     g*down + first on. Output g*up + r is the sum, over k in ascending order,
     of taps[r, k] times input g*down + first + starts[r] + k. A phase with
-    fewer taps than the longest is padded with zeros at its start.
+    fewer taps than the longest is padded with zeros at its start. Each
+    `(r, n, rise)` of `runs` is the n phases r, r + step, r + 2*step, ...,
+    whose starts rise by `rise` from one to the next.
     """
 
     up: int
@@ -205,6 +207,8 @@ class _FilterBank(NamedTuple):
     span: int
     starts: tuple[int, ...]
     taps: np.ndarray
+    step: int
+    runs: tuple[tuple[int, int, int], ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -219,11 +223,27 @@ def _filter_bank(up: int, down: int) -> _FilterBank:
     # matmul never hands to BLAS (see `_upfirdn`)
     back_to_front = h[v[:, None] % up + up * np.arange(per)]
     back_to_front.flags.writeable = False
-    starts = v // up - (per - 1)
-    first = int(starts[0])
-    return _FilterBank(
-        up, down, first, int(starts[-1]) - first + per, tuple(int(a) - first for a in starts), back_to_front[:, ::-1]
-    )
+    first = int(v[0] // up) - (per - 1)
+    starts = tuple(int(a) - first - (per - 1) for a in v // up)
+    # each run is one matmul call: at 320/441, step 8 makes 16 runs of the 320 phases
+    step, runs = min(((n, _runs(starts, n)) for n in range(1, min(up, 32) + 1)), key=lambda sr: len(sr[1]))
+    return _FilterBank(up, down, first, starts[-1] + per, starts, back_to_front[:, ::-1], step, tuple(runs))
+
+
+def _runs(starts: tuple[int, ...], step: int) -> list[tuple[int, int, int]]:
+    """The phases r, r + step, r + 2*step, ... split where their starts stop rising evenly."""
+    runs = []
+    for r in range(step):
+        chain = starts[r::step]
+        i = 0
+        while i < len(chain):
+            rise = chain[i + 1] - chain[i] if i + 1 < len(chain) else 1
+            n = 1
+            while rise and i + n < len(chain) and chain[i + n] - chain[i + n - 1] == rise:
+                n += 1
+            runs.append((r + i * step, n, max(rise, 1)))
+            i += n
+    return runs
 
 
 def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: np.ndarray) -> np.ndarray:
@@ -237,13 +257,13 @@ def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: n
 
     Each output is 0.0 plus its terms, input times tap, in the order of the
     inputs: the order in which scipy's upfirdn adds them, so the bytes are
-    the same. Phase r of the groups is one `matmul` of its taps with a
-    transposed view of the input, whose column m holds the inputs that
+    the same. Each run of phases is one batched `matmul` of their taps with
+    strided views of the input, in which column m holds the inputs that
     group m reads. Off BLAS, numpy's matmul (and the dot it calls for one
     column) starts each sum at 0.0 and adds the products in order; a
     negative stride keeps it off BLAS, whose sums run in another order.
     """
-    up, down, first, span = bank.up, bank.down, bank.first, bank.span
+    up, down, first, span, step = bank.up, bank.down, bank.first, bank.span, bank.step
     per = bank.taps.shape[1]
     g0, g1 = j0 // up, -(-j1 // up)
     # groups [inner_lo, inner_hi) read only inside x; the groups around them read zeros too
@@ -261,9 +281,17 @@ def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: n
             src = np.zeros(stop - start)
             p, q = max(start, 0), min(stop, x.size)
             src[p - start : q - start] = x[p:q]
-        columns = as_strided(src, (span, b - a), (src.itemsize, down * src.itemsize), writeable=False)
-        for r, (k, taps) in enumerate(zip(bank.starts, bank.taps)):
-            np.matmul(taps, columns[k : k + per], out=out[a - g0 : b - g0, r])
+        # inputs[k, :, m] holds the `per` inputs from offset k of group a + m on
+        size = src.itemsize
+        inputs = as_strided(src, (span - per + 1, per, b - a), (size, size, down * size), writeable=False)
+        for r, n, rise in bank.runs:
+            k = bank.starts[r]
+            phases = slice(r, r + (n - 1) * step + 1, step)
+            np.matmul(
+                bank.taps[phases, None, :],
+                inputs[k : k + (n - 1) * rise + 1 : rise],
+                out=out[a - g0 : b - g0, phases].T[:, None, :],
+            )
     # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant
     np.clip(out, -1.0, 1.0, out=out)
     return out.reshape(-1)[j0 - g0 * up : j1 - g0 * up]
