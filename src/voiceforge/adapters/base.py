@@ -14,6 +14,7 @@ StageError by the calling module, through :func:`voiceforge.errors.backend_call`
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -76,21 +77,19 @@ class DownloaderAdapter(Protocol):
 
 @runtime_checkable
 class DecoderAdapter(Protocol):
-    """Media file -> samples at the file's own rate.
-
-    A decoder may also define `decode_blocks(path) -> (rate, n_samples,
-    blocks)`: the rate, the number of samples per channel, and an iterator
-    of blocks shaped as `decode`'s samples that hold exactly n_samples in
-    all. `decode_to_audio` then resamples block by block and never holds
-    the native-rate source whole. Without it, `decode` is one block.
+    """Media file -> its samples at the file's own rate, in blocks.
 
     The blocks iterator is advanced from one worker thread, in order, at
     most `ingest.AHEAD_BLOCKS` blocks ahead of the resampler. So it must not
     depend on the thread that called `decode_blocks`.
     """
 
-    def decode(self, path: str) -> tuple[np.ndarray, int]:
-        """Return (samples, rate); samples 1-D mono or [channels, n]."""
+    def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
+        """Return (rate, n_samples per channel, blocks); blocks hold n_samples in all.
+
+        Each block is 1-D mono or [channels, n]. A backend that can only
+        decode whole files returns the whole file as one block.
+        """
         ...
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, join_blocks, pcm16_to_mono, wav_layout
+from ..audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, pcm16_to_mono, wav_layout
 from ..errors import AcquisitionError, ConfigurationError, FormatError
 from .base import DownloadResult
 
@@ -37,13 +37,9 @@ class UrllibDownloader:
 
 
 class WavFileDecoder:
-    """PCM16 WAV files on disk, read in blocks of BLOCK_BYTES; `decode` joins the blocks."""
+    """PCM16 WAV files on disk, read in blocks of BLOCK_BYTES."""
 
     BLOCK_BYTES = 1 << 18  # a multiple of every frame size (2 or 4 bytes)
-
-    def decode(self, path: str) -> tuple[np.ndarray, int]:
-        rate, n_samples, blocks = self.decode_blocks(path)
-        return join_blocks(n_samples, blocks), rate
 
     def decode_blocks(self, path: str) -> tuple[int, int, Iterator[np.ndarray]]:
         """Read the chunk headers now; the data chunk is read block by block."""

@@ -26,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "acquire": "fetch and cache the configured source media",
-        "prep": "decode, run optional passes, and segment into the work directory "
-        "(not for conversion)",
         "prompt": "build the speaker prompt archive (bark_prompt only)",
         "synth": "generate batch audio into the work directory (bark_prompt only)",
         "train-config": "emit the external trainer's config file",
@@ -71,10 +69,6 @@ def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     if command == "acquire":
         print(pipeline.acquire_stage(config))
-        return EXIT_OK
-    if command == "prep":
-        paths = pipeline.prep_stage(config)
-        print(f"{len(paths)} segments written")
         return EXIT_OK
     if command == "prompt":
         print(pipeline.prompt_stage(config))

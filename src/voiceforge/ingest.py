@@ -74,7 +74,6 @@ class RawMediaHandle:
     """
 
     path: Path
-    container_format: str | None = None
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -109,7 +108,7 @@ def acquire_source(
         path = Path(spec.uri)
         if not path.is_file():
             raise AcquisitionError(f"local source {spec.uri} not found", source_id=spec.uri)
-        return RawMediaHandle(path=path, container_format=_extension_for(spec.uri, None))
+        return RawMediaHandle(path=path)
 
     if downloader is None:
         raise ConfigurationError("remote sources need a downloader adapter")
@@ -121,9 +120,7 @@ def acquire_source(
 
     existing = sorted(bucket.glob(f"{digest}.*"))
     if existing:
-        return RawMediaHandle(
-            path=existing[0], container_format=existing[0].suffix.lstrip(".") or None
-        )
+        return RawMediaHandle(path=existing[0])
 
     fd, tmp_name = tempfile.mkstemp(prefix=f".{digest}.", dir=bucket)
     os.close(fd)
@@ -143,11 +140,7 @@ def acquire_source(
     finally:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
-    return RawMediaHandle(
-        path=final,
-        container_format=result.container_format or ext,
-        duration_s=result.duration_s,
-    )
+    return RawMediaHandle(path=final, duration_s=result.duration_s)
 
 
 def source_id_for(path: str | Path) -> str:
@@ -179,11 +172,10 @@ def open_source(
 ) -> SampleBlocks:
     """Open a media file for decoding at target_rate_hz: its samples at their native rate.
 
-    The decoder's blocks (`decode_blocks`, or `decode` as one block when the
-    decoder has no `decode_blocks`) are downmixed and range-checked one at a
-    time as they are pulled, and they must hold the reported sample count.
-    They are pulled on one worker thread, at most AHEAD_BLOCKS ahead of the
-    consumer (see `Ahead`), so decoding overlaps the resampling.
+    The decoder's blocks (`decode_blocks`) are downmixed and range-checked
+    one at a time as they are pulled, and they must hold the reported sample
+    count. They are pulled on one worker thread, at most AHEAD_BLOCKS ahead
+    of the consumer (see `Ahead`), so decoding overlaps the resampling.
     A file whose decoded duration disagrees with the downloader's report is a
     truncated or corrupt download. It is deleted before DecodeError is
     raised: a cache hit carries no reported duration, so a rerun would
@@ -196,12 +188,7 @@ def open_source(
         )
     where = str(media.path)
     with backend_call(f"cannot decode {where}", stage="decode", source_id=where, error=DecodeError):
-        if hasattr(decoder, "decode_blocks"):
-            native_rate, n_samples, blocks = decoder.decode_blocks(where)
-        else:
-            samples, native_rate = decoder.decode(where)
-            blocks = [downmix_mean(samples)]
-            n_samples = blocks[0].size
+        native_rate, n_samples, blocks = decoder.decode_blocks(where)
     if n_samples == 0:
         raise EmptyAudioError(f"{media.path} has no audio samples", source_id=where)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ingest
 from .adapters import AdapterRegistry, AdapterRole, default_registry
-from .audio import AudioClip, SampleBlocks, resampled_length, resampled_pieces, save_wav
+from .audio import AudioClip, SampleBlocks, resampled_length, resampled_pieces
 from .config import Methodology, OutputFormat, PipelineConfig
 from .conversion import convert_voice, validate_training_data, write_training_config
 from .corpus import (
@@ -53,14 +53,7 @@ from .corpus import (
 )
 from .errors import BatchError, ConfigurationError, DecodeError, StageError, ValidationError
 from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
-from .preprocess import (
-    AudioFormat,
-    denoise,
-    segment,
-    segment_bounds,
-    separate_vocals,
-    transcode,
-)
+from .preprocess import AudioFormat, denoise, segment_bounds, separate_vocals, transcode
 from .quality import SILENCE_EPS, SPEECH_GAP_S, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
@@ -175,27 +168,6 @@ def plan(config: PipelineConfig) -> list[str]:
     return steps
 
 
-def _acquire(
-    config: PipelineConfig, adapters: Adapters, work: Path
-) -> tuple[ingest.RawMediaHandle, int]:
-    """Acquire the source; returns it and the rate the job decodes it at."""
-    downloader = adapters.get(AdapterRole.DOWNLOADER)
-    handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
-    return handle, _rate_hz(job_for(config).decode_at, config, adapters)
-
-
-def _acquire_decoded(config: PipelineConfig, adapters: Adapters, work: Path) -> AudioClip:
-    """Acquire the source, decode it at the job's rate and run the optional passes."""
-    handle, rate_hz = _acquire(config, adapters, work)
-    clip = decode_to_audio(handle, rate_hz, adapters[AdapterRole.DECODER])
-    pp = config.preprocessing
-    if pp.denoise_strength is not None:
-        clip = denoise(clip, pp.denoise_strength, adapters[AdapterRole.DENOISE])
-    if pp.stems is not None:
-        clip = separate_vocals(clip, pp.stems, adapters[AdapterRole.STEMS])
-    return clip
-
-
 def _layout(fmt: OutputFormat) -> tuple[type[CorpusWriter], Callable[[Path], list[CorpusEntry]]]:
     """The writer and the reader of a dataset format."""
     if fmt is OutputFormat.COMMON_VOICE:
@@ -205,8 +177,8 @@ def _layout(fmt: OutputFormat) -> tuple[type[CorpusWriter], Callable[[Path], lis
 
 def _decode_clip(root: Path, entry: CorpusEntry, audio_format: AudioFormat, transcoder) -> AudioClip:
     """Decode one clip of a dataset through the transcoder, in its layout's audio format."""
-    payload = (root / entry.relative_audio_path).read_bytes()
     try:
+        payload = (root / entry.relative_audio_path).read_bytes()
         samples, rate = transcoder.decode(payload, audio_format.value)
     except Exception as exc:
         raise DecodeError(
@@ -284,7 +256,7 @@ def _numbered(
 
 
 def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[SampleBlocks, int]:
-    """The acquired source as a stream of blocks, and the rate the job decodes it at.
+    """Acquire the source: its stream of blocks, and the rate the job decodes it at.
 
     Without the optional passes it is the decoder's stream at its native rate.
     The passes take the whole source (stem separation may change its length),
@@ -292,15 +264,19 @@ def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[Sam
     is that array as one block at the job's rate. Either way its blocks are
     an `ingest.Ahead`.
     """
-    pp = config.preprocessing
+    downloader = adapters.get(AdapterRole.DOWNLOADER)
+    handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
+    rate_hz = _rate_hz(job_for(config).decode_at, config, adapters)
+    decoder, pp = adapters[AdapterRole.DECODER], config.preprocessing
     if pp.denoise_strength is None and pp.stems is None:
-        handle, rate_hz = _acquire(config, adapters, work)
-        return ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER]), rate_hz
-    clip = _acquire_decoded(config, adapters, work)
-    blocks = SampleBlocks(
-        clip.sample_rate_hz, clip.n_samples, ingest.Ahead([clip.samples]), clip.source_id
-    )
-    return blocks, clip.sample_rate_hz
+        return ingest.open_source(handle, rate_hz, decoder), rate_hz
+    clip = decode_to_audio(handle, rate_hz, decoder)
+    if pp.denoise_strength is not None:
+        clip = denoise(clip, pp.denoise_strength, adapters[AdapterRole.DENOISE])
+    if pp.stems is not None:
+        clip = separate_vocals(clip, pp.stems, adapters[AdapterRole.STEMS])
+    blocks = SampleBlocks(rate_hz, clip.n_samples, ingest.Ahead([clip.samples]), clip.source_id)
+    return blocks, rate_hz
 
 
 @contextmanager
@@ -593,11 +569,6 @@ CONVERT = Job(
 
 # The stages that apply to some jobs only: the jobs they take, and the refusal.
 _STAGE_JOBS = {
-    "prep": (
-        (CLONE, LJ_PREP),
-        "the prep stage does not apply to conversion, which reads "
-        "conversion.input_corpus, not the source",
-    ),
     "prompt": ((CLONE,), "the prompt stage applies to methodology: bark_prompt"),
     "synth": ((CLONE,), "the synth stage applies to methodology: bark_prompt"),
     "convert": (
@@ -656,7 +627,11 @@ def validate_dataset(
     entries = read(root)
     report = QualityReport()
     for entry in entries:
-        clip = _decode_clip(root, entry, writer_type.audio_format, adapters[AdapterRole.TRANSCODE])
+        try:
+            clip = _decode_clip(root, entry, writer_type.audio_format, adapters[AdapterRole.TRANSCODE])
+        except DecodeError as exc:
+            report.add(entry.clip_id, [Issue(code="decode", severity=Severity.FAIL, message=str(exc))])
+            continue
         report.add(entry.clip_id, validate_clip(clip, constraints))
     report.metrics["entries"] = float(len(entries))
     report.metrics["failing_entries"] = float(len(report.failing_clip_ids()))
@@ -675,24 +650,6 @@ def acquire_stage(config: PipelineConfig, registry: AdapterRegistry | None = Non
     work.mkdir(parents=True, exist_ok=True)
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
     return handle.path
-
-
-def prep_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> list[Path]:
-    """Acquire, decode, run optional passes, and segment; writes work-dir WAVs."""
-    check_stage("prep", config)
-    adapters = resolve_adapters(config, registry or default_registry())
-    work = work_dir_for(config.output.root)
-    work.mkdir(parents=True, exist_ok=True)
-    clip = _acquire_decoded(config, adapters, work)
-    segments = segment(clip, config.preprocessing.segmentation)
-    seg_dir = work / "segments"
-    seg_dir.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for i, piece in enumerate(segments):
-        path = seg_dir / f"{make_clip_id(clip.source_id, i)}.wav"
-        save_wav(piece, path)
-        paths.append(path)
-    return paths
 
 
 def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> Path:

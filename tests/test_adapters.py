@@ -39,7 +39,7 @@ from voiceforge.adapters.mocks import (
     speechlike_blocks,
     speechlike_waveform,
 )
-from voiceforge.audio import AudioClip, encode_wav_pcm16
+from voiceforge.audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, join_blocks
 from voiceforge.config import DEFAULT_ADAPTERS
 from voiceforge.conversion import default_conversion_params
 from voiceforge.errors import (
@@ -122,10 +122,11 @@ class TestMockMedia:
         dest = tmp_path / "media.bin"
         MockDownloader().download("mock://talk?duration=2&rate=16000&seed=5", str(dest))
         decoder = MockDecoder()
-        samples, rate = decoder.decode(str(dest))
+        rate, n_samples, blocks = decoder.decode_blocks(str(dest))
+        samples = join_blocks(n_samples, blocks)
         assert rate == 16000
         assert samples.size == 32000
-        again, _ = decoder.decode(str(dest))
+        again = join_blocks(*decoder.decode_blocks(str(dest))[1:])
         assert np.array_equal(samples, again)
 
     def test_decoder_rejects_unknown_container(self, tmp_path):
@@ -136,9 +137,8 @@ class TestMockMedia:
         }
         for payload, match in cases.items():
             path.write_bytes(payload)
-            for decode in (MockDecoder().decode, MockDecoder().decode_blocks):
-                with pytest.raises(FormatError, match=match):
-                    decode(str(path))
+            with pytest.raises(FormatError, match=match):
+                MockDecoder().decode_blocks(str(path))
 
     def test_waveform_has_speech_and_silence(self):
         wave = speechlike_waveform(16000 * 10, 16000, seed=1)
@@ -362,14 +362,13 @@ def test_blockwise_voiced_spans_of_speech_match_loop_oracle(monkeypatch):
 def test_mock_decoder_blocks_concatenate_to_decode(tmp_path, n_samples, rate, seed):
     path = tmp_path / "src.mockav"
     path.write_bytes(mocks.MOCKAV_MAGIC + struct.pack("<IQQ", rate, n_samples, seed))
-    samples, decoded_rate = MockDecoder().decode(str(path))
     block_rate, block_n, blocks = MockDecoder().decode_blocks(str(path))
     blocks = list(blocks)
-    assert (block_rate, block_n) == (decoded_rate, samples.size) == (rate, n_samples)
+    assert (block_rate, block_n) == (rate, n_samples)
     assert len(blocks) > 1 or n_samples < 6 * rate  # one utterance plus its gap per block
     joined = np.concatenate(blocks) if blocks else np.zeros(0, np.float32)
-    assert joined.dtype == np.float32 and joined.tobytes() == samples.tobytes()
-    assert speechlike_waveform(n_samples, rate, seed).tobytes() == samples.tobytes()
+    assert joined.dtype == np.float32
+    assert joined.tobytes() == speechlike_waveform(n_samples, rate, seed).tobytes()
     assert [b.size for b in speechlike_blocks(n_samples, rate, seed)] == [b.size for b in blocks]
 
 
@@ -377,7 +376,7 @@ def test_mock_decoder_blocks_of_a_wav_file(tmp_path):
     path = tmp_path / "src.wav"
     clip = AudioClip(samples=speechlike_waveform(8001, 8000, seed=4), sample_rate_hz=8000)
     path.write_bytes(encode_wav_pcm16(clip))
-    samples, rate = MockDecoder().decode(str(path))
+    samples, rate = decode_wav_pcm16(path.read_bytes())
     block_rate, n_samples, blocks = MockDecoder().decode_blocks(str(path))
     assert (block_rate, n_samples) == (rate, 8001)
     assert np.concatenate(list(blocks)).tobytes() == samples.tobytes()

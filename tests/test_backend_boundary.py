@@ -62,13 +62,6 @@ def _failing(adapter, method: str, exc: BaseException):
     return adapter
 
 
-class _WholeDecoder:
-    """A decoder without `decode_blocks`: decode_to_audio takes its `decode` as one block."""
-
-    def decode(self, path: str):
-        return MockDecoder().decode(path)
-
-
 def _failing_midway(exc: BaseException):
     """A MockDecoder whose second block raises exc."""
 
@@ -139,9 +132,6 @@ CALLS = {
         _media(tmp), 24000, _failing(MockDecoder(), "decode_blocks", exc)
     ),
     "decode_midway": lambda exc, tmp: decode_to_audio(_media(tmp), 24000, _failing_midway(exc)),
-    "decode_whole": lambda exc, tmp: decode_to_audio(
-        _media(tmp), 24000, _failing(_WholeDecoder(), "decode", exc)
-    ),
 }
 
 # id -> (exact class, stage, source_id, message); {path} is the decoded media file
@@ -203,7 +193,7 @@ EXPECTED = {
         "[decode] cannot decode {path}: boom (source {path})",
     ),
 }
-EXPECTED["decode_midway"] = EXPECTED["decode_whole"] = EXPECTED["decode"]
+EXPECTED["decode_midway"] = EXPECTED["decode"]
 
 
 @pytest.mark.parametrize("site", sorted(CALLS))

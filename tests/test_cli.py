@@ -7,9 +7,10 @@ import pytest
 import yaml
 
 from voiceforge import pipeline
+from voiceforge.adapters import AdapterDescriptor, AdapterRole, default_registry
 from voiceforge.adapters.mocks import MockTranscodeAdapter
 from voiceforge.audio import AudioClip
-from voiceforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_STAGE, main
+from voiceforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_STAGE, build_parser, main
 from voiceforge.corpus import CorpusEntry, SplitSpec, write_lj
 from voiceforge.errors import StageError
 from voiceforge.preprocess import AudioFormat, transcode
@@ -190,6 +191,21 @@ class TestRunAndValidate:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
+    def test_a_decoder_without_decode_blocks_is_a_stage_error(self, tmp_path, monkeypatch, capsys):
+        class WholeFileDecoder:
+            def decode(self, path):
+                return np.zeros(24000, np.float32), 24000
+
+        registry = default_registry()
+        registry.register(AdapterDescriptor(AdapterRole.DECODER, "whole"), WholeFileDecoder())
+        monkeypatch.setattr(pipeline, "default_registry", lambda: registry)
+        cfg = _m1_yaml(tmp_path, adapters={"downloader": "mock", "decoder": "whole"})
+        assert main(["run", "--config", cfg]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [decode] cannot decode ")
+        assert "'WholeFileDecoder' object has no attribute 'decode_blocks'" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestStageCommands:
     def test_acquire_prints_the_cached_path(self, tmp_path, capsys):
@@ -199,11 +215,13 @@ class TestStageCommands:
         printed = capsys.readouterr().out.strip()
         assert printed.endswith(".mockav")
 
-    def test_prep_reports_segment_count(self, tmp_path, capsys):
-        cfg = _m1_yaml(tmp_path)
-        code = main(["prep", "--config", cfg])
-        assert code == EXIT_OK
-        assert "4 segments written" in capsys.readouterr().out
+    def test_prep_is_not_a_command(self, tmp_path, capsys):
+        assert "prep" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prep", "--config", _m1_yaml(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'prep'" in capsys.readouterr().err
+        assert not (tmp_path / "out.work").exists()
 
     def test_prompt_writes_archive(self, tmp_path, capsys):
         cfg = _m1_yaml(tmp_path)
@@ -290,29 +308,6 @@ class TestStageCommands:
         assert code == EXIT_CONFIG
         assert "model_ref" in capsys.readouterr().err
 
-    def test_prep_on_a_conversion_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "src.wav").write_bytes(bytes(2000))  # any non-empty media file
-        cfg = _write_config(
-            tmp_path,
-            {
-                "methodology": "rvc_convert",
-                "source": {"uri": "./src.wav"},
-                "conversion": {
-                    "model_ref": "voice.pth",
-                    "index_ref": "voice.index",
-                    "input_corpus": "corpus",
-                },
-                "output": {"root": str(tmp_path / "out")},
-            },
-        )
-        assert main(["prep", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "configuration error: the prep stage does not apply to conversion, which reads "
-            "conversion.input_corpus, not the source\n"
-        )
-        assert not (tmp_path / "out.work").exists()
-
 
 def _lj_prep_yaml(tmp_path) -> str:
     return _write_config(
@@ -347,11 +342,10 @@ def _conversion_yaml(tmp_path) -> str:
     "command, config, refusal",
     [
         ("convert", _lj_prep_yaml, "convert needs methodology: rvc_convert with conversion.model_ref"),
-        ("prep", _conversion_yaml, "the prep stage does not apply to conversion"),
         ("prompt", _lj_prep_yaml, "the prompt stage applies to methodology: bark_prompt"),
         ("synth", _conversion_yaml, "the synth stage applies to methodology: bark_prompt"),
     ],
-    ids=["convert", "prep", "prompt", "synth"],
+    ids=["convert", "prompt", "synth"],
 )
 def test_dry_run_refuses_what_the_command_refuses(tmp_path, capsys, command, config, refusal):
     cfg = config(tmp_path)

@@ -57,7 +57,6 @@ class TestAcquire:
         media.write_bytes(b"fake video payload")
         handle = acquire_source(SourceSpec(uri=str(media), kind=SourceKind.LOCAL))
         assert handle.path == media
-        assert handle.container_format == "mp4"
         assert handle.duration_s is None
 
     def test_local_missing_file(self, tmp_path):
@@ -214,8 +213,10 @@ class TestDecode:
 
     def test_channel_major_decoder_output_downmixes(self, tmp_path):
         class TwoChannelDecoder:
-            def decode(self, path: str):
-                return np.stack([np.full(100, 0.5), np.full(100, -0.5)]), 16000
+            """A whole-file backend: the file is one [channels, n] block."""
+
+            def decode_blocks(self, path: str):
+                return 16000, 100, iter([np.stack([np.full(100, 0.5), np.full(100, -0.5)])])
 
         path = tmp_path / "x.raw"
         path.write_bytes(b"ignored")
@@ -265,9 +266,6 @@ class _BlockDecoder:
 
     def __init__(self, rate: int, n_samples: int, blocks: list[np.ndarray]):
         self.rate, self.n_samples, self.blocks = rate, n_samples, blocks
-
-    def decode(self, path: str):
-        raise AssertionError("a decoder with decode_blocks is read block by block")
 
     def decode_blocks(self, path: str):
         return self.rate, self.n_samples, iter(self.blocks)
@@ -419,19 +417,24 @@ class TestDecodeAhead:
                         blocks[11][0] = 2.0
                     decoders.append(_RecordingDecoder(8000, 400 * 12, blocks))
                     streams.append(open_source(_stub(tmp_path), 8000, decoders[-1]).blocks)
+                raised = set()  # the streams whose verdict `detach` already gave
                 for i, stream in enumerate(streams):
                     for _ in range((round_ + i) % 5):
                         next(stream)
-                    stream.detach()
+                    try:
+                        stream.detach()  # raises a fault the worker has already met
+                    except ValidationError:
+                        raised.add(i)
                 for i, (decoder, stream) in enumerate(zip(decoders, streams)):
                     if (round_ + i) % 4 == 3:
                         stream.close()
                         continue
+                    faulted = i in raised
                     try:
                         stream.check(wait=True)
-                        outcomes.append(((round_ + i) % 3 != 0, len(decoder.pulled_by)))
                     except ValidationError:
-                        outcomes.append(((round_ + i) % 3 == 0, len(decoder.pulled_by)))
+                        faulted = True
+                    outcomes.append((faulted == ((round_ + i) % 3 == 0), len(decoder.pulled_by)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -467,16 +470,6 @@ class TestDecodeAhead:
                 got.append(block)
         assert str(info.value) == expected
         assert len(got) == k
-
-
-class _WholeDecoder:
-    """A decoder with only `decode`."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def decode(self, path: str):
-        return self.inner.decode(path)
 
 
 def _stub(tmp_path) -> RawMediaHandle:
@@ -515,7 +508,6 @@ class TestBlockRoute:
 
         spec = SourceSpec(uri="mock://long-claim", kind=SourceKind.REMOTE)
         handle = acquire_source(spec, LongClaimDownloader(), cache_dir=tmp_path)
-        assert hasattr(MockDecoder(), "decode_blocks")
         with pytest.raises(DecodeError, match="disagrees"):
             decode_to_audio(handle, 8000, MockDecoder())
         assert not handle.path.exists()
@@ -551,15 +543,17 @@ class TestBlockRoute:
         with pytest.raises(EmptyAudioError):
             decode_to_audio(_stub(tmp_path), 8000, _BlockDecoder(8000, 0, []))
 
-    @pytest.mark.parametrize("rate_hz,target_rate_hz", [(44100, 32000), (24000, 24000)])
-    def test_decoder_with_only_decode_gives_the_same_clip(self, tmp_path, rate_hz, target_rate_hz):
-        spec = SourceSpec(uri=f"mock://x?duration=7&rate={rate_hz}&seed=2", kind=SourceKind.REMOTE)
-        handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
-        blockwise = decode_to_audio(handle, target_rate_hz, MockDecoder())
-        whole = decode_to_audio(handle, target_rate_hz, _WholeDecoder(MockDecoder()))
-        assert not hasattr(_WholeDecoder(MockDecoder()), "decode_blocks")
-        assert whole.samples.tobytes() == blockwise.samples.tobytes()
-        assert whole.source_id == blockwise.source_id
+    def test_a_decoder_without_decode_blocks_is_a_decode_error(self, tmp_path):
+        class WholeFileDecoder:
+            def decode(self, path: str):
+                return np.zeros(800, np.float32), 8000
+
+        where = tmp_path / "media.bin"
+        with pytest.raises(DecodeError, match=f"cannot decode {where}: .*'decode_blocks'") as info:
+            decode_to_audio(_stub(tmp_path), 8000, WholeFileDecoder())
+        assert info.value.stage == "decode" and info.value.source_id == str(where)
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert not _workers()
 
 
 

@@ -16,10 +16,9 @@ from voiceforge import pipeline
 from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
 from voiceforge.adapters.mocks import MockAsrAdapter, MockDiarizationAdapter, MockTranscodeAdapter
-from voiceforge.audio import AudioClip, save_wav
+from voiceforge.audio import AudioClip, resample, save_wav
 from voiceforge.config import parse_config
 from voiceforge.corpus import work_dir_for
-from voiceforge.ingest import decode_to_audio
 from voiceforge.quality import SILENCE_EPS
 from voiceforge.transcribe import diarize, slice_by_segments, transcribe
 
@@ -82,11 +81,15 @@ def _windowed(config, registry=None):
     return [(entry.sentence, clip.samples.tobytes()) for entry, clip in candidates], summary
 
 
+def _decoded(config, adapters) -> AudioClip:
+    """The job's source resampled whole, as `decode_to_audio` gives it."""
+    return resample(*pipeline._source(config, adapters, work_dir_for(config.output.root)))
+
+
 def _whole(config):
-    """The pairs of the whole source: decode_to_audio, then one transcribe and one slice."""
+    """The pairs of the whole source: decoded whole, then one transcribe and one slice."""
     adapters = pipeline.resolve_adapters(config, default_registry())
-    handle, rate_hz = pipeline._acquire(config, adapters, work_dir_for(config.output.root))
-    source = decode_to_audio(handle, rate_hz, adapters[AdapterRole.DECODER])
+    source = _decoded(config, adapters)
     segments = transcribe(source, config.asr, adapters[AdapterRole.ASR])
     pairs = slice_by_segments(source, segments)
     return [(text, clip.samples.tobytes()) for clip, text in pairs], source
@@ -170,7 +173,7 @@ def test_a_source_without_digital_silence_costs_no_more_than_holding_it_whole(tm
             pass
 
     def whole():
-        clip = pipeline._acquire_decoded(config, adapters, work_dir_for(config.output.root))
+        clip = _decoded(config, adapters)
         diarize(clip, adapters[AdapterRole.DIARIZATION])
         for _ in slice_by_segments(clip, transcribe(clip, config.asr, adapters[AdapterRole.ASR])):
             pass
@@ -216,10 +219,8 @@ def test_a_late_decode_fault_keeps_the_old_dataset(tmp_path, fault):
     with pytest.raises(Exception) as raised:
         pipeline.run(config, registry)
 
-    adapters = pipeline.resolve_adapters(config, registry)
-    handle, rate_hz = pipeline._acquire(config, adapters, work_dir_for(root))
     with pytest.raises(Exception) as whole:
-        decode_to_audio(handle, rate_hz, FaultyDecoder(fault))
+        _decoded(config, pipeline.resolve_adapters(config, registry))
     assert type(raised.value) is type(whole.value) and str(raised.value) == str(whole.value)
     assert asr.calls >= 3 and encoded  # the windows before the fault were packaged
     assert _tree(root) == before

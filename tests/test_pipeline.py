@@ -26,7 +26,7 @@ from voiceforge.adapters.mocks import (
     MockVcAdapter,
 )
 from voiceforge.audio import AudioClip, load_wav
-from voiceforge.cli import EXIT_PARTIAL, EXIT_STAGE, main
+from voiceforge.cli import EXIT_OK, EXIT_PARTIAL, EXIT_STAGE, main
 from voiceforge.config import parse_config
 from voiceforge.corpus import (
     CorpusEntry,
@@ -45,6 +45,7 @@ from voiceforge.errors import (
     ValidationError,
 )
 from voiceforge.preprocess import AudioFormat, transcode
+from voiceforge.quality import Severity
 from voiceforge.voiceprompt import load_prompt
 
 SENTENCES = [
@@ -185,6 +186,18 @@ def _run_cli_with_vc(tmp_path, monkeypatch, vc) -> int:
     return main(["run", "--config", str(cfg)])
 
 
+UNREADABLE_CLIPS = pytest.mark.parametrize(
+    "damage",
+    [
+        # the reader already warns of a manifest entry without its file
+        pytest.param(
+            Path.unlink,
+            marks=pytest.mark.filterwarnings("ignore:clips/orig_000001.mp3 is referenced but missing"),
+            id="missing",
+        ),
+        pytest.param(lambda path: path.write_bytes(b"garbage, not a clip"), id="garbage"),
+    ],
+)
 BAD_VC_OUTPUTS = pytest.mark.parametrize(
     "bad", ["raise", 1.5, np.nan], ids=["raise", "out_of_range", "nan"]
 )
@@ -507,6 +520,42 @@ class TestConversionRun:
             "orig_000002",
         ]
 
+    @UNREADABLE_CLIPS
+    def test_a_missing_or_garbage_input_clip_is_skipped(self, tmp_path, capsys, damage):
+        corpus, model, index = _conversion_inputs(tmp_path)
+        damage(corpus / "clips" / "orig_000001.mp3")
+        data = _m2_convert_data(tmp_path / "out", corpus, model, index)
+        cfg = tmp_path / "convert.yaml"
+        cfg.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == EXIT_PARTIAL
+        assert "note: failed clip orig_000001: [decode] cannot decode clips/orig_000001.mp3: " in (
+            capsys.readouterr().out
+        )
+        assert sorted(e.clip_id for e in read_common_voice(tmp_path / "out")) == [
+            "orig_000000",
+            "orig_000002",
+        ]
+
+    @UNREADABLE_CLIPS
+    def test_validate_fails_a_missing_or_garbage_clip_and_checks_the_rest(
+        self, tmp_path, capsys, damage
+    ):
+        corpus, model, index = _conversion_inputs(tmp_path)
+        data = _m2_convert_data(tmp_path / "out", corpus, model, index)
+        cfg = tmp_path / "convert.yaml"
+        cfg.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        damage(tmp_path / "out" / "clips" / "orig_000001.mp3")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == EXIT_STAGE
+        assert capsys.readouterr().out == "validated 3 entries, 1 failing\nfail: orig_000001\n"
+        report = pipeline.validate_dataset(parse_config(data))
+        [issue] = report.per_clip["orig_000001"]
+        assert (issue.code, issue.severity) == ("decode", Severity.FAIL)
+        assert issue.message.startswith("[decode] cannot decode clips/orig_000001.mp3: ")
+        assert report.failing_clip_ids() == ["orig_000001"]
+        assert report.metrics == {"entries": 3.0, "failing_entries": 1.0}
+
     def test_every_clip_failing_is_a_stage_error(self, tmp_path, monkeypatch, capsys):
         vc = FailingVc("raise", failing_calls={0, 1, 2})
         assert _run_cli_with_vc(tmp_path, monkeypatch, vc) == EXIT_STAGE
@@ -540,14 +589,6 @@ class TestStages:
         assert first == second
         assert first.is_file()
         assert first.stat().st_size > 0
-
-    def test_prep_stage_writes_segments(self, tmp_path):
-        config = _m1_config(tmp_path / "out")
-        paths = pipeline.prep_stage(config)
-        assert len(paths) == 4
-        clip = load_wav(paths[0])
-        assert clip.sample_rate_hz == 24000
-        assert clip.duration_s == pytest.approx(10.0)
 
     def test_prompt_stage_saves_a_loadable_prompt(self, tmp_path):
         config = _m1_config(tmp_path / "out")
