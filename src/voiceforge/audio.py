@@ -33,6 +33,13 @@ MAX_SAMPLE_RATE_HZ = 48000
 
 # Output samples per `_upfirdn` call in `resampled_pieces` (rounded down to a multiple of `up`).
 RESAMPLE_BLOCK = 1 << 18
+# The resampler's fixed point: taps are multiples of 1/TAP_SCALE, inputs of 1/INPUT_SCALE.
+TAP_SCALE = 2.0**26
+INPUT_SCALE = 2.0**24
+# Consecutive phases per `matmul` in `_upfirdn`, and the most m*n*k of one call:
+# OpenBLAS runs a gemm of at most 2^18 on one thread.
+PHASE_BLOCK = 16
+BLAS_MNK_CAP = 1 << 18
 # Samples per float64 block in `quantize_pcm16`.
 QUANTIZE_BLOCK = 1 << 15
 
@@ -191,24 +198,21 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
 
 
 class _FilterBank(NamedTuple):
-    """`_kaiser_taps(up, down)`, times `up` as resample_poly scales it, split into its phases.
+    """`_kaiser_taps(up, down)` times `up`, as resample_poly scales it, in fixed point and phase blocks.
 
     Outputs come in groups of `up`, and group g reads the `span` inputs from
-    g*down + first on. Output g*up + r is the sum, over k in ascending order,
-    of taps[r, k] times input g*down + first + starts[r] + k. A phase with
-    fewer taps than the longest is padded with zeros at its start. Each
-    `(r, n, rise)` of `runs` is the n phases r, r + step, r + 2*step, ...,
-    whose starts rise by `rise` from one to the next.
+    g*down + first on. Each `(r0, c, h)` of `blocks` makes the outputs
+    g*up + r0 to g*up + r0 + h.shape[1] - 1 of every group g: the h.shape[0]
+    inputs from g*down + first + c on, times `h`. A tap of `h` is a multiple
+    of 2^-26; a phase's taps sit in its column, and the zeros around them
+    band the matrix.
     """
 
     up: int
     down: int
     first: int
     span: int
-    starts: tuple[int, ...]
-    taps: np.ndarray
-    step: int
-    runs: tuple[tuple[int, int, int], ...]
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -216,55 +220,41 @@ def _filter_bank(up: int, down: int) -> _FilterBank:
     taps = _kaiser_taps(up, down)
     per = (taps.size - 1) // up + 1  # the most taps that one output meets
     h = np.zeros(per * up)
-    h[: taps.size] = taps * up
+    h[: taps.size] = np.rint(taps * (up * TAP_SCALE)) / TAP_SCALE
     v = np.arange(up) * down + taps.size // 2  # output r of group 0, on the upsampled grid
-    # column q of row r is the tap that meets input v[r] // up - q; read back to front,
-    # the rows list them in input order, with a negative stride, which numpy's
-    # matmul never hands to BLAS (see `_upfirdn`)
-    back_to_front = h[v[:, None] % up + up * np.arange(per)]
-    back_to_front.flags.writeable = False
+    # row r holds the taps that output r meets, in the order of its inputs
+    phases = h[v[:, None] % up + up * np.arange(per)][:, ::-1]
+    # an output is a sum of integers times 2^-50; below 2^53 every partial sum is exact
+    assert np.abs(phases).sum(axis=1).max() * TAP_SCALE * INPUT_SCALE < 2.0**53, (up, down)
+    starts = v // up - v[0] // up  # where each phase's inputs start, from phase 0's
+    blocks = []
+    for r0 in range(0, up, PHASE_BLOCK):
+        rows = starts[r0 : r0 + PHASE_BLOCK] - starts[r0] + np.arange(per)[:, None]
+        block = np.zeros((rows[-1, -1] + 1, rows.shape[1]))
+        block[rows, np.arange(rows.shape[1])] = phases[r0 : r0 + PHASE_BLOCK].T
+        block.flags.writeable = False
+        blocks.append((r0, int(starts[r0]), block))
     first = int(v[0] // up) - (per - 1)
-    starts = tuple(int(a) - first - (per - 1) for a in v // up)
-    # each run is one matmul call: at 320/441, step 8 makes 16 runs of the 320 phases
-    step, runs = min(((n, _runs(starts, n)) for n in range(1, min(up, 32) + 1)), key=lambda sr: len(sr[1]))
-    return _FilterBank(up, down, first, starts[-1] + per, starts, back_to_front[:, ::-1], step, tuple(runs))
-
-
-def _runs(starts: tuple[int, ...], step: int) -> list[tuple[int, int, int]]:
-    """The phases r, r + step, r + 2*step, ... split where their starts stop rising evenly."""
-    runs = []
-    for r in range(step):
-        chain = starts[r::step]
-        i = 0
-        while i < len(chain):
-            rise = chain[i + 1] - chain[i] if i + 1 < len(chain) else 1
-            n = 1
-            while rise and i + n < len(chain) and chain[i + n] - chain[i + n - 1] == rise:
-                n += 1
-            runs.append((r + i * step, n, max(rise, 1)))
-            i += n
-    return runs
+    return _FilterBank(up, down, first, int(starts[-1]) + per, tuple(blocks))
 
 
 def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: np.ndarray) -> np.ndarray:
-    """Outputs [j0, j1) of `resample_poly(input, up, down, window=_kaiser_taps(up, down))`.
+    """Outputs [j0, j1) of the polyphase filter `bank`, as resample_poly computes them up to rounding.
 
-    `x` is the float64 input from sample `lo` on, and is taken as zero
-    outside; it must hold every input sample that those outputs read. The
-    outputs are clipped to [-1, 1] in `acc`, a float64 buffer that holds
-    their groups (j0 is a multiple of `up`, or `acc` holds one group more),
-    and returned as a view of it.
+    `x` is the float64 input from sample `lo` on, in multiples of 2^-24, and
+    is taken as zero outside; it must hold every input sample that those
+    outputs read. The outputs are clipped to [-1, 1] in `acc`, a float64
+    buffer that holds their groups (j0 is a multiple of `up`, or `acc` holds
+    one group more), and returned as a view of it.
 
-    Each output is 0.0 plus its terms, input times tap, in the order of the
-    inputs: the order in which scipy's upfirdn adds them, so the bytes are
-    the same. Each run of phases is one batched `matmul` of their taps with
-    strided views of the input, in which column m holds the inputs that
-    group m reads. Off BLAS, numpy's matmul (and the dot it calls for one
-    column) starts each sum at 0.0 and adds the products in order; a
-    negative stride keeps it off BLAS, whose sums run in another order.
+    Each product of a tap and an input is an integer times 2^-50, and
+    `_filter_bank` checks that every sum of them stays below 2^53 such
+    units. So every sum is exact in any order, and BLAS may add them as it
+    likes: an output is the integer sum times 2^-50 on any machine. Each
+    block of phases is one `matmul` per BLAS_MNK_CAP of work, of its matrix
+    with the rows of inputs that the groups read.
     """
-    up, down, first, span, step = bank.up, bank.down, bank.first, bank.span, bank.step
-    per = bank.taps.shape[1]
+    up, down, first, span = bank.up, bank.down, bank.first, bank.span
     g0, g1 = j0 // up, -(-j1 // up)
     # groups [inner_lo, inner_hi) read only inside x; the groups around them read zeros too
     inner_lo = min(g1, max(g0, -((first - lo) // down)))
@@ -281,19 +271,21 @@ def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: n
             src = np.zeros(stop - start)
             p, q = max(start, 0), min(stop, x.size)
             src[p - start : q - start] = x[p:q]
-        # inputs[k, :, m] holds the `per` inputs from offset k of group a + m on
         size = src.itemsize
-        inputs = as_strided(src, (span - per + 1, per, b - a), (size, size, down * size), writeable=False)
-        for r, n, rise in bank.runs:
-            k = bank.starts[r]
-            phases = slice(r, r + (n - 1) * step + 1, step)
-            np.matmul(
-                bank.taps[phases, None, :],
-                inputs[k : k + (n - 1) * rise + 1 : rise],
-                out=out[a - g0 : b - g0, phases].T[:, None, :],
-            )
-    # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant
+        for r0, c, h in bank.blocks:
+            # row m holds the inputs that group a + m reads
+            inputs = as_strided(src[c:], (b - a, h.shape[0]), (down * size, size), writeable=False)
+            n = max(1, BLAS_MNK_CAP // h.size)
+            for m in range(0, b - a, n):
+                rows = inputs[m : m + n]
+                # overlapping rows reach BLAS only as a copy, which one column does not repay
+                if down < h.shape[0] and h.shape[1] > 1:
+                    rows = rows.copy()
+                np.matmul(rows, h, out=out[a - g0 + m : a - g0 + m + rows.shape[0], r0 : r0 + h.shape[1]])
+    # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant.
+    # BLAS may sum to -0.0 where the integers sum to 0; adding 0.0 makes it +0.0
     np.clip(out, -1.0, 1.0, out=out)
+    out += 0.0
     return out.reshape(-1)[j0 - g0 * up : j1 - g0 * up]
 
 
@@ -385,6 +377,9 @@ def _polyphase(
             if a < b:
                 x[a - lo : b - lo] = piece[a - start : b - start]
             start += piece.size
+        x *= INPUT_SCALE  # to multiples of 2^-24, which `_upfirdn` sums exactly
+        np.rint(x, out=x)
+        x /= INPUT_SCALE
         return _upfirdn(x, lo, j0, j1, bank, acc)
 
     got = 0  # input samples received so far

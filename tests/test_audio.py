@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.signal import resample_poly
 
 from voiceforge import audio
 from voiceforge.adapters.builtin import WavFileDecoder, WavTranscodeAdapter
@@ -33,6 +32,8 @@ from voiceforge.audio import (
 from voiceforge.errors import DecodeError, FormatError, ValidationError
 from voiceforge.ingest import RawMediaHandle, open_source
 from voiceforge.voiceprompt import CodebookMatrix, build_prompt, save_prompt
+
+from test_upfirdn import integer_resample
 
 
 def _clip(n: int = 800, rate: int = 8000, value: float | None = None) -> AudioClip:
@@ -129,10 +130,9 @@ def test_resample_changes_rate_and_preserves_duration():
 
 
 def _whole_array_resample(samples: np.ndarray, rate_hz: int, target_rate_hz: int) -> np.ndarray:
-    """Reference: one resample_poly call over the whole input, as before block-wise resampling."""
+    """Reference: the exact integer sum over the whole input, as before block-wise resampling."""
     g = math.gcd(rate_hz, target_rate_hz)
-    out = resample_poly(samples.astype(np.float64), target_rate_hz // g, rate_hz // g)
-    return np.clip(out, -1.0, 1.0).astype(np.float32)
+    return integer_resample(samples.astype(np.float64), target_rate_hz // g, rate_hz // g).astype(np.float32)
 
 
 @pytest.mark.parametrize(

@@ -30,8 +30,8 @@ from voiceforge.config import parse_config
 GOLDEN = {
     "m1_common_voice": "8200c580a2a5643747ed3e0450b65c6fa22652b4bf0476f9d9501ee147174d8b",
     "m1_lj": "42a97199fd4fc769e05cf9f22e1b0a29e2abf568c35e07028292782123f6b9cd",
-    "m2_lj_prep": "4db50be39ac6c31c381a30188fc5818da9a47e21b86d76a30ba043fc173fb68a",
-    "m2_conversion": "7f1c3284840fa2335eb767cec65db5c2f832c12993063245ccfb1ce23441aeb4",
+    "m2_lj_prep": "82e0311c089082ca389cdcfc788e00a0ebb4f013ae1d5c817c50db3b86f5e2be",
+    "m2_conversion": "065f85ce2123ab53d5525b1f5f7d7c07e89b25af475c86f05deba40093ca17f1",
 }
 
 CLONE_SOURCE = "mock://talk?duration=25&rate=24000&seed=7"
