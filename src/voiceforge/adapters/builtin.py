@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import urllib.request
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -27,6 +26,7 @@ class UrllibDownloader:
         self.timeout_s = timeout_s
 
     def download(self, uri: str, dest_path: str) -> DownloadResult:
+        import urllib.request  # loads ssl, so only a run that downloads pays for it
         try:
             with urllib.request.urlopen(uri, timeout=self.timeout_s) as response:
                 with open(dest_path, "wb") as fh:

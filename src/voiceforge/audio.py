@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy  # noqa: F401  unused: kept until perfbench/child.py:104 stops reading its version (ROADMAP F4)
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import i0
 
 from .errors import FormatError, ValidationError
 
@@ -183,7 +183,8 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
     A windowed sinc with cutoff 1/max(up, down) and a Kaiser window of beta
     5, scaled to unit gain at zero frequency. The operations, and their
     order, are those of `scipy.signal.firwin(2 * half_len + 1, cutoff,
-    window=("kaiser", 5.0))`, so the taps are the same bytes.
+    window=("kaiser", 5.0))`, with `np.i0` for its Bessel function: rounded
+    as `_filter_bank` rounds them, the taps are firwin's bytes.
     """
     numtaps = 20 * max(up, down) + 1
     cutoff = np.float64(1 / max(up, down))
@@ -191,7 +192,7 @@ def _kaiser_taps(up: int, down: int) -> np.ndarray:
     taps = cutoff * np.sinc(cutoff * m)
     n = np.arange(0, numtaps, dtype=np.float64)
     alpha = (numtaps - 1) / 2.0
-    taps *= i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(np.asarray(5.0))
+    taps *= np.i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / np.i0(5.0)
     taps /= np.sum(taps)  # firwin weighs each tap by cos(0) = 1 before it sums them
     taps.flags.writeable = False
     return taps

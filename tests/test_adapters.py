@@ -24,7 +24,7 @@ from voiceforge.adapters import (
     default_registry,
 )
 from voiceforge.adapters import mocks
-from voiceforge.adapters.builtin import WavTranscodeAdapter
+from voiceforge.adapters.builtin import UrllibDownloader, WavTranscodeAdapter
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
     MockCodecAdapter,
@@ -43,6 +43,7 @@ from voiceforge.audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, join
 from voiceforge.config import DEFAULT_ADAPTERS
 from voiceforge.conversion import default_conversion_params
 from voiceforge.errors import (
+    AcquisitionError,
     AdapterLookupError,
     ConfigurationError,
     FormatError,
@@ -279,6 +280,24 @@ class TestTranscoders:
             codec.encode(np.zeros(10, np.float32), 8000, "mp3")
         with pytest.raises(ConfigurationError):
             codec.decode(payload, "mp3")
+
+
+class TestUrllibDownloader:
+    def test_fetches_a_file_uri_byte_for_byte(self, tmp_path):
+        source = tmp_path / "talk.WAV"
+        payload = bytes(range(256)) * 1000
+        source.write_bytes(payload)
+        dest = tmp_path / "fetched"
+        result = UrllibDownloader().download(source.as_uri(), str(dest))
+        assert dest.read_bytes() == payload
+        assert result.container_format == "wav"
+        assert result.duration_s is None
+
+    def test_a_missing_path_is_an_acquisition_error(self, tmp_path):
+        uri = (tmp_path / "absent.wav").as_uri()
+        with pytest.raises(AcquisitionError, match="download failed") as info:
+            UrllibDownloader().download(uri, str(tmp_path / "fetched"))
+        assert info.value.source_id == uri
 
 
 def _voiced_spans_loop(samples: np.ndarray, rate: int) -> list[tuple[int, int]]:
