@@ -389,8 +389,10 @@ def _lj_prep(
     digital silence to cut at; a source without it (a noise floor above
     about -80 dBFS) is one window, held whole. The adapters see each
     window on its own: their timestamps are window-local, and so are the
-    diarizer's labels. `clips_in`, the multi-speaker warning and the "no
-    speech" error come at the end of the stream.
+    diarizer's labels. Each candidate owns its samples, a copy of its slice
+    of the window, so the window is let go once its last slice is copied.
+    `clips_in`, the multi-speaker warning and the "no speech" error come at
+    the end of the stream.
     """
     source, rate_hz = _source(config, adapters, work_dir_for(config.output.root))
 
@@ -405,8 +407,12 @@ def _lj_prep(
             minority_s += minority_speaker_fraction(turns) * spoken
             segments = transcribe(window, config.asr, adapters[AdapterRole.ASR])
             sliced = slice_by_segments(window, segments)
+            del window
             summary.clips_in += len(sliced)
-            yield from ((text, clip) for clip, text in sliced)
+            # each slice is a view of the window: the consumer gets a copy, so that
+            # the one it still holds while the next window fills does not keep this one
+            yield from ((text, replace(clip, samples=clip.samples.copy())) for clip, text in sliced)
+            del sliced
         # the minority share of each window, weighted by the window's diarized speech
         if spoken_s and minority_s / spoken_s > MULTI_SPEAKER_WARN_FRACTION:
             summary.messages.append(
@@ -430,10 +436,13 @@ def _windows(
 
     A window closes at its first sample c at or after WINDOW_S s such that
     the SPEECH_GAP_S s before c are all below SILENCE_EPS (after the cast to
-    float32, as the adapters see them). Each window is a fresh float32 buffer
-    that the pieces are cast into once; its `offset_s` is its first sample's
-    index over the rate. A window that finds no such silence in its first
-    2 * WINDOW_S s is moved once into a buffer for the rest of the source.
+    float32, as the adapters see them). Each window is a float32 buffer that
+    the pieces are cast into once; its `offset_s` is its first sample's index
+    over the rate. The samples after a cut are copied out and the buffer is
+    released before the next one is made, so a consumer that lets go of the
+    window (and of every view of it) holds one window at a time. A window
+    that finds no such silence in its first 2 * WINDOW_S s is moved once
+    into a buffer for the rest of the source.
     """
     least, quiet = int(WINDOW_S * rate_hz), int(SPEECH_GAP_S * rate_hz)
     start = n = 0  # the window's first sample in the source, and its samples so far
@@ -461,7 +470,8 @@ def _windows(
             if cut.size:
                 c = int(cuts[cut[0]])
                 yield AudioClip(buf[:c], rate_hz, source_id, offset_s=start / rate_hz)
-                rest = buf[c:end]
+                rest = buf[c:end].copy()
+                del buf  # the window goes before the next one is made
                 start += c
                 buf = np.empty(min(2 * least, n_out - start), dtype=np.float32)
                 buf[: rest.size] = rest

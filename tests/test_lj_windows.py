@@ -155,6 +155,27 @@ def test_lj_prep_memory_does_not_grow_with_the_source(tmp_path):
     assert long - short < 10 * 2**20, (short, long)
 
 
+def test_lj_prep_holds_one_window(tmp_path, monkeypatch):
+    """Each window is let go before the next is made, and no candidate is a view of one.
+
+    A 44.1 kHz source makes 32 kHz windows in a 7.3 MiB buffer: 240 s of LJ
+    prep peaks near 21 MiB holding one of them, and near 28 MiB holding two.
+    """
+    assert _lj_peak(tmp_path / "peak", 240) < 24 * 2**20
+
+    windows = []
+    real = pipeline._windows
+    monkeypatch.setattr(pipeline, "_windows", lambda *args: (windows.append(w) or w for w in real(*args)))
+    config = _config(tmp_path / "out", "mock://talk?duration=100&rate=44100&seed=5")
+    adapters = pipeline.resolve_adapters(config, default_registry())
+    summary = pipeline.RunSummary(methodology="rvc_convert", output_root=config.output.root)
+    clips = [clip.samples for _, clip in pipeline._lj_prep(config, adapters, summary, False)]
+    assert len(windows) > 1 and len(clips) > len(windows)
+    for k, clip in enumerate(clips):
+        others = [w.samples for w in windows] + clips[:k]
+        assert not any(np.shares_memory(clip, other) for other in others), k
+
+
 def test_a_source_without_digital_silence_costs_no_more_than_holding_it_whole(tmp_path):
     """A noise floor leaves no silence to cut at: LJ prep is then one window of the whole source.
 
