@@ -139,7 +139,7 @@ def _whole_array_resample(samples: np.ndarray, rate_hz: int, target_rate_hz: int
     "rate_hz,target_rate_hz",
     [(44100, 32000), (24000, 32000), (48000, 24000), (8000, 48000), (32000, 44100)],
 )
-@pytest.mark.parametrize("block", [audio.RESAMPLE_BLOCK, 3000])
+@pytest.mark.parametrize("block", [1 << 18, audio.RESAMPLE_BLOCK, 3000])  # a larger block, the default, a small one
 def test_resample_matches_whole_array_oracle(monkeypatch, rate_hz, target_rate_hz, block):
     monkeypatch.setattr(audio, "RESAMPLE_BLOCK", block)
     g = math.gcd(rate_hz, target_rate_hz)
