@@ -159,12 +159,11 @@ class MockDownloader:
     """Writes a MOCKAV stub for any URI; duration/rate/seed via query params.
 
     Example: ``mock://lecture?duration=3600&rate=32000&seed=7``. Unknown URIs
-    fall back to the constructor defaults with a seed hashed from the URI.
+    fall back to the class defaults with a seed hashed from the URI.
     """
 
-    def __init__(self, duration_s: float = 60.0, rate_hz: int = 24000):
-        self.duration_s = duration_s
-        self.rate_hz = rate_hz
+    duration_s = 60.0
+    rate_hz = 24000
 
     def download(self, uri: str, dest_path: str) -> DownloadResult:
         parts = urlsplit(uri)
@@ -196,8 +195,7 @@ class MockDecoder(WavFileDecoder):
 class MockDenoiseAdapter:
     """Strength-weighted moving-average smoothing; strength 0 is the identity."""
 
-    def __init__(self, window: int = 5):
-        self.window = window
+    window = 5
 
     def denoise(self, samples: np.ndarray, rate: int, strength: float) -> np.ndarray:
         if strength == 0.0 or samples.size == 0:
@@ -234,17 +232,10 @@ class MockCodecAdapter:
     of the real neural codec without any model weights.
     """
 
-    def __init__(
-        self,
-        native_rate_hz: int = 24000,
-        frame_rate_hz: float = 75.0,
-        codebook_count: int = 8,
-        codebook_size: int = 1024,
-    ):
-        self.native_rate_hz = native_rate_hz
-        self.frame_rate_hz = frame_rate_hz
-        self.codebook_count = codebook_count
-        self.codebook_size = codebook_size
+    native_rate_hz = 24000
+    frame_rate_hz = 75.0
+    codebook_count = 8
+    codebook_size = 1024
 
     def encode(self, samples: np.ndarray, rate: int) -> np.ndarray:
         n = samples.size
@@ -263,9 +254,8 @@ class MockCodecAdapter:
 class MockSemanticEncoderAdapter:
     """Frame statistics as stand-in self-supervised features (50 frames/s)."""
 
-    def __init__(self, token_rate_hz: float = 50.0, embedding_dim: int = 16):
-        self.token_rate_hz = token_rate_hz
-        self.embedding_dim = embedding_dim
+    token_rate_hz = 50.0
+    embedding_dim = 16
 
     def encode(self, samples: np.ndarray, rate: int) -> np.ndarray:
         n = samples.size
@@ -296,9 +286,8 @@ class MockSemanticEncoderAdapter:
 class MockTokenQuantizerAdapter:
     """Hashes feature rows into a fixed vocabulary; all-zero rows map to token 0."""
 
-    def __init__(self, vocab_size: int = 10000, embedding_dim: int = 16):
-        self.vocab_size = vocab_size
-        self.embedding_dim = embedding_dim
+    vocab_size = 10000
+    embedding_dim = 16
 
     def quantize(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float32)
@@ -318,9 +307,10 @@ class MockTtsAdapter:
     at the start of synthesis call N+1 — a harness for kill/resume tests.
     """
 
-    def __init__(self, native_rate_hz: int = 24000, seconds_per_char: float = 0.055):
-        self.native_rate_hz = native_rate_hz
-        self.seconds_per_char = seconds_per_char
+    native_rate_hz = 24000
+    seconds_per_char = 0.055
+
+    def __init__(self):
         abort = os.environ.get("VOICEFORGE_MOCK_TTS_ABORT_AFTER")
         self._abort_after = int(abort) if abort else None
         self._calls = 0
@@ -361,8 +351,9 @@ class MockVcAdapter:
     they must be existing filesystem paths (mirroring .pth/.index handling).
     """
 
-    def __init__(self, native_rate_hz: int = 32000, known_models: set[str] | None = None):
-        self.native_rate_hz = native_rate_hz
+    native_rate_hz = 32000
+
+    def __init__(self, known_models: set[str] | None = None):
         self.known_models = known_models
 
     def _check_ref(self, kind: str, ref: str) -> None:
@@ -430,8 +421,7 @@ class MockDiarizationAdapter:
 class MockSpeakerEmbeddingAdapter:
     """Windowed RMS profile as a voice embedding (L2-normalized)."""
 
-    def __init__(self, embedding_dim: int = 16):
-        self.embedding_dim = embedding_dim
+    embedding_dim = 16
 
     def embed(self, samples: np.ndarray, rate: int) -> np.ndarray:
         n = samples.size

@@ -244,9 +244,10 @@ def _filter_bank(up: int, down: int) -> _FilterBank:
 def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: np.ndarray) -> np.ndarray:
     """Outputs [j0, j1) of the polyphase filter `bank`, as resample_poly computes them up to rounding.
 
-    `x` is the float64 input from sample `lo` on, in multiples of 2^-24, and
-    is taken as zero outside; it must hold every input sample that those
-    outputs read. The outputs are clipped to [-1, 1] in `acc`, a float64
+    `x` is the float64 input from sample `lo` on, in multiples of 2^-24,
+    with zeros where it lies before the input's start or after its end. It
+    must hold every sample that those outputs read, or this raises
+    ValueError. The outputs are clipped to [-1, 1] in `acc`, a float64
     buffer that holds their groups (j0 is a multiple of `up`, or `acc` holds
     one group more), and returned as a view of it.
 
@@ -257,34 +258,24 @@ def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: n
     block of phases is one `matmul` per BLAS_MNK_CAP of work, of its matrix
     with the rows of inputs that the groups read.
     """
-    up, down, first, span = bank.up, bank.down, bank.first, bank.span
+    up, down = bank.up, bank.down
     g0, g1 = j0 // up, -(-j1 // up)
-    # groups [inner_lo, inner_hi) read only inside x; the groups around them read zeros too
-    inner_lo = min(g1, max(g0, -((first - lo) // down)))
-    inner_hi = max(inner_lo, min(g1, (x.size + lo - first - span) // down + 1))
+    start = g0 * down + bank.first - lo
+    stop = start + (g1 - g0 - 1) * down + bank.span
+    if start < 0 or stop > x.size:  # as_strided would read outside x
+        raise ValueError(f"outputs [{j0}, {j1}) read inputs [{start}, {stop}) of {x.size}")
     out = acc[: (g1 - g0) * up].reshape(g1 - g0, up)
-    for a, b in ((g0, inner_lo), (inner_lo, inner_hi), (inner_hi, g1)):
-        if a == b:
-            continue
-        start = a * down + first - lo
-        stop = start + (b - a - 1) * down + span
-        if 0 <= start and stop <= x.size:
-            src = x[start:stop]
-        else:
-            src = np.zeros(stop - start)
-            p, q = max(start, 0), min(stop, x.size)
-            src[p - start : q - start] = x[p:q]
-        size = src.itemsize
-        for r0, c, h in bank.blocks:
-            # row m holds the inputs that group a + m reads
-            inputs = as_strided(src[c:], (b - a, h.shape[0]), (down * size, size), writeable=False)
-            n = max(1, BLAS_MNK_CAP // h.size)
-            for m in range(0, b - a, n):
-                rows = inputs[m : m + n]
-                # overlapping rows reach BLAS only as a copy, which one column does not repay
-                if down < h.shape[0] and h.shape[1] > 1:
-                    rows = rows.copy()
-                np.matmul(rows, h, out=out[a - g0 + m : a - g0 + m + rows.shape[0], r0 : r0 + h.shape[1]])
+    size = x.itemsize
+    for r0, c, h in bank.blocks:
+        # row m holds the inputs that group g0 + m reads
+        inputs = as_strided(x[start + c :], (g1 - g0, h.shape[0]), (down * size, size), writeable=False)
+        n = max(1, BLAS_MNK_CAP // h.size)
+        for m in range(0, g1 - g0, n):
+            rows = inputs[m : m + n]
+            # overlapping rows reach BLAS only as a copy, which one column does not repay
+            if down < h.shape[0] and h.shape[1] > 1:
+                rows = rows.copy()
+            np.matmul(rows, h, out=out[m : m + rows.shape[0], r0 : r0 + h.shape[1]])
     # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant.
     # BLAS may sum to -0.0 where the integers sum to 0; adding 0.0 makes it +0.0
     np.clip(out, -1.0, 1.0, out=out)
@@ -302,7 +293,7 @@ def resampled_pieces(
     that the next piece reuses, so the caller casts each piece into a float32
     buffer of its own before it pulls the next. A piece is computed by
     `_upfirdn` from a float64 copy of only the input window it needs: every
-    input sample its outputs read, as far as the input has them. So every
+    input sample its outputs read, with zeros outside the input. So every
     sample is computed exactly as one pass over the whole input would compute
     it, however the input is split into blocks. A block is let go once every
     window that reads it is done.
@@ -360,15 +351,15 @@ def _polyphase(
     first, span = bank.first, bank.span
 
     def window(j0: int) -> tuple[int, int, int]:
-        """Output piece [j0, j1) and the input window [lo, hi) that holds every sample it reads."""
+        """Output piece [j0, j1) and the input window [lo, hi) it reads, zeros outside the input."""
         j1 = min(j0 + step, n_out)
-        return j1, max(0, j0 // up * down + first), min(n_in, (-(-j1 // up) - 1) * down + first + span)
+        return j1, j0 // up * down + first, (-(-j1 // up) - 1) * down + first + span
 
     pieces: list[np.ndarray] = []  # the blocks that hold input from sample `base` on
     base = 0
     # one float64 buffer serves every window: a fresh one per window, allocated
     # between the decoder's blocks, costs a page fault per 4 KiB
-    window_buf = np.empty(min(n_in, (step // up - 1) * down + span), dtype=np.float64)
+    window_buf = np.empty((-(-min(step, n_out) // up) - 1) * down + span, dtype=np.float64)
     acc = np.empty(-(-min(step, n_out) // up) * up, dtype=np.float64)  # and one for the output
 
     def filtered(j0: int, j1: int, lo: int, hi: int) -> np.ndarray:
@@ -380,6 +371,8 @@ def _polyphase(
             if a < b:
                 x[a - lo : b - lo] = piece[a - start : b - start]
             start += piece.size
+        x[: max(0, -lo)] = 0.0  # the samples before the input's start
+        x[max(0, n_in - lo) :] = 0.0  # and after its end (or past n_in in a faulty stream)
         x *= INPUT_SCALE  # to multiples of 2^-24, which `_upfirdn` sums exactly
         np.rint(x, out=x)
         x /= INPUT_SCALE
@@ -394,7 +387,7 @@ def _polyphase(
             pieces.clear()
             continue
         pieces.append(chunk)
-        while j0 < n_out and hi <= got:
+        while j0 < n_out and min(hi, n_in) <= got:
             yield filtered(j0, j1, lo, hi)
             j0 = j1
             j1, lo, hi = window(j0)
@@ -493,10 +486,10 @@ def decode_wav_pcm16(payload: bytes) -> tuple[np.ndarray, int]:
     return pcm16_to_mono(q, n_channels), rate
 
 
-def load_wav(path, source_id: str = "", offset_s: float = 0.0) -> AudioClip:
+def load_wav(path) -> AudioClip:
     with open(path, "rb") as fh:
         samples, rate = decode_wav_pcm16(fh.read())
-    return AudioClip(samples=samples, sample_rate_hz=rate, source_id=source_id, offset_s=offset_s)
+    return AudioClip(samples=samples, sample_rate_hz=rate)
 
 
 def replace_file(path, payload: bytes) -> None:

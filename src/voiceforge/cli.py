@@ -25,12 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
-        "acquire": "fetch and cache the configured source media",
+        "acquire": "fetch and cache the configured source media (not for a conversion)",
         "prompt": "build the speaker prompt archive (bark_prompt only)",
         "synth": "generate batch audio into the work directory (bark_prompt only)",
         "train-config": "emit the external trainer's config file",
         "convert": "convert an existing corpus with a trained model (rvc_convert only)",
-        "package": "package previously generated audio into the dataset (reuses its clips)",
+        "package": "package previously generated audio into the dataset "
+        "(bark_prompt: reuses its clips; rvc_convert: same as run)",
         "validate": "re-validate an already-written dataset",
         "run": "execute the configured methodology end to end",
     }

@@ -1,8 +1,9 @@
 """Source acquisition and decoding to the canonical mono float representation.
 
 Remote media lands in a content cache keyed by the SHA-256 of the URI, so
-repeated runs are idempotent and concurrent workers can share one cache
-directory (writes go to a temp file, then an atomic rename).
+repeated runs are idempotent and concurrent runs can share one cache
+directory (writes go to a temp file, then an atomic rename). The caller
+picks the cache directory.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .errors import (
     backend_call,
 )
 
-CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
-DEFAULT_CACHE_DIR = "cache"
 DURATION_TOLERANCE_S = 0.1
 # Checked decoder blocks that an `Ahead` worker may hold ready for the resampler.
 AHEAD_BLOCKS = 2
@@ -85,12 +84,6 @@ class RawMediaHandle:
             raise ValidationError("duration_s must be positive when known")
 
 
-def _cache_dir(cache_dir: str | Path | None) -> Path:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
-
-
 def _extension_for(uri: str, container_format: str | None) -> str:
     if container_format:
         return container_format.lstrip(".").lower()
@@ -103,7 +96,7 @@ def acquire_source(
     downloader: DownloaderAdapter | None = None,
     cache_dir: str | Path | None = None,
 ) -> RawMediaHandle:
-    """Resolve a SourceSpec to a local file, downloading through the cache if remote."""
+    """Resolve a SourceSpec to a local file, downloading through the cache in `cache_dir` if remote."""
     if spec.kind is SourceKind.LOCAL:
         path = Path(spec.uri)
         if not path.is_file():
@@ -112,10 +105,11 @@ def acquire_source(
 
     if downloader is None:
         raise ConfigurationError("remote sources need a downloader adapter")
+    if cache_dir is None:
+        raise ConfigurationError("remote sources need a cache directory")
 
     digest = hashlib.sha256(spec.uri.encode("utf-8")).hexdigest()
-    root = _cache_dir(cache_dir)
-    bucket = root / digest[:2]
+    bucket = Path(cache_dir) / digest[:2]
     bucket.mkdir(parents=True, exist_ok=True)
 
     existing = sorted(bucket.glob(f"{digest}.*"))

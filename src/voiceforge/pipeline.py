@@ -52,7 +52,7 @@ from .corpus import (
     work_dir_for,
 )
 from .errors import BatchError, ConfigurationError, DecodeError, StageError, ValidationError
-from .ingest import CACHE_DIR_ENV, SourceKind, acquire_source, decode_to_audio
+from .ingest import SourceKind, acquire_source, decode_to_audio
 from .preprocess import AudioFormat, denoise, segment_bounds, separate_vocals, transcode
 from .quality import SILENCE_EPS, SPEECH_GAP_S, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
@@ -65,6 +65,7 @@ from .voiceprompt import (
     save_prompt,
 )
 
+CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
 PROMPT_N_COARSE = 2
 MULTI_SPEAKER_WARN_FRACTION = 0.1
 # LJ prep diarizes and transcribes windows of at least WINDOW_S seconds, each
@@ -82,7 +83,6 @@ class RunSummary:
     methodology: str
     output_root: str
     clips_in: int = 0
-    prompts_built: int = 0
     sentences_generated: int = 0
     entries_written: int = 0
     quality: QualityReport = field(default_factory=QualityReport)
@@ -102,8 +102,7 @@ class Job:
     on the module (as perfbench's tracer does) is the one called.
     """
 
-    roles: tuple[AdapterRole, ...]
-    reads_source: bool
+    roles: tuple[AdapterRole, ...]  # a job reads a source exactly when they hold DECODER
     decode_at: AdapterRole | None  # the source's decode rate, when the job reads it
     clip_at: AdapterRole | None  # the rate every dataset clip must have
     fixed_format: OutputFormat | None  # None: `output.format` decides
@@ -127,6 +126,7 @@ def _rate_hz(role: AdapterRole | None, config: PipelineConfig, adapters: Adapter
 
 
 def _cache_dir(work: Path) -> Path:
+    """The source cache: $VOICEFORGE_CACHE_DIR if it is set and not empty, else `<work>/cache`."""
     return Path(os.environ.get(CACHE_DIR_ENV) or work / "cache")
 
 
@@ -134,7 +134,7 @@ def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> Adapt
     """Fail-fast lookup of every adapter the configured run will touch."""
     job = job_for(config)
     roles = [AdapterRole.TRANSCODE, *job.roles]
-    if job.reads_source:
+    if AdapterRole.DECODER in job.roles:
         if config.source.kind is SourceKind.REMOTE:
             roles.append(AdapterRole.DOWNLOADER)
         if config.preprocessing.denoise_strength is not None:
@@ -149,7 +149,7 @@ def plan(config: PipelineConfig) -> list[str]:
     job = job_for(config)
     steps: list[str] = []
     pp = config.preprocessing
-    if job.reads_source:
+    if AdapterRole.DECODER in job.roles:
         steps.append(f"source: {config.source.uri} ({config.source.kind.value})")
         steps.append(
             f"decode to {job.decode_at.value} native rate" if job.decode_at
@@ -351,7 +351,7 @@ def _clone(
     # the source's tail is checked beside the batch: a fault in it stops the
     # batch at the next sentence and is raised before any candidate
     with _speaker_prompt(config, adapters, work) as (source_id, n_segments, prompt, check):
-        summary.clips_in, summary.prompts_built = n_segments, 1
+        summary.clips_in = n_segments
         batch = batch_synthesize(
             list(config.generation.sentences),
             prompt,
@@ -536,7 +536,6 @@ CLONE = Job(
         AdapterRole.TOKEN_QUANTIZER,
         AdapterRole.TTS,
     ),
-    reads_source=True,
     decode_at=AdapterRole.CODEC,
     clip_at=AdapterRole.TTS,
     fixed_format=None,
@@ -551,7 +550,6 @@ CLONE = Job(
 )
 LJ_PREP = Job(
     roles=(AdapterRole.DECODER, AdapterRole.ASR, AdapterRole.DIARIZATION),
-    reads_source=True,
     decode_at=None,
     clip_at=None,
     fixed_format=None,
@@ -565,7 +563,6 @@ LJ_PREP = Job(
 )
 CONVERT = Job(
     roles=(AdapterRole.VC,),
-    reads_source=False,
     decode_at=None,
     clip_at=AdapterRole.VC,
     fixed_format=OutputFormat.COMMON_VOICE,
@@ -579,6 +576,10 @@ CONVERT = Job(
 
 # The stages that apply to some jobs only: the jobs they take, and the refusal.
 _STAGE_JOBS = {
+    "acquire": (
+        (CLONE, LJ_PREP),
+        "acquire applies to a job that reads a source; conversion reads conversion.input_corpus",
+    ),
     "prompt": ((CLONE,), "the prompt stage applies to methodology: bark_prompt"),
     "synth": ((CLONE,), "the synth stage applies to methodology: bark_prompt"),
     "convert": (
@@ -650,6 +651,7 @@ def validate_dataset(
 
 def acquire_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> Path:
     """Resolve and cache the configured source; returns the local media path."""
+    check_stage("acquire", config)
     registry = registry or default_registry()
     downloader = None
     if config.source.kind is SourceKind.REMOTE:

@@ -58,20 +58,14 @@ class SegmentationPolicy:
 
 @dataclass(frozen=True)
 class EncodedAudio:
-    """A serialized audio payload plus enough metadata to reason about it."""
+    """A serialized audio payload in a known format."""
 
     payload: bytes
     format: AudioFormat
-    sample_rate_hz: int
-    duration_s: float
 
     def __post_init__(self) -> None:
         if not self.payload:
             raise ValidationError("encoded payload must be non-empty")
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
         if not self.payload.startswith(_FORMAT_MAGIC[self.format]):
             raise FormatError(f"payload does not look like {self.format.value}")
 
@@ -132,9 +126,4 @@ def transcode(clip: AudioClip, format: AudioFormat, codec: TranscodeAdapter) -> 
     message = f"transcode to {format.value} failed"
     with backend_call(message, stage="transcode", source_id=clip.source_id):
         payload = codec.encode(clip.samples, clip.sample_rate_hz, format.value)
-    return EncodedAudio(
-        payload=payload,
-        format=format,
-        sample_rate_hz=clip.sample_rate_hz,
-        duration_s=clip.duration_s,
-    )
+    return EncodedAudio(payload=payload, format=format)

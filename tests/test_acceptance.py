@@ -275,23 +275,13 @@ def _make_wav_audio(rng: random.Random) -> EncodedAudio:
     n = rng.randrange(1600, 4800)
     samples = ((np.arange(n, dtype=np.int64) % 881) / 1000.0).astype(np.float32)
     clip = AudioClip(samples=samples, sample_rate_hz=8000)
-    return EncodedAudio(
-        payload=encode_wav_pcm16(clip),
-        format=AudioFormat.WAV_PCM16,
-        sample_rate_hz=8000,
-        duration_s=clip.duration_s,
-    )
+    return EncodedAudio(payload=encode_wav_pcm16(clip), format=AudioFormat.WAV_PCM16)
 
 
 def _make_mp3_audio(rng: random.Random, codec: MockTranscodeAdapter) -> EncodedAudio:
     n = rng.randrange(1600, 4800)
     samples = ((np.arange(n, dtype=np.int64) % 881) / 1000.0).astype(np.float32)
-    return EncodedAudio(
-        payload=codec.encode(samples, 8000, "mp3"),
-        format=AudioFormat.MP3,
-        sample_rate_hz=8000,
-        duration_s=n / 8000,
-    )
+    return EncodedAudio(payload=codec.encode(samples, 8000, "mp3"), format=AudioFormat.MP3)
 
 
 def test_corpus_writers_and_readers_are_inverses(tmp_path):

@@ -168,7 +168,8 @@ def test_resample_of_a_short_input_is_one_call(monkeypatch):
     monkeypatch.setattr(audio, "_upfirdn", counting_upfirdn)
     clip = _clip(n=36000, rate=24000)  # 1.5 s: 48,000 outputs, within one RESAMPLE_BLOCK
     resample(clip, 32000)
-    assert calls == [clip.n_samples]
+    # the one window holds the input and the zeros that the filter reads around it
+    assert calls == [(48000 // 4 - 1) * 3 + audio._filter_bank(4, 3).span]
 
 
 def test_resample_memory_is_bounded_by_its_output():
@@ -526,10 +527,8 @@ def test_save_and_load_wav(tmp_path):
     clip = _clip(n=1234, rate=24000)
     path = tmp_path / "clip.wav"
     save_wav(clip, path)
-    loaded = load_wav(path, source_id="src", offset_s=1.0)
+    loaded = load_wav(path)
     assert loaded.sample_rate_hz == 24000
-    assert loaded.source_id == "src"
-    assert loaded.offset_s == 1.0
     assert float(np.max(np.abs(loaded.samples - clip.samples))) <= 1.0 / 32768.0
 
 

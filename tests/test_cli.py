@@ -215,6 +215,13 @@ class TestStageCommands:
         printed = capsys.readouterr().out.strip()
         assert printed.endswith(".mockav")
 
+    def test_acquire_on_a_conversion_config_fetches_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", str(tmp_path / "cache"))
+        code = main(["acquire", "--config", _conversion_yaml(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "conversion reads conversion.input_corpus" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_prep_is_not_a_command(self, tmp_path, capsys):
         assert "prep" not in build_parser().format_help()
         with pytest.raises(SystemExit) as excinfo:
@@ -344,8 +351,9 @@ def _conversion_yaml(tmp_path) -> str:
         ("convert", _lj_prep_yaml, "convert needs methodology: rvc_convert with conversion.model_ref"),
         ("prompt", _lj_prep_yaml, "the prompt stage applies to methodology: bark_prompt"),
         ("synth", _conversion_yaml, "the synth stage applies to methodology: bark_prompt"),
+        ("acquire", _conversion_yaml, "acquire applies to a job that reads a source"),
     ],
-    ids=["convert", "prompt", "synth"],
+    ids=["convert", "prompt", "synth", "acquire"],
 )
 def test_dry_run_refuses_what_the_command_refuses(tmp_path, capsys, command, config, refusal):
     cfg = config(tmp_path)

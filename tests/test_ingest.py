@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,14 +76,14 @@ class TestAcquire:
         assert len(handle.path.parent.name) == 2  # two-hex bucket
         assert handle.duration_s == pytest.approx(1.0)
 
-    def test_empty_cache_env_is_the_default_cache(self, tmp_path, monkeypatch):
+    def test_remote_needs_a_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", "")
+        # the variable is the pipeline's to read, not ingest's
+        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", str(tmp_path / "cache"))
         spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1", kind=SourceKind.REMOTE)
-        handle = acquire_source(spec, MockDownloader())
-        assert handle.path.parent.parent == Path("cache")
-        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
-        assert (tmp_path / handle.path).is_file()
+        with pytest.raises(ConfigurationError, match="cache directory"):
+            acquire_source(spec, MockDownloader())
+        assert list(tmp_path.iterdir()) == []
 
     def test_second_acquire_hits_cache(self, tmp_path):
         calls = []

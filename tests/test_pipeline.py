@@ -290,7 +290,6 @@ class TestGenerationRun:
         summary = pipeline.run(config)
 
         assert summary.clips_in == 4  # 45 s source, 10 s segments, tail dropped
-        assert summary.prompts_built == 1
         assert summary.sentences_generated == 3
         assert summary.entries_written == 3
         assert not summary.partial
@@ -589,6 +588,19 @@ class TestStages:
         assert first == second
         assert first.is_file()
         assert first.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "env, cache, made",
+        [("", "out.work/cache", ["out.work"]), ("elsewhere", "elsewhere", ["elsewhere", "out.work"])],
+    )
+    def test_acquire_stage_caches_under_the_variable_else_the_work_dir(
+        self, tmp_path, monkeypatch, env, cache, made
+    ):
+        monkeypatch.chdir(tmp_path)  # nothing lands in the working directory either
+        monkeypatch.setenv("VOICEFORGE_CACHE_DIR", env and str(tmp_path / env))
+        path = pipeline.acquire_stage(_m1_config(tmp_path / "out"))
+        assert path.parent.parent == tmp_path / cache
+        assert sorted(p.name for p in tmp_path.iterdir()) == made
 
     def test_prompt_stage_saves_a_loadable_prompt(self, tmp_path):
         config = _m1_config(tmp_path / "out")

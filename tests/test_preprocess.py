@@ -155,8 +155,6 @@ class TestTranscode:
     def test_wav_payload_size(self):
         encoded = transcode(_clip(1.0, rate=8000), AudioFormat.WAV_PCM16, MockTranscodeAdapter())
         assert len(encoded.payload) == 44 + 2 * 8000
-        assert encoded.sample_rate_hz == 8000
-        assert encoded.duration_s == 1.0
 
     def test_empty_clip_rejected(self):
         empty = AudioClip(samples=np.zeros(0, np.float32), sample_rate_hz=8000)
@@ -167,24 +165,11 @@ class TestTranscode:
 class TestEncodedAudio:
     def test_magic_must_match_format(self):
         with pytest.raises(FormatError):
-            EncodedAudio(
-                payload=b"RIFF....WAVE",
-                format=AudioFormat.MP3,
-                sample_rate_hz=8000,
-                duration_s=1.0,
-            )
+            EncodedAudio(payload=b"RIFF....WAVE", format=AudioFormat.MP3)
 
     def test_rejects_empty_payload(self):
         with pytest.raises(ValidationError):
-            EncodedAudio(
-                payload=b"", format=AudioFormat.MP3, sample_rate_hz=8000, duration_s=1.0
-            )
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValidationError):
-            EncodedAudio(
-                payload=b"ID3x", format=AudioFormat.MP3, sample_rate_hz=8000, duration_s=0.0
-            )
+            EncodedAudio(payload=b"", format=AudioFormat.MP3)
 
 
 # Property tests of the boundary arithmetic. A ramp has distinct samples, so a

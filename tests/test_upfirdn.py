@@ -83,10 +83,16 @@ def _lengths(up: int, down: int) -> list[int]:
 
 
 def _kernel(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """One `_upfirdn` call over the whole input, rounded to 2^-24 as `resampled_pieces` rounds it."""
+    """One `_upfirdn` call over the whole input, rounded to 2^-24 as `resampled_pieces` rounds it.
+
+    The input is padded with zeros: the -first that the first outputs read
+    before it, and `span` after it, at least as many as the last ones read.
+    """
     n_out = -(-x.size * up // down)
     acc = np.empty(-(-n_out // up) * up)
-    return audio._upfirdn(np.rint(x * 2.0**24) / 2.0**24, 0, 0, n_out, audio._filter_bank(up, down), acc)
+    bank = audio._filter_bank(up, down)
+    padded = np.concatenate([np.zeros(-bank.first), np.rint(x * 2.0**24) / 2.0**24, np.zeros(bank.span)])
+    return audio._upfirdn(padded, bank.first, 0, n_out, bank, acc)
 
 
 def check_kernel(up: int, down: int) -> bytes:
@@ -144,6 +150,20 @@ def test_windowed_resample_is_the_bytes_of_resample_poly(monkeypatch, up, down):
         # each piece is copied before the next one reuses its buffer
         got = np.concatenate([piece.copy() for piece in resampled_pieces(stream, up * 1000)])
         assert got.tobytes() == integer_resample(x, up, down).tobytes(), f"{n} samples"
+
+
+@pytest.mark.parametrize("up,down", [(4, 3), (320, 441)])
+def test_kernel_refuses_an_input_short_of_what_its_outputs_read(up, down):
+    """`_upfirdn` strides over `x` unchecked by numpy, so it checks the bounds itself."""
+    bank = audio._filter_bank(up, down)
+    n_out = 3 * up
+    need = (n_out // up - 1) * down + bank.span  # the inputs that outputs [0, n_out) read
+    acc = np.empty(n_out)
+    audio._upfirdn(np.zeros(need), bank.first, 0, n_out, bank, acc)
+    with pytest.raises(ValueError, match="read inputs"):
+        audio._upfirdn(np.zeros(need - 1), bank.first, 0, n_out, bank, acc)
+    with pytest.raises(ValueError, match="read inputs"):
+        audio._upfirdn(np.zeros(need), bank.first + 1, 0, n_out, bank, acc)
 
 
 @pytest.mark.parametrize("up,down", RATIOS)

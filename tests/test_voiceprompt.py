@@ -200,8 +200,9 @@ class TestExtractSemanticTokens:
         assert np.all(tokens == 0)
 
     def test_embedding_dim_mismatch(self):
-        encoder = MockSemanticEncoderAdapter(embedding_dim=16)
-        quantizer = MockTokenQuantizerAdapter(embedding_dim=24)
+        encoder = MockSemanticEncoderAdapter()
+        quantizer = MockTokenQuantizerAdapter()
+        quantizer.embedding_dim = 24  # the encoder's is 16
         with pytest.raises(ConfigurationError, match="dim"):
             extract_semantic_tokens(_tone(1.0, 24000), encoder, quantizer)
 
