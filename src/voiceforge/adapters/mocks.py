@@ -328,20 +328,33 @@ class MockTtsAdapter:
         duration = min(14.0, 1.0 + self.seconds_per_char * len(text))
         n = int(round(duration * self.native_rate_hz))
         rng = np.random.default_rng(seed)
+        # the float64 operations of 0.6 * sum(amp * sin(...)) * (1 - modulation), in
+        # their order, in three buffers: the bytes equal the array expression's
         t = np.arange(n, dtype=np.float64) / self.native_rate_hz
         f0 = rng.uniform(100.0, 200.0)
         wave = np.zeros(n, dtype=np.float64)
+        tmp = np.empty(n, dtype=np.float64)
         for k, amp in ((1, 0.5), (2, 0.22), (3, 0.1)):
-            wave += amp * np.sin(2.0 * np.pi * f0 * k * t + rng.uniform(0, 2 * np.pi))
+            np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
+            tmp += rng.uniform(0, 2 * np.pi)
+            np.sin(tmp, out=tmp)
+            tmp *= amp
+            wave += tmp
         # temperature knobs perturb the modulation so params audibly matter
         mod_rate = 2.0 + 3.0 * params.text_temp
         depth = 0.2 + 0.3 * params.waveform_temp
-        wave *= 1.0 - depth * 0.5 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t))
+        np.multiply(t, 2.0 * np.pi * mod_rate, out=tmp)
+        np.sin(tmp, out=tmp)
+        tmp += 1.0
+        tmp *= depth * 0.5
+        np.subtract(1.0, tmp, out=tmp)
+        wave *= tmp
         edge = max(1, int(0.02 * self.native_rate_hz))
         ramp = np.linspace(0.0, 1.0, edge)
         wave[:edge] *= ramp
         wave[-edge:] *= ramp[::-1]
-        return np.clip(0.6 * wave, -1.0, 1.0).astype(np.float32)
+        wave *= 0.6
+        return np.clip(wave, -1.0, 1.0, out=wave).astype(np.float32)
 
 
 class MockVcAdapter:
@@ -372,15 +385,29 @@ class MockVcAdapter:
 
             clip = resample(clip, self.native_rate_hz)
         x = clip.samples.astype(np.float64)
-        t = np.arange(x.size, dtype=np.float64) / self.native_rate_hz
+        del clip
         carrier_hz = 30.0 + (_hash64(model_ref.encode()) % 400) / 10.0
         depth = 0.5 * params.index_ratio
-        shifted = x * (1.0 - depth + depth * np.sin(2.0 * np.pi * carrier_hz * t))
-        out = (1.0 - params.envelope_mix) * x + params.envelope_mix * shifted
-        peak = np.abs(out).max()
+        mix = params.envelope_mix
+        # the float64 operations of (1 - mix) * x + mix * x * (1 - depth + depth * sin(...)),
+        # in their order, in two buffers: `*` and `+` commute and `abs` is exact, so the
+        # bytes equal the array expression's
+        out = np.arange(x.size, dtype=np.float64)
+        out /= self.native_rate_hz
+        out *= 2.0 * np.pi * carrier_hz
+        np.sin(out, out=out)
+        out *= depth
+        out += 1.0 - depth
+        out *= x
+        out *= mix
+        x_peak = max(x.max(), -x.min())
+        x *= 1.0 - mix
+        out += x
+        del x
+        peak = max(out.max(), -out.min())
         if peak > 0:
-            out *= min(1.0, np.abs(x).max() / peak)
-        return np.clip(out, -1.0, 1.0).astype(np.float32), self.native_rate_hz
+            out *= min(1.0, x_peak / peak)
+        return np.clip(out, -1.0, 1.0, out=out).astype(np.float32), self.native_rate_hz
 
 
 class MockAsrAdapter:

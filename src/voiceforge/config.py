@@ -291,6 +291,13 @@ def _parse_adapters(r: _Reader, data: Any) -> dict[AdapterRole, str]:
     return adapters
 
 
+def _folded(sentence: str) -> str:
+    """`sentence` in NFC, each run of whitespace one space and none at either end."""
+    import unicodedata  # its tables cost about 0.2 MB: only a config with sentences loads them
+
+    return unicodedata.normalize("NFC", " ".join(sentence.split()))
+
+
 def _cross_checks(r: _Reader, methodology, generation, conversion, output) -> None:
     if methodology is Methodology.BARK_PROMPT and not generation.sentences:
         r.bad("generation.sentences", "bark_prompt needs at least one sentence to synthesize")
@@ -337,6 +344,7 @@ def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConf
 
     gen = read("generation")
     sentences: list[str] = []
+    first: dict[str, int] = {}  # folded sentence -> index of its first entry
     for i, item in enumerate(gen.pop("sentences")):
         if not isinstance(item, str) or not item.strip():
             r.bad(f"generation.sentences[{i}]", "must be a non-empty string")
@@ -344,6 +352,9 @@ def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConf
             r.bad(f"generation.sentences[{i}]", "must not contain newlines")
         elif any("\ud800" <= ch <= "\udfff" for ch in item):  # a surrogate has no UTF-8 form
             r.bad(f"generation.sentences[{i}]", "must be valid Unicode text")
+        elif (j := first.setdefault(_folded(item), i)) != i:
+            # it would synthesize to the same clip, which the split can put on both sides
+            r.bad(f"generation.sentences[{i}]", f"repeats generation.sentences[{j}]")
         else:
             sentences.append(item)
     retries = gen.pop("retries")

@@ -39,9 +39,15 @@ from voiceforge.adapters.mocks import (
     speechlike_blocks,
     speechlike_waveform,
 )
-from voiceforge.audio import AudioClip, decode_wav_pcm16, encode_wav_pcm16, join_blocks
+from voiceforge.audio import (
+    AudioClip,
+    decode_wav_pcm16,
+    encode_wav_pcm16,
+    join_blocks,
+    resample,
+)
 from voiceforge.config import DEFAULT_ADAPTERS
-from voiceforge.conversion import default_conversion_params
+from voiceforge.conversion import ConversionParams, default_conversion_params
 from voiceforge.errors import (
     AcquisitionError,
     AdapterLookupError,
@@ -49,7 +55,7 @@ from voiceforge.errors import (
     FormatError,
     RegistryError,
 )
-from voiceforge.synthesis import default_generation_params
+from voiceforge.synthesis import GenerationParams, default_generation_params
 from voiceforge.transcribe import AsrConfig, SpeakerTurn, TranscriptSegment
 
 
@@ -441,3 +447,90 @@ def test_speechlike_waveform_golden_bytes(n_samples, rate, seed, sha256):
     wave = speechlike_waveform(n_samples, rate, seed)
     assert wave.dtype == np.float32 and wave.size == n_samples
     assert hashlib.sha256(wave.tobytes()).hexdigest() == sha256
+
+
+def _tts_reference(text, semantic, fine, params) -> np.ndarray:
+    """Reference: `MockTtsAdapter.synthesize` as whole-array expressions."""
+    seed = mocks._hash64(
+        text.encode("utf-8"),
+        np.asarray(semantic, dtype=np.int64).tobytes(),
+        np.asarray(fine, dtype=np.int64).tobytes(),
+        struct.pack("<ddq", params.text_temp, params.waveform_temp, params.seed or 0),
+    )
+    n = int(round(min(14.0, 1.0 + 0.055 * len(text)) * 24000))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n, dtype=np.float64) / 24000
+    f0 = rng.uniform(100.0, 200.0)
+    wave = np.zeros(n, dtype=np.float64)
+    for k, amp in ((1, 0.5), (2, 0.22), (3, 0.1)):
+        wave += amp * np.sin(2.0 * np.pi * f0 * k * t + rng.uniform(0, 2 * np.pi))
+    mod_rate = 2.0 + 3.0 * params.text_temp
+    depth = 0.2 + 0.3 * params.waveform_temp
+    wave *= 1.0 - depth * 0.5 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t))
+    ramp = np.linspace(0.0, 1.0, 480)
+    wave[:480] *= ramp
+    wave[-480:] *= ramp[::-1]
+    return np.clip(0.6 * wave, -1.0, 1.0).astype(np.float32)
+
+
+def _vc_reference(x: np.ndarray, model_ref: str, params) -> np.ndarray:
+    """Reference: `MockVcAdapter.convert` as whole-array expressions, on 32 kHz samples."""
+    x = x.astype(np.float64)
+    t = np.arange(x.size, dtype=np.float64) / 32000
+    carrier_hz = 30.0 + (mocks._hash64(model_ref.encode()) % 400) / 10.0
+    depth = 0.5 * params.index_ratio
+    shifted = x * (1.0 - depth + depth * np.sin(2.0 * np.pi * carrier_hz * t))
+    out = (1.0 - params.envelope_mix) * x + params.envelope_mix * shifted
+    peak = np.abs(out).max()
+    if peak > 0:
+        out *= min(1.0, np.abs(x).max() / peak)
+    return np.clip(out, -1.0, 1.0).astype(np.float32)
+
+
+# 260 characters reach the 14 s cap; text_temp and waveform_temp must lie in (0, 2]
+@pytest.mark.parametrize("length", [0, 1, 60, 233, 260])
+def test_mock_tts_matches_array_oracle(length):
+    tts = MockTtsAdapter()
+    text = ("नमस्ते दुनिया " * 20)[:length]
+    semantic = np.arange(length % 7 + 3, dtype=np.int64)
+    fine = np.arange(8 * 5, dtype=np.int64).reshape(8, 5) * (length + 1)
+    for text_temp in (0.05, 0.7, 1.0, 2.0):
+        for waveform_temp in (0.05, 0.7, 1.0, 2.0):
+            params = GenerationParams(text_temp=text_temp, waveform_temp=waveform_temp, seed=length)
+            got = tts.synthesize(text, semantic, fine[:2], fine, params)
+            want = _tts_reference(text, semantic, fine, params)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), (text_temp, waveform_temp)
+
+
+@pytest.mark.parametrize("rate", [24000, 32000])
+def test_mock_vc_matches_array_oracle(rate):
+    vc = MockVcAdapter(known_models={"voice.pth", "voice.index"})
+    samples = speechlike_waveform(int(1.5 * rate), rate, seed=rate)
+    x = samples if rate == 32000 else resample(AudioClip(samples, rate), 32000).samples
+    for envelope_mix in (0.0, 0.5, 1.0):
+        for index_ratio in (0.0, 0.75, 1.0):
+            params = ConversionParams(
+                envelope_mix=envelope_mix, filter_radius=3, index_ratio=index_ratio, protect=0.33
+            )
+            got, out_rate = vc.convert(samples, rate, "voice.pth", "voice.index", params)
+            assert out_rate == 32000 and got.dtype == np.float32
+            want = _vc_reference(x, "voice.pth", params)
+            assert got.tobytes() == want.tobytes(), (envelope_mix, index_ratio)
+
+
+def test_mock_vc_matches_array_oracle_on_silence_and_when_scaling():
+    vc = MockVcAdapter(known_models={"voice.pth", "voice.index"})
+    silence = np.zeros(32000, dtype=np.float32)
+    params = default_conversion_params()
+    got, _ = vc.convert(silence, 32000, "voice.pth", "voice.index", params)
+    assert got.tobytes() == _vc_reference(silence, "voice.pth", params).tobytes()
+    # with no modulation the output is (1 - 0.1) * x + 0.1 * x, which rounds above x
+    # at the peak sample: the output's peak passes the input's, so it is scaled down
+    samples = np.random.default_rng(5).uniform(-0.5, 0.5, 32000).astype(np.float32)
+    samples[100] = -0.63489336
+    params = ConversionParams(envelope_mix=0.1, filter_radius=3, index_ratio=0.0, protect=0.33)
+    x = samples.astype(np.float64)
+    assert np.abs((1.0 - 0.1) * x + 0.1 * x).max() > np.abs(x).max()
+    got, _ = vc.convert(samples, 32000, "voice.pth", "voice.index", params)
+    assert got.tobytes() == _vc_reference(samples, "voice.pth", params).tobytes()

@@ -71,6 +71,16 @@ class TestExitCodes:
         assert f"generation.sentences[1]: must be valid Unicode text (line {line})" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_repeated_sentence_is_a_config_error(self, tmp_path, capsys):
+        cfg = _m1_yaml(tmp_path, generation={"sentences": [*SENTENCES, f"{SENTENCES[1]}  "]})
+        lines = open(cfg, encoding="utf-8").read().splitlines()
+        line = 3 + next(n for n, text in enumerate(lines, start=1) if SENTENCES[0] in text)
+        code = main(["run", "--config", cfg])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"generation.sentences[3]: repeats generation.sentences[1] (line {line})" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_adapter_is_a_config_error(self, tmp_path, capsys):
         cfg = _m1_yaml(tmp_path, adapters={"downloader": "mock", "decoder": "mock", "tts": "nope"})
         code = main(["run", "--config", cfg])

@@ -278,6 +278,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=r"generation.text_temp.*\(line 5\)"):
             load_config(path)
 
+    def test_a_repeated_sentence_names_its_line(self, tmp_path):
+        path = tmp_path / "pipeline.yaml"
+        # entry 3 is entry 1 decomposed (NFD) and spaced otherwise; case is kept, so entry 5
+        # is new; indices count the bad entry 0 too
+        path.write_text(
+            textwrap.dedent(
+                """\
+                methodology: bark_prompt
+                source:
+                  uri: "mock://talk"
+                generation:
+                  sentences:
+                    - " "
+                    - "caf\\u00e9 au lait"
+                    - "the menu"
+                    - " cafe\\u0301 \\u00a0au  lait "
+                    - "the menu"
+                    - "The menu"
+                output:
+                  root: out
+                """
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigurationError) as info:
+            load_config(path)
+        assert info.value.violations == [
+            "generation.sentences[0]: must be a non-empty string (line 6)",
+            "generation.sentences[3]: repeats generation.sentences[1] (line 9)",
+            "generation.sentences[4]: repeats generation.sentences[2] (line 10)",
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="does not exist"):
             load_config(tmp_path / "absent.yaml")
