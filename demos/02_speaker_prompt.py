@@ -1,8 +1,9 @@
 """Turn a short reference recording into a reusable speaker prompt.
 
 A prompt bundles three arrays: semantic tokens, coarse codec codes, and fine
-codec codes. The TTS backend conditions on them to speak in the reference
-voice. The npz file written here is what the synthesis stage loads.
+codec codes, where the coarse codes are the first rows of the fine ones. The
+TTS backend conditions on them to speak in the reference voice. The npz file
+written here is what the synthesis stage loads.
 """
 
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from voiceforge import (
     AudioClip,
-    build_prompt,
+    SpeakerPrompt,
     extract_codebooks,
     extract_semantic_tokens,
     load_prompt,
@@ -34,16 +35,16 @@ reference = AudioClip(
     source_id="reference_take_3",
 )
 
-fine, coarse = extract_codebooks(reference, codec, n_coarse=2)
+fine = extract_codebooks(reference, codec)
 print(f"fine codes:   {fine.codes.shape} (codebooks x frames)")
-print(f"coarse codes: {coarse.codes.shape} (first rows of fine)")
 
 semantic = extract_semantic_tokens(
     reference, MockSemanticEncoderAdapter(), MockTokenQuantizerAdapter()
 )
 print(f"semantic tokens: {semantic.shape[0]} at 50 per second")
 
-prompt = build_prompt(semantic, fine, n_coarse=2, source_id=reference.source_id)
+prompt = SpeakerPrompt(semantic, fine, n_coarse=2, source_id=reference.source_id)
+print(f"coarse codes: {prompt.coarse.codes.shape} (first rows of fine)")
 
 path = out_dir / "reference_take_3.npz"
 save_prompt(prompt, path)

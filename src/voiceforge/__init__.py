@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     VoiceforgeError,
 )
-from .ingest import RawMediaHandle, SourceKind, SourceSpec, acquire_source, decode_to_audio
+from .ingest import RawMediaHandle, SourceSpec, acquire_source, decode_to_audio
 from .pipeline import RunSummary, run
 from .preprocess import (
     AudioFormat,
@@ -84,7 +84,6 @@ from .transcribe import (
 from .voiceprompt import (
     CodebookMatrix,
     SpeakerPrompt,
-    build_prompt,
     extract_codebooks,
     extract_semantic_tokens,
     load_prompt,
@@ -118,7 +117,6 @@ __all__ = [
     "RawMediaHandle",
     "RunSummary",
     "SegmentationPolicy",
-    "SourceKind",
     "SourceSpec",
     "SpeakerPrompt",
     "SpeakerTurn",
@@ -132,7 +130,6 @@ __all__ = [
     "VoiceforgeError",
     "acquire_source",
     "batch_synthesize",
-    "build_prompt",
     "character_error_rate",
     "convert_voice",
     "decode_to_audio",

@@ -22,13 +22,12 @@ def _container_from_name(name: str) -> str | None:
 class UrllibDownloader:
     """Fetches file://, http:// and https:// URIs to a destination path."""
 
-    def __init__(self, timeout_s: float = 60.0):
-        self.timeout_s = timeout_s
+    TIMEOUT_S = 60.0
 
     def download(self, uri: str, dest_path: str) -> DownloadResult:
         import urllib.request  # loads ssl, so only a run that downloads pays for it
         try:
-            with urllib.request.urlopen(uri, timeout=self.timeout_s) as response:
+            with urllib.request.urlopen(uri, timeout=self.TIMEOUT_S) as response:
                 with open(dest_path, "wb") as fh:
                     shutil.copyfileobj(response, fh)
         except (OSError, ValueError) as exc:

@@ -61,8 +61,9 @@ def _print_summary(summary: pipeline.RunSummary) -> None:
 def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
     command = args.command
     pipeline.check_stage(command, config)
+    # before the dry-run branch, so a command and its --dry-run refuse the same configs
+    pipeline.resolve_adapters(config, pipeline.default_registry())
     if args.dry_run:
-        pipeline.resolve_adapters(config, pipeline.default_registry())
         print(f"plan for {command} ({config.methodology.value}):")
         for step in pipeline.plan(config):
             print(f"  - {step}")

@@ -28,7 +28,7 @@ from .conversion import (
 )
 from .corpus import SplitSpec
 from .errors import ConfigurationError, ValidationError
-from .ingest import SourceKind, SourceSpec
+from .ingest import SourceSpec
 from .preprocess import SegmentationPolicy, StemModel, TailPolicy
 from .synthesis import DEFAULT_RETRIES, GenerationParams, default_generation_params
 from .transcribe import AsrConfig, AsrTask
@@ -135,7 +135,7 @@ _ASR = AsrConfig()
 # subsection. A row's position sets the order its violations are reported in.
 _SCHEMA: dict[str, Any] = {
     "methodology": _Key(Methodology),
-    "source": {"uri": _Key(str), "kind": _Key(SourceKind, None)},
+    "source": {"uri": _Key(str)},
     "preprocessing": {
         "denoise": _Key(float, None, _unit_interval),
         "stems": _Key(StemModel, None),
@@ -329,8 +329,7 @@ def parse_config(data: Any, lines: dict[str, int] | None = None) -> PipelineConf
     src = read("source")
     source = None
     if src["uri"] is not None:
-        inferred = SourceKind.REMOTE if "://" in src["uri"] else SourceKind.LOCAL
-        source = r.build("source", SourceSpec, uri=src["uri"], kind=src["kind"] or inferred)
+        source = r.build("source", SourceSpec, uri=src["uri"])
 
     pre = read("preprocessing")
     preprocessing = PreprocessConfig(
@@ -410,8 +409,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigurationError(f"config file {path} does not exist")
     text = path.read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        loader = yaml.SafeLoader(text)
+        try:  # one composed node tree gives both the document and its line marks
+            node = loader.get_single_node()
+            data = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(data, _line_map(node))

@@ -15,7 +15,6 @@ import tempfile
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -45,23 +44,19 @@ DURATION_TOLERANCE_S = 0.1
 AHEAD_BLOCKS = 2
 
 
-class SourceKind(str, Enum):
-    LOCAL = "local"
-    REMOTE = "remote"
-
-
 @dataclass(frozen=True)
 class SourceSpec:
-    """Where a piece of source media lives."""
+    """Where a piece of source media lives: a URI with `://` is fetched, anything else is a local path."""
 
     uri: str
-    kind: SourceKind
 
     def __post_init__(self) -> None:
         if not self.uri:
             raise ValidationError("source uri must be non-empty")
-        if self.kind is SourceKind.REMOTE and "://" not in self.uri:
-            raise ValidationError(f"remote uri {self.uri!r} needs a scheme prefix")
+
+    @property
+    def remote(self) -> bool:
+        return "://" in self.uri
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ def acquire_source(
     cache_dir: str | Path | None = None,
 ) -> RawMediaHandle:
     """Resolve a SourceSpec to a local file, downloading through the cache in `cache_dir` if remote."""
-    if spec.kind is SourceKind.LOCAL:
+    if not spec.remote:
         path = Path(spec.uri)
         if not path.is_file():
             raise AcquisitionError(f"local source {spec.uri} not found", source_id=spec.uri)

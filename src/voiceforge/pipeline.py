@@ -52,18 +52,12 @@ from .corpus import (
     work_dir_for,
 )
 from .errors import BatchError, ConfigurationError, DecodeError, StageError, ValidationError
-from .ingest import SourceKind, acquire_source, decode_to_audio
+from .ingest import acquire_source, decode_to_audio
 from .preprocess import AudioFormat, denoise, segment_bounds, separate_vocals, transcode
 from .quality import SILENCE_EPS, SPEECH_GAP_S, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
 from .transcribe import diarize, minority_speaker_fraction, slice_by_segments, transcribe
-from .voiceprompt import (
-    SpeakerPrompt,
-    build_prompt,
-    extract_codebooks,
-    extract_semantic_tokens,
-    save_prompt,
-)
+from .voiceprompt import SpeakerPrompt, extract_codebooks, extract_semantic_tokens, save_prompt
 
 CACHE_DIR_ENV = "VOICEFORGE_CACHE_DIR"
 PROMPT_N_COARSE = 2
@@ -135,7 +129,7 @@ def resolve_adapters(config: PipelineConfig, registry: AdapterRegistry) -> Adapt
     job = job_for(config)
     roles = [AdapterRole.TRANSCODE, *job.roles]
     if AdapterRole.DECODER in job.roles:
-        if config.source.kind is SourceKind.REMOTE:
+        if config.source.remote:
             roles.append(AdapterRole.DOWNLOADER)
         if config.preprocessing.denoise_strength is not None:
             roles.append(AdapterRole.DENOISE)
@@ -150,7 +144,7 @@ def plan(config: PipelineConfig) -> list[str]:
     steps: list[str] = []
     pp = config.preprocessing
     if AdapterRole.DECODER in job.roles:
-        steps.append(f"source: {config.source.uri} ({config.source.kind.value})")
+        steps.append(f"source: {config.source.uri} ({'remote' if config.source.remote else 'local'})")
         steps.append(
             f"decode to {job.decode_at.value} native rate" if job.decode_at
             else f"decode to {config.training.target_sample_rate_hz} Hz"
@@ -311,14 +305,14 @@ def _speaker_prompt(
                     source_id=source.source_id,
                 )
             first = first.slice_samples(*bounds[0])
-            fine, _ = extract_codebooks(first, adapters[AdapterRole.CODEC], PROMPT_N_COARSE)
+            fine = extract_codebooks(first, adapters[AdapterRole.CODEC])
             semantic = extract_semantic_tokens(
                 first,
                 adapters[AdapterRole.SEMANTIC_ENCODER],
                 adapters[AdapterRole.TOKEN_QUANTIZER],
             )
             del first  # not held through the caller's block
-            prompt = build_prompt(semantic, fine, PROMPT_N_COARSE, source.source_id)
+            prompt = SpeakerPrompt(semantic, fine, PROMPT_N_COARSE, source.source_id)
             yield source.source_id, len(bounds), prompt, rest.check
         except Exception:
             rest.check(wait=True)  # a fault in the source outranks this error
@@ -652,14 +646,10 @@ def validate_dataset(
 def acquire_stage(config: PipelineConfig, registry: AdapterRegistry | None = None) -> Path:
     """Resolve and cache the configured source; returns the local media path."""
     check_stage("acquire", config)
-    registry = registry or default_registry()
-    downloader = None
-    if config.source.kind is SourceKind.REMOTE:
-        downloader = registry.resolve(
-            AdapterRole.DOWNLOADER, config.adapters[AdapterRole.DOWNLOADER]
-        )
+    adapters = resolve_adapters(config, registry or default_registry())
     work = work_dir_for(config.output.root)
     work.mkdir(parents=True, exist_ok=True)
+    downloader = adapters.get(AdapterRole.DOWNLOADER)
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
     return handle.path
 

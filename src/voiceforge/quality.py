@@ -36,26 +36,20 @@ class Issue:
 
 @dataclass(frozen=True)
 class ClipConstraints:
-    """Acceptable envelope for a corpus clip.
+    """Acceptable envelope for a corpus clip at `required_rate_hz`.
 
-    Defaults track the clip-length findings (1 to 15 s, generation targets
-    10 s) and the codec-native 24 kHz rate.
+    The duration bounds track the clip-length findings (1 to 15 s,
+    generation targets 10 s); the default rate is the codec-native 24 kHz.
     """
 
-    min_duration_s: float = 1.0
-    max_duration_s: float = 15.0
+    MIN_DURATION_S = 1.0
+    MAX_DURATION_S = 15.0
+    MAX_SILENCE_FRACTION = 0.9
     required_rate_hz: int = 24000
-    max_silence_fraction: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.min_duration_s <= 0 or self.max_duration_s <= 0:
-            raise ValidationError("durations must be positive")
-        if not self.min_duration_s < self.max_duration_s:
-            raise ValidationError("min_duration_s must be below max_duration_s")
         if self.required_rate_hz <= 0:
             raise ValidationError("required_rate_hz must be positive")
-        if not 0.0 <= self.max_silence_fraction <= 1.0:
-            raise ValidationError("max_silence_fraction must be in [0, 1]")
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -98,20 +92,20 @@ def validate_clip(clip: AudioClip, constraints: ClipConstraints) -> list[Issue]:
     """One issue per violated constraint; an empty list means the clip passes."""
     issues: list[Issue] = []
     duration = clip.duration_s
-    if duration < constraints.min_duration_s:
+    if duration < constraints.MIN_DURATION_S:
         issues.append(
             Issue(
                 code="duration_short",
                 severity=Severity.FAIL,
-                message=f"duration {duration:.2f} s below minimum {constraints.min_duration_s} s",
+                message=f"duration {duration:.2f} s below minimum {constraints.MIN_DURATION_S} s",
             )
         )
-    if duration > constraints.max_duration_s:
+    if duration > constraints.MAX_DURATION_S:
         issues.append(
             Issue(
                 code="duration_long",
                 severity=Severity.FAIL,
-                message=f"duration {duration:.2f} s above maximum {constraints.max_duration_s} s",
+                message=f"duration {duration:.2f} s above maximum {constraints.MAX_DURATION_S} s",
             )
         )
     if clip.sample_rate_hz != constraints.required_rate_hz:
@@ -123,13 +117,13 @@ def validate_clip(clip: AudioClip, constraints: ClipConstraints) -> list[Issue]:
             )
         )
     fraction = silence_fraction(clip)
-    if fraction > constraints.max_silence_fraction:
+    if fraction > constraints.MAX_SILENCE_FRACTION:
         issues.append(
             Issue(
                 code="too_silent",
                 severity=Severity.FAIL,
                 message=f"silence fraction {fraction:.3f} exceeds "
-                f"{constraints.max_silence_fraction}",
+                f"{constraints.MAX_SILENCE_FRACTION}",
             )
         )
     return issues

@@ -2,8 +2,9 @@
 
 A speaker prompt is the trio the prompted TTS backend consumes: semantic
 tokens plus two tiers of codec codebooks, where the coarse tier is by
-definition the first rows of the fine tier. Construction recomputes coarse
-from fine, so the row-prefix property cannot be violated by callers.
+definition the first rows of the fine tier. A prompt holds the fine tier and
+the coarse tier's row count, so the row-prefix property cannot be violated;
+only a foreign archive's coarse tier is checked against its fine tier.
 """
 
 from __future__ import annotations
@@ -76,11 +77,14 @@ class CodebookMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpeakerPrompt:
-    """Everything the TTS backend needs to speak in one cloned voice."""
+    """Everything the TTS backend needs to speak in one cloned voice.
+
+    The coarse tier is the first `n_coarse` rows of `fine`.
+    """
 
     semantic_tokens: np.ndarray
-    coarse: CodebookMatrix
     fine: CodebookMatrix
+    n_coarse: int
     source_id: str = ""
 
     def __post_init__(self) -> None:
@@ -91,45 +95,32 @@ class SpeakerPrompt:
             raise ValidationError("semantic_tokens must be a non-empty 1-D sequence")
         if tokens.min() < 0:
             raise ValidationError("semantic_tokens must be non-negative")
-        if not self.coarse.n_codebooks < self.fine.n_codebooks:
+        if not 0 < self.n_coarse < self.fine.n_codebooks:
             raise ValidationError(
-                f"coarse tier must have fewer codebooks than fine "
-                f"({self.coarse.n_codebooks} vs {self.fine.n_codebooks})"
+                f"n_coarse must be in (0, {self.fine.n_codebooks}), got {self.n_coarse}"
             )
-        if self.coarse.n_frames != self.fine.n_frames:
-            raise ValidationError(
-                f"coarse/fine frame counts differ: {self.coarse.n_frames} vs {self.fine.n_frames}"
-            )
-        if not np.array_equal(self.coarse.codes, self.fine.codes[: self.coarse.n_codebooks]):
-            raise ValidationError("coarse codes must equal the leading rows of fine codes")
 
     @property
-    def n_coarse(self) -> int:
-        return self.coarse.n_codebooks
+    def coarse(self) -> CodebookMatrix:
+        return self.fine.row_slice(self.n_coarse)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpeakerPrompt):
             return NotImplemented
         return (
             np.array_equal(self.semantic_tokens, other.semantic_tokens)
-            and self.coarse == other.coarse
             and self.fine == other.fine
+            and self.n_coarse == other.n_coarse
             and self.source_id == other.source_id
         )
 
 
-def extract_codebooks(
-    clip: AudioClip, codec: CodecAdapter, n_coarse: int
-) -> tuple[CodebookMatrix, CodebookMatrix]:
-    """Run the codec over a clip; returns (fine, coarse) code matrices."""
+def extract_codebooks(clip: AudioClip, codec: CodecAdapter) -> CodebookMatrix:
+    """Run the codec over a clip; returns the fine code matrix, whose first rows are the coarse tier."""
     clip.require_non_empty("codebook extraction input")
     if clip.sample_rate_hz != codec.native_rate_hz:
         raise ValidationError(
             f"clip rate {clip.sample_rate_hz} must equal codec native rate {codec.native_rate_hz}"
-        )
-    if not 0 < n_coarse < codec.codebook_count:
-        raise ValidationError(
-            f"n_coarse must be in (0, {codec.codebook_count}), got {n_coarse}"
         )
     with backend_call("codec adapter failed", stage="codec", source_id=clip.source_id):
         codes = np.asarray(codec.encode(clip.samples, clip.sample_rate_hz), dtype=np.int64)
@@ -146,10 +137,9 @@ def extract_codebooks(
             stage="codec",
             source_id=clip.source_id,
         )
-    fine = CodebookMatrix(
+    return CodebookMatrix(
         codes=codes, frame_rate_hz=codec.frame_rate_hz, codebook_size=codec.codebook_size
     )
-    return fine, fine.row_slice(n_coarse)
 
 
 def extract_semantic_tokens(
@@ -179,20 +169,6 @@ def extract_semantic_tokens(
             source_id=clip.source_id,
         )
     return tokens
-
-
-def build_prompt(
-    semantic: np.ndarray, fine: CodebookMatrix, n_coarse: int, source_id: str
-) -> SpeakerPrompt:
-    """Assemble a SpeakerPrompt; coarse is always recomputed from fine."""
-    if not 0 < n_coarse < fine.n_codebooks:
-        raise ValidationError(f"n_coarse must be in (0, {fine.n_codebooks}), got {n_coarse}")
-    return SpeakerPrompt(
-        semantic_tokens=np.asarray(semantic, dtype=np.int64),
-        coarse=fine.row_slice(n_coarse),
-        fine=fine,
-        source_id=source_id,
-    )
 
 
 def save_prompt(prompt: SpeakerPrompt, path: str | Path) -> None:
@@ -248,8 +224,7 @@ def load_prompt(path: str | Path) -> SpeakerPrompt:
     if fine_codes.ndim != 2:
         raise FormatError(f"fine_prompt must be 2-D, got shape {fine_codes.shape}")
     if codebook_size is None:
-        observed = int(max(fine_codes.max(initial=0), arrays["coarse_prompt"].max(initial=0)))
-        codebook_size = observed + 1
+        codebook_size = int(fine_codes.max(initial=0)) + 1
     if frame_rate is None:
         frame_rate = _DEFAULT_FRAME_RATE_HZ
 
@@ -259,15 +234,14 @@ def load_prompt(path: str | Path) -> SpeakerPrompt:
             frame_rate_hz=frame_rate,
             codebook_size=codebook_size,
         )
-        coarse = CodebookMatrix(
-            codes=arrays["coarse_prompt"].astype(np.int64),
-            frame_rate_hz=frame_rate,
-            codebook_size=codebook_size,
-        )
+        coarse = arrays["coarse_prompt"]
+        # the archive comes from outside: its coarse tier is checked, not trusted
+        if coarse.ndim != 2 or not np.array_equal(coarse, fine.codes[: len(coarse)]):
+            raise ValidationError("coarse_prompt must equal the leading rows of fine_prompt")
         return SpeakerPrompt(
             semantic_tokens=arrays["semantic_prompt"].astype(np.int64),
-            coarse=coarse,
             fine=fine,
+            n_coarse=len(coarse),
             source_id=source_id,
         )
     except ValidationError as exc:

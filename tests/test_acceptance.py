@@ -23,9 +23,9 @@ from voiceforge import (
     CorpusEntry,
     EncodedAudio,
     SegmentationPolicy,
+    SpeakerPrompt,
     SplitSpec,
     TailPolicy,
-    build_prompt,
     character_error_rate,
     default_conversion_params,
     default_generation_params,
@@ -231,7 +231,7 @@ def test_prompt_save_load_identity():
                 codebook_size=codebook_size,
             )
             semantic = rng.integers(0, 10000, size=int(rng.integers(1, 300)), dtype=np.int64)
-            prompt = build_prompt(semantic, fine, n_coarse, source_id=f"case{i:03d}")
+            prompt = SpeakerPrompt(semantic, fine, n_coarse, source_id=f"case{i:03d}")
 
             assert prompt.coarse.n_codebooks == n_coarse
             assert np.array_equal(prompt.coarse.codes, prompt.fine.codes[:n_coarse])

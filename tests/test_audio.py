@@ -31,7 +31,7 @@ from voiceforge.audio import (
 )
 from voiceforge.errors import DecodeError, FormatError, ValidationError
 from voiceforge.ingest import RawMediaHandle, open_source
-from voiceforge.voiceprompt import CodebookMatrix, build_prompt, save_prompt
+from voiceforge.voiceprompt import CodebookMatrix, SpeakerPrompt, save_prompt
 
 from test_upfirdn import integer_resample
 
@@ -544,7 +544,7 @@ def _speaker_prompt(seed: int):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 64, size=(4, 10), dtype=np.int64)
     fine = CodebookMatrix(codes=codes, frame_rate_hz=75.0, codebook_size=64)
-    return build_prompt(rng.integers(0, 500, size=20, dtype=np.int64), fine, 2, f"src{seed}")
+    return SpeakerPrompt(rng.integers(0, 500, size=20, dtype=np.int64), fine, 2, f"src{seed}")
 
 
 @pytest.mark.parametrize(

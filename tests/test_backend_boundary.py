@@ -77,9 +77,7 @@ def _failing_midway(exc: BaseException):
 def _prompt() -> SpeakerPrompt:
     codes = np.zeros((8, 4), dtype=np.int64)
     fine = CodebookMatrix(codes=codes, frame_rate_hz=75.0, codebook_size=1024)
-    return SpeakerPrompt(
-        semantic_tokens=np.arange(4), coarse=fine.row_slice(2), fine=fine, source_id="spk"
-    )
+    return SpeakerPrompt(semantic_tokens=np.arange(4), fine=fine, n_coarse=2, source_id="spk")
 
 
 def _media(tmp_path) -> RawMediaHandle:
@@ -100,7 +98,7 @@ CALLS = {
         _clip(), AudioFormat.WAV_PCM16, _failing(MockTranscodeAdapter(), "encode", exc)
     ),
     "codec": lambda exc, tmp: extract_codebooks(
-        _clip(), _failing(MockCodecAdapter(), "encode", exc), n_coarse=2
+        _clip(), _failing(MockCodecAdapter(), "encode", exc)
     ),
     "semantic_encoder": lambda exc, tmp: extract_semantic_tokens(
         _clip(),

@@ -355,6 +355,10 @@ def _conversion_yaml(tmp_path) -> str:
     )
 
 
+def _unregistered_tts_yaml(tmp_path) -> str:
+    return _m1_yaml(tmp_path, adapters={"downloader": "mock", "decoder": "mock", "tts": "nope"})
+
+
 @pytest.mark.parametrize(
     "command, config, refusal",
     [
@@ -362,8 +366,10 @@ def _conversion_yaml(tmp_path) -> str:
         ("prompt", _lj_prep_yaml, "the prompt stage applies to methodology: bark_prompt"),
         ("synth", _conversion_yaml, "the synth stage applies to methodology: bark_prompt"),
         ("acquire", _conversion_yaml, "acquire applies to a job that reads a source"),
+        ("acquire", _unregistered_tts_yaml, "no tts adapter registered under id 'nope'"),
+        ("train-config", _unregistered_tts_yaml, "no tts adapter registered under id 'nope'"),
     ],
-    ids=["convert", "prompt", "synth", "acquire"],
+    ids=["convert", "prompt", "synth", "acquire", "acquire-unregistered", "train-config-unregistered"],
 )
 def test_dry_run_refuses_what_the_command_refuses(tmp_path, capsys, command, config, refusal):
     cfg = config(tmp_path)

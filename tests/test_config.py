@@ -3,6 +3,7 @@ from __future__ import annotations
 import textwrap
 
 import pytest
+import yaml
 
 from voiceforge.adapters.base import AdapterRole
 from voiceforge.config import (
@@ -14,7 +15,6 @@ from voiceforge.config import (
 )
 from voiceforge.conversion import default_conversion_params, default_training_config
 from voiceforge.errors import ConfigurationError
-from voiceforge.ingest import SourceKind
 from voiceforge.preprocess import SegmentationPolicy, TailPolicy
 from voiceforge.synthesis import default_generation_params
 from voiceforge.transcribe import AsrConfig, AsrTask
@@ -77,8 +77,8 @@ class TestDefaults:
         assert set(config.adapters) == set(AdapterRole)
 
     def test_source_kind_inferred_from_uri(self):
-        assert parse_config(_minimal_m1()).source.kind is SourceKind.REMOTE
-        assert parse_config(_minimal_m2()).source.kind is SourceKind.LOCAL
+        assert parse_config(_minimal_m1()).source.remote
+        assert not parse_config(_minimal_m2()).source.remote
 
 
 class TestOverrides:
@@ -150,6 +150,7 @@ class TestViolations:
                 {"source": {"uri": "talk.wav", "expected_duration_s": 60}},
                 "source.expected_duration_s",
             ),
+            ({"source": {"uri": "talk.wav", "kind": "local"}}, "source.kind"),
         ],
     )
     def test_deleted_keys_are_unknown(self, overrides, path):
@@ -320,6 +321,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="not valid YAML"):
             load_config(path)
 
+    def test_unprintable_text_is_invalid_yaml(self, tmp_path):
+        path = tmp_path / "binary.yaml"
+        path.write_text("methodology: bark\x01prompt\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not valid YAML"):
+            load_config(path)
+
+    def test_the_document_is_composed_once(self, tmp_path, monkeypatch):
+        # the data and the line marks come from one node tree, not two parses
+        composed = []
+        compose = yaml.composer.Composer.compose_document
+
+        def counting(self):
+            composed.append(1)
+            return compose(self)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", counting)
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(FULL_YAML, encoding="utf-8")
+        assert load_config(path).source.uri == "mock://talk?duration=30"
+        assert len(composed) == 1
+
 
 # The config contract, pinned: every leaf key of the schema with a value of the
 # wrong type, and every range, enum and required-key check, each through
@@ -328,7 +350,7 @@ FULL_YAML = """\
 methodology: bark_prompt
 source:
   uri: "mock://talk?duration=30"
-  kind: remote
+  # a uri with :// is fetched, anything else is a local path
 preprocessing:
   denoise: 0.5
   stems: two_stems
@@ -387,7 +409,6 @@ adapters:
 WRONG_TYPE = [
     ("methodology", "5", ["methodology: must be a str, got int (line 1)"]),
     ("source.uri", "5", ["source.uri: must be a str, got int (line 3)"]),
-    ("source.kind", "5", ["source.kind: must be a str, got int (line 4)"]),
     ("preprocessing.denoise", '"x"', ["preprocessing.denoise: must be a float, got str (line 6)"]),
     ("preprocessing.stems", "5", ["preprocessing.stems: must be a str, got int (line 7)"]),
     (
@@ -541,8 +562,6 @@ OUT_OF_RANGE = [
     ),
     ("methodology", "null", ["methodology: is required (line 1)"]),
     ("source.uri", "null", ["source.uri: is required (line 3)"]),
-    ("source.uri", "no-scheme", ["source: remote uri 'no-scheme' needs a scheme prefix (line 2)"]),
-    ("source.kind", "satellite", ["source.kind: must be one of: local, remote (line 4)"]),
     (
         "preprocessing.denoise",
         "1.5",

@@ -28,7 +28,6 @@ from voiceforge.errors import (
 from voiceforge.ingest import (
     AHEAD_BLOCKS,
     RawMediaHandle,
-    SourceKind,
     SourceSpec,
     acquire_source,
     decode_to_audio,
@@ -41,34 +40,36 @@ from test_audio import STREAM_RATES, STREAM_SETTINGS, split_blocks
 
 
 class TestSourceSpec:
-    def test_remote_requires_scheme(self):
-        with pytest.raises(ValidationError, match="scheme"):
-            SourceSpec(uri="no-scheme-here", kind=SourceKind.REMOTE)
+    def test_remote_exactly_when_the_uri_has_a_scheme(self):
+        assert SourceSpec(uri="https://example.com/talk.wav").remote
+        assert SourceSpec(uri="mock://talk?duration=1").remote
+        assert not SourceSpec(uri="recordings/talk.wav").remote
+        assert not SourceSpec(uri="no-scheme-here").remote
 
     def test_empty_uri_rejected(self):
         with pytest.raises(ValidationError):
-            SourceSpec(uri="", kind=SourceKind.LOCAL)
+            SourceSpec(uri="")
 
 
 class TestAcquire:
     def test_local_passthrough_keeps_container(self, tmp_path):
         media = tmp_path / "talk.mp4"
         media.write_bytes(b"fake video payload")
-        handle = acquire_source(SourceSpec(uri=str(media), kind=SourceKind.LOCAL))
+        handle = acquire_source(SourceSpec(uri=str(media)))
         assert handle.path == media
         assert handle.duration_s is None
 
     def test_local_missing_file(self, tmp_path):
-        spec = SourceSpec(uri=str(tmp_path / "absent.wav"), kind=SourceKind.LOCAL)
+        spec = SourceSpec(uri=str(tmp_path / "absent.wav"))
         with pytest.raises(AcquisitionError, match="absent.wav"):
             acquire_source(spec)
 
     def test_remote_needs_downloader(self):
         with pytest.raises(ConfigurationError):
-            acquire_source(SourceSpec(uri="mock://x", kind=SourceKind.REMOTE))
+            acquire_source(SourceSpec(uri="mock://x"))
 
     def test_remote_download_lands_in_cache(self, tmp_path):
-        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1")
         handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
         assert handle.path.is_file()
         assert handle.path.suffix == ".mockav"
@@ -80,7 +81,7 @@ class TestAcquire:
         monkeypatch.chdir(tmp_path)
         # the variable is the pipeline's to read, not ingest's
         monkeypatch.setenv("VOICEFORGE_CACHE_DIR", str(tmp_path / "cache"))
-        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1")
         with pytest.raises(ConfigurationError, match="cache directory"):
             acquire_source(spec, MockDownloader())
         assert list(tmp_path.iterdir()) == []
@@ -93,7 +94,7 @@ class TestAcquire:
                 calls.append(uri)
                 return MockDownloader().download(uri, dest_path)
 
-        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://talk?duration=1&rate=8000&seed=1")
         first = acquire_source(spec, CountingDownloader(), cache_dir=tmp_path)
         second = acquire_source(spec, CountingDownloader(), cache_dir=tmp_path)
         assert first.path == second.path
@@ -112,7 +113,7 @@ class TestAcquire:
                     fh.write(encode_wav_pcm16(clip))
                 return DownloadResult(container_format="wav", duration_s=10.0)
 
-        spec = SourceSpec(uri="mock://truncated", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://truncated")
         for _ in range(2):
             handle = acquire_source(spec, TruncatingDownloader(), cache_dir=tmp_path)
             with pytest.raises(DecodeError, match="disagrees"):
@@ -126,7 +127,7 @@ class TestAcquire:
                 open(dest_path, "wb").close()
                 return DownloadResult()
 
-        spec = SourceSpec(uri="mock://empty", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://empty")
         with pytest.raises(IntegrityError, match="zero bytes"):
             acquire_source(spec, EmptyDownloader(), cache_dir=tmp_path)
         # the failed attempt must not leave a cache entry behind
@@ -137,7 +138,7 @@ class TestAcquire:
             def download(self, uri: str, dest_path: str) -> DownloadResult:
                 raise OSError("connection refused")
 
-        spec = SourceSpec(uri="mock://down", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://down")
         with pytest.raises(AcquisitionError, match="mock://down"):
             acquire_source(spec, FailingDownloader(), cache_dir=tmp_path)
 
@@ -505,7 +506,7 @@ class TestBlockRoute:
                 MockDownloader().download("mock://x?duration=1&rate=8000&seed=1", dest_path)
                 return DownloadResult(container_format="mockav", duration_s=10.0)
 
-        spec = SourceSpec(uri="mock://long-claim", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri="mock://long-claim")
         handle = acquire_source(spec, LongClaimDownloader(), cache_dir=tmp_path)
         with pytest.raises(DecodeError, match="disagrees"):
             decode_to_audio(handle, 8000, MockDecoder())
@@ -595,7 +596,7 @@ class TestKeptPrefix:
 
     @pytest.mark.parametrize("rate_hz", [44100, 24000])
     def test_the_prefix_is_the_decoded_source_cut(self, tmp_path, rate_hz):
-        spec = SourceSpec(uri=f"mock://x?duration=7&rate={rate_hz}&seed=2", kind=SourceKind.REMOTE)
+        spec = SourceSpec(uri=f"mock://x?duration=7&rate={rate_hz}&seed=2")
         handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
         whole = decode_to_audio(handle, 24000, MockDecoder())
         source = open_source(handle, 24000, MockDecoder())
@@ -611,7 +612,7 @@ class TestKeptPrefix:
 
 def test_native_rate_source_is_never_whole(tmp_path):
     """Decoding 120 s of 44.1 kHz audio to 32 kHz and transcribing it stays near the output."""
-    spec = SourceSpec(uri="mock://x?duration=120&rate=44100&seed=3", kind=SourceKind.REMOTE)
+    spec = SourceSpec(uri="mock://x?duration=120&rate=44100&seed=3")
     handle = acquire_source(spec, MockDownloader(), cache_dir=tmp_path)
     tracemalloc.start()
     try:

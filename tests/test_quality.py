@@ -99,18 +99,14 @@ class TestSilenceFraction:
 class TestClipConstraints:
     def test_defaults(self):
         constraints = ClipConstraints()
-        assert constraints.min_duration_s == 1.0
-        assert constraints.max_duration_s == 15.0
+        assert constraints.MIN_DURATION_S == 1.0
+        assert constraints.MAX_DURATION_S == 15.0
         assert constraints.required_rate_hz == 24000
-        assert constraints.max_silence_fraction == 0.9
+        assert constraints.MAX_SILENCE_FRACTION == 0.9
 
-    def test_min_must_be_below_max(self):
+    def test_rate_must_be_positive(self):
         with pytest.raises(ValidationError):
-            ClipConstraints(min_duration_s=5.0, max_duration_s=5.0)
-
-    def test_silence_fraction_bounds(self):
-        with pytest.raises(ValidationError):
-            ClipConstraints(max_silence_fraction=1.2)
+            ClipConstraints(required_rate_hz=0)
 
 
 class TestValidateClip:

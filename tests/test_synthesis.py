@@ -27,7 +27,7 @@ from voiceforge.synthesis import (
     sentence_digest,
     synthesize,
 )
-from voiceforge.voiceprompt import CodebookMatrix, build_prompt
+from voiceforge.voiceprompt import CodebookMatrix, SpeakerPrompt
 
 
 def _prompt(source_id: str = "talk"):
@@ -38,7 +38,7 @@ def _prompt(source_id: str = "talk"):
         codebook_size=64,
     )
     semantic = rng.integers(0, 500, size=20, dtype=np.int64)
-    return build_prompt(semantic, fine, n_coarse=2, source_id=source_id)
+    return SpeakerPrompt(semantic, fine, n_coarse=2, source_id=source_id)
 
 
 def _clip_paths(work_dir) -> dict[str, Path]:

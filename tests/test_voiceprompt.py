@@ -14,7 +14,6 @@ from voiceforge.voiceprompt import (
     PROMPT_KEYS,
     CodebookMatrix,
     SpeakerPrompt,
-    build_prompt,
     extract_codebooks,
     extract_semantic_tokens,
     load_prompt,
@@ -32,7 +31,7 @@ def _prompt(seed: int = 0, source_id: str = "src") -> SpeakerPrompt:
     rng = np.random.default_rng(seed)
     fine = _matrix(seed=seed)
     semantic = rng.integers(0, 1000, size=37, dtype=np.int64)
-    return build_prompt(semantic, fine, n_coarse=2, source_id=source_id)
+    return SpeakerPrompt(semantic, fine, n_coarse=2, source_id=source_id)
 
 
 def _tone(duration_s: float, rate: int) -> AudioClip:
@@ -86,72 +85,50 @@ class TestSpeakerPrompt:
     def test_build_prompt_recomputes_coarse(self):
         fine = _matrix(rows=8, frames=750)
         semantic = np.arange(500, dtype=np.int64)
-        prompt = build_prompt(semantic, fine, n_coarse=2, source_id="talk01")
+        prompt = SpeakerPrompt(semantic, fine, n_coarse=2, source_id="talk01")
         assert prompt.coarse.codes.shape == (2, 750)
         assert np.array_equal(prompt.coarse.codes, fine.codes[:2])
+        assert prompt.coarse.codebook_size == fine.codebook_size
         assert prompt.source_id == "talk01"
 
     def test_build_prompt_bounds_n_coarse(self):
         fine = _matrix(rows=4)
         semantic = np.arange(10, dtype=np.int64)
         for bad in (0, 4, 5):
-            with pytest.raises(ValidationError):
-                build_prompt(semantic, fine, n_coarse=bad, source_id="x")
+            with pytest.raises(ValidationError, match="n_coarse"):
+                SpeakerPrompt(semantic, fine, n_coarse=bad, source_id="x")
 
     def test_semantic_tokens_must_be_non_empty(self):
         with pytest.raises(ValidationError):
-            build_prompt(np.zeros(0, np.int64), _matrix(), n_coarse=2, source_id="x")
+            SpeakerPrompt(np.zeros(0, np.int64), _matrix(), n_coarse=2, source_id="x")
 
     def test_semantic_tokens_must_be_non_negative(self):
         with pytest.raises(ValidationError):
-            build_prompt(np.array([1, -2]), _matrix(), n_coarse=2, source_id="x")
-
-    def test_coarse_must_prefix_fine(self):
-        fine = _matrix(rows=4, seed=1)
-        other = _matrix(rows=2, seed=2)
-        with pytest.raises(ValidationError, match="leading rows"):
-            SpeakerPrompt(
-                semantic_tokens=np.arange(5, dtype=np.int64), coarse=other, fine=fine
-            )
-
-    def test_frame_counts_must_agree(self):
-        fine = _matrix(rows=4, frames=20)
-        short = CodebookMatrix(
-            codes=fine.codes[:2, :10], frame_rate_hz=75.0, codebook_size=fine.codebook_size
-        )
-        with pytest.raises(ValidationError):
-            SpeakerPrompt(
-                semantic_tokens=np.arange(5, dtype=np.int64), coarse=short, fine=fine
-            )
+            SpeakerPrompt(np.array([1, -2]), _matrix(), n_coarse=2, source_id="x")
 
     def test_equality_includes_source_id(self):
         assert _prompt(seed=5, source_id="a") == _prompt(seed=5, source_id="a")
         assert _prompt(seed=5, source_id="a") != _prompt(seed=5, source_id="b")
         assert _prompt(seed=5) != _prompt(seed=6)
 
+    def test_equality_includes_n_coarse(self):
+        semantic, fine = np.arange(5, dtype=np.int64), _matrix()
+        assert SpeakerPrompt(semantic, fine, n_coarse=1) != SpeakerPrompt(semantic, fine, 2)
+
 
 class TestExtractCodebooks:
     def test_ten_seconds_gives_expected_shapes(self):
         codec = MockCodecAdapter()
         clip = _tone(10.0, codec.native_rate_hz)
-        fine, coarse = extract_codebooks(clip, codec, n_coarse=2)
+        fine = extract_codebooks(clip, codec)
         assert fine.codes.shape == (8, 750)
-        assert coarse.codes.shape == (2, 750)
-        assert np.array_equal(coarse.codes, fine.codes[:2])
         assert fine.frame_rate_hz == codec.frame_rate_hz
         assert fine.codebook_size == codec.codebook_size
 
     def test_rate_mismatch_rejected(self):
         codec = MockCodecAdapter()
         with pytest.raises(ValidationError, match="native rate"):
-            extract_codebooks(_tone(1.0, 16000), codec, n_coarse=2)
-
-    def test_n_coarse_must_be_interior(self):
-        codec = MockCodecAdapter()
-        clip = _tone(1.0, codec.native_rate_hz)
-        for bad in (0, codec.codebook_count):
-            with pytest.raises(ValidationError):
-                extract_codebooks(clip, codec, n_coarse=bad)
+            extract_codebooks(_tone(1.0, 16000), codec)
 
     def test_adapter_crash_becomes_stage_error(self):
         class Crashing(MockCodecAdapter):
@@ -160,7 +137,7 @@ class TestExtractCodebooks:
 
         clip = _tone(1.0, 24000)
         with pytest.raises(StageError, match="backend down"):
-            extract_codebooks(clip, Crashing(), n_coarse=2)
+            extract_codebooks(clip, Crashing())
 
     def test_wrong_row_count_is_a_stage_error(self):
         class WrongShape(MockCodecAdapter):
@@ -169,7 +146,7 @@ class TestExtractCodebooks:
 
         clip = _tone(1.0, 24000)
         with pytest.raises(StageError, match="expected"):
-            extract_codebooks(clip, WrongShape(), n_coarse=2)
+            extract_codebooks(clip, WrongShape())
 
     def test_frame_drift_beyond_one_is_a_stage_error(self):
         class Drifting(MockCodecAdapter):
@@ -178,7 +155,7 @@ class TestExtractCodebooks:
 
         clip = _tone(1.0, 24000)
         with pytest.raises(StageError, match="frames"):
-            extract_codebooks(clip, Drifting(), n_coarse=2)
+            extract_codebooks(clip, Drifting())
 
 
 class TestExtractSemanticTokens:
@@ -269,15 +246,24 @@ class TestPromptArchive:
         assert np.array_equal(prompt.fine.codes, fine)
 
     def test_inconsistent_archive_is_a_format_error(self, tmp_path):
-        path = tmp_path / "mismatch.npz"
-        np.savez(
-            path,
-            semantic_prompt=np.arange(4, dtype=np.int64),
-            coarse_prompt=np.ones((1, 3), np.int64),
-            fine_prompt=np.zeros((3, 3), np.int64),
-        )
-        with pytest.raises(FormatError, match="invalid"):
-            load_prompt(path)
+        fine = np.zeros((3, 3), np.int64)
+        for coarse in (
+            np.ones((1, 3), np.int64),  # not the leading rows
+            np.zeros((1, 2), np.int64),  # another frame count
+            np.zeros((3, 3), np.int64),  # all of fine's rows
+            np.zeros((4, 3), np.int64),  # more rows than fine has
+            np.zeros((0, 3), np.int64),  # no rows
+            np.zeros(3, np.int64),  # not a matrix
+        ):
+            path = tmp_path / "mismatch.npz"
+            np.savez(
+                path,
+                semantic_prompt=np.arange(4, dtype=np.int64),
+                coarse_prompt=coarse,
+                fine_prompt=fine,
+            )
+            with pytest.raises(FormatError, match="invalid"):
+                load_prompt(path)
 
     def test_garbage_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "noise.npz"
