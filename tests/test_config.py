@@ -350,7 +350,7 @@ FULL_YAML = """\
 methodology: bark_prompt
 source:
   uri: "mock://talk?duration=30"
-  # a uri with :// is fetched, anything else is a local path
+  # kind: remote  (a dropped key: a uri with :// is fetched, anything else is local)
 preprocessing:
   denoise: 0.5
   stems: two_stems
@@ -409,6 +409,7 @@ adapters:
 WRONG_TYPE = [
     ("methodology", "5", ["methodology: must be a str, got int (line 1)"]),
     ("source.uri", "5", ["source.uri: must be a str, got int (line 3)"]),
+    ("source.kind", "5", ["source.kind: unknown key (line 4)"]),
     ("preprocessing.denoise", '"x"', ["preprocessing.denoise: must be a float, got str (line 6)"]),
     ("preprocessing.stems", "5", ["preprocessing.stems: must be a str, got int (line 7)"]),
     (
@@ -562,6 +563,7 @@ OUT_OF_RANGE = [
     ),
     ("methodology", "null", ["methodology: is required (line 1)"]),
     ("source.uri", "null", ["source.uri: is required (line 3)"]),
+    ("source.kind", "satellite", ["source.kind: unknown key (line 4)"]),
     (
         "preprocessing.denoise",
         "1.5",
@@ -674,11 +676,15 @@ OUT_OF_RANGE = [
 
 
 def _with_value(text: str, path: str, value: str) -> str:
-    """`text` with the value of the leaf at dotted `path` replaced."""
+    """`text` with the value of the leaf at dotted `path` replaced.
+
+    A commented-out leaf (`# key: value`) is a key the schema has dropped;
+    setting it uncomments it.
+    """
     out, stack = [], []
     for line in text.splitlines():
         depth = (len(line) - len(line.lstrip())) // 2
-        key = line.strip().partition(":")[0]
+        key = line.strip().removeprefix("# ").partition(":")[0]
         del stack[depth:]
         stack.append(key)
         if ".".join(stack) == path:

@@ -106,6 +106,29 @@ class TestSpeakerPrompt:
         with pytest.raises(ValidationError):
             SpeakerPrompt(np.array([1, -2]), _matrix(), n_coarse=2, source_id="x")
 
+    def test_coarse_must_prefix_fine(self, tmp_path):
+        fine = _matrix(rows=4, seed=1)
+        semantic = np.arange(5, dtype=np.int64)
+        for n_coarse in (1, 2, 3):
+            prompt = SpeakerPrompt(semantic, fine, n_coarse=n_coarse)
+            assert np.array_equal(prompt.coarse.codes, fine.codes[:n_coarse])
+        # a prompt cannot hold another coarse tier; one read from a file is checked
+        path = tmp_path / "foreign.npz"
+        other = _matrix(rows=2, seed=2)
+        np.savez(path, semantic_prompt=semantic, coarse_prompt=other.codes, fine_prompt=fine.codes)
+        with pytest.raises(FormatError, match="leading rows"):
+            load_prompt(path)
+
+    def test_frame_counts_must_agree(self, tmp_path):
+        fine = _matrix(rows=4, frames=20)
+        semantic = np.arange(5, dtype=np.int64)
+        assert SpeakerPrompt(semantic, fine, n_coarse=2).coarse.n_frames == fine.n_frames
+        path = tmp_path / "foreign.npz"
+        short = fine.codes[:2, :10]
+        np.savez(path, semantic_prompt=semantic, coarse_prompt=short, fine_prompt=fine.codes)
+        with pytest.raises(FormatError, match="leading rows"):
+            load_prompt(path)
+
     def test_equality_includes_source_id(self):
         assert _prompt(seed=5, source_id="a") == _prompt(seed=5, source_id="a")
         assert _prompt(seed=5, source_id="a") != _prompt(seed=5, source_id="b")
@@ -129,6 +152,16 @@ class TestExtractCodebooks:
         codec = MockCodecAdapter()
         with pytest.raises(ValidationError, match="native rate"):
             extract_codebooks(_tone(1.0, 16000), codec)
+
+    def test_n_coarse_must_be_interior(self):
+        codec = MockCodecAdapter()
+        fine = extract_codebooks(_tone(1.0, codec.native_rate_hz), codec)
+        semantic = np.arange(5, dtype=np.int64)
+        for bad in (0, codec.codebook_count):
+            with pytest.raises(ValidationError, match="n_coarse"):
+                SpeakerPrompt(semantic, fine, n_coarse=bad)
+        top = codec.codebook_count - 1
+        assert SpeakerPrompt(semantic, fine, n_coarse=top).coarse.n_codebooks == top
 
     def test_adapter_crash_becomes_stage_error(self):
         class Crashing(MockCodecAdapter):
