@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -68,14 +68,12 @@ class DownloadResult:
     duration_s: float | None = None
 
 
-@runtime_checkable
 class DownloaderAdapter(Protocol):
     def download(self, uri: str, dest_path: str) -> DownloadResult:
         """Fetch uri into dest_path; raise on unreachable sources."""
         ...
 
 
-@runtime_checkable
 class DecoderAdapter(Protocol):
     """Media file -> its samples at the file's own rate, in blocks.
 
@@ -93,19 +91,22 @@ class DecoderAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class DenoiseAdapter(Protocol):
     def denoise(self, samples: np.ndarray, rate: int, strength: float) -> np.ndarray:
+        """Return as many samples as given; called once per kept piece (see `StemAdapter`)."""
         ...
 
 
-@runtime_checkable
 class StemAdapter(Protocol):
     def separate_vocals(self, samples: np.ndarray, rate: int, stem_model: str) -> np.ndarray:
+        """Return the vocal stem, of a length the adapter decides for the piece it is given.
+
+        A run calls it once per piece it keeps, each cut from the decoded
+        source first: the prompt's first segment, or one LJ prep window.
+        """
         ...
 
 
-@runtime_checkable
 class CodecAdapter(Protocol):
     """Residual-codebook audio tokenizer (fine + coarse tiers)."""
 
@@ -119,7 +120,6 @@ class CodecAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class SemanticEncoderAdapter(Protocol):
     """Self-supervised speech encoder producing frame-level features."""
 
@@ -131,7 +131,6 @@ class SemanticEncoderAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class TokenQuantizerAdapter(Protocol):
     """Maps encoder features to discrete semantic tokens."""
 
@@ -143,7 +142,6 @@ class TokenQuantizerAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class TtsAdapter(Protocol):
     native_rate_hz: int
 
@@ -159,7 +157,6 @@ class TtsAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class VcAdapter(Protocol):
     native_rate_hz: int
 
@@ -175,7 +172,6 @@ class VcAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class AsrAdapter(Protocol):
     def transcribe(self, samples: np.ndarray, rate: int, config: "AsrConfig") -> list:
         """Return TranscriptSegment-compatible (start_s, end_s, text) items.
@@ -186,7 +182,6 @@ class AsrAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class DiarizationAdapter(Protocol):
     def diarize(self, samples: np.ndarray, rate: int) -> list:
         """Return SpeakerTurn-compatible (start_s, end_s, speaker_label) items.
@@ -198,7 +193,6 @@ class DiarizationAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class SpeakerEmbeddingAdapter(Protocol):
     embedding_dim: int
 
@@ -206,7 +200,6 @@ class SpeakerEmbeddingAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class TranscodeAdapter(Protocol):
     def encode(self, samples: np.ndarray, rate: int, format: str) -> bytes:
         """Encode to 'wav_pcm16' or 'mp3' bytes."""

@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         "acquire": "fetch and cache the configured source media (not for a conversion)",
         "prompt": "build the speaker prompt archive (bark_prompt only)",
         "synth": "generate batch audio into the work directory (bark_prompt only)",
-        "train-config": "emit the external trainer's config file",
+        "train-config": "emit the external trainer's config file (rvc_convert without a model_ref)",
         "convert": "convert an existing corpus with a trained model (rvc_convert only)",
         "package": "package previously generated audio into the dataset "
         "(bark_prompt: reuses its clips; rvc_convert: same as run)",

@@ -3,10 +3,10 @@
 The paper's two workflows make three jobs, and `job_for(config)` is the one
 place that tells them apart:
 
-- clone (`bark_prompt`): acquire -> decode at the codec's rate -> optional
-  passes -> segment -> speaker prompt -> batch synthesis -> Common Voice or LJ.
+- clone (`bark_prompt`): acquire -> decode at the codec's rate -> segment 0 ->
+  optional passes -> speaker prompt -> batch synthesis -> Common Voice or LJ.
 - LJ prep (`rvc_convert` without `model_ref`): acquire -> decode at the
-  training rate -> optional passes -> windows cut at silences -> diarize,
+  training rate -> windows cut at silences -> optional passes, then diarize,
   transcribe and slice each window -> an LJ training corpus plus the
   trainer's config.
 - conversion (`rvc_convert` with `model_ref`): read `conversion.input_corpus`
@@ -52,7 +52,7 @@ from .corpus import (
     work_dir_for,
 )
 from .errors import BatchError, ConfigurationError, DecodeError, StageError, ValidationError
-from .ingest import acquire_source, decode_to_audio
+from .ingest import acquire_source
 from .preprocess import AudioFormat, denoise, segment_bounds, separate_vocals, transcode
 from .quality import SILENCE_EPS, SPEECH_GAP_S, ClipConstraints, Issue, QualityReport, Severity, validate_clip
 from .synthesis import batch_synthesize, prompt_digest
@@ -250,27 +250,24 @@ def _numbered(
 
 
 def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[SampleBlocks, int]:
-    """Acquire the source: its stream of blocks, and the rate the job decodes it at.
+    """Acquire the source: `ingest.open_source`'s stream, and the rate the job decodes it at.
 
-    Without the optional passes it is the decoder's stream at its native rate.
-    The passes take the whole source (stem separation may change its length),
-    so with either one the source is decoded and passed whole, and the stream
-    is that array as one block at the job's rate. Either way its blocks are
-    an `ingest.Ahead`.
+    The optional passes never see the stream, only the pieces a job keeps (see `_passes`).
     """
     downloader = adapters.get(AdapterRole.DOWNLOADER)
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
     rate_hz = _rate_hz(job_for(config).decode_at, config, adapters)
-    decoder, pp = adapters[AdapterRole.DECODER], config.preprocessing
-    if pp.denoise_strength is None and pp.stems is None:
-        return ingest.open_source(handle, rate_hz, decoder), rate_hz
-    clip = decode_to_audio(handle, rate_hz, decoder)
+    return ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER]), rate_hz
+
+
+def _passes(clip: AudioClip, config: PipelineConfig, adapters: Adapters) -> AudioClip:
+    """Run the configured denoise and stem passes on one kept piece: segment 0 or an LJ window."""
+    pp = config.preprocessing
     if pp.denoise_strength is not None:
         clip = denoise(clip, pp.denoise_strength, adapters[AdapterRole.DENOISE])
     if pp.stems is not None:
         clip = separate_vocals(clip, pp.stems, adapters[AdapterRole.STEMS])
-    blocks = SampleBlocks(rate_hz, clip.n_samples, ingest.Ahead([clip.samples]), clip.source_id)
-    return blocks, rate_hz
+    return clip
 
 
 @contextmanager
@@ -280,21 +277,21 @@ def _speaker_prompt(
     """Build the prompt from the source's first segment.
 
     Yields the source id, the segment count, the prompt and `check`. Only
-    the first segment is resampled and kept, and the count comes from the
-    source's length. The rest of the source is pulled and checked on the
-    decode-ahead worker beside the prompt and the caller's block, and
-    `check()` raises the fault it has met so far, if any. Unless the run is
-    interrupted, the whole source's verdict is waited for before this
-    leaves, however the prompt or the block ends, and a fault in the source
-    outranks any other error, as it did when the source was checked first.
-    The worker is stopped and joined on every path.
+    the first segment is resampled, passed (`_passes`) and kept, and the
+    count comes from the decoded source's length. The rest of the source is
+    pulled and checked on the decode-ahead worker beside the prompt and the
+    caller's block, and `check()` raises the fault it has met so far, if
+    any. Unless the run is interrupted, the whole source's verdict is waited
+    for before this leaves, however the prompt or the block ends, and a
+    fault in the source outranks any other error, as it did when the source
+    was checked first. The worker is stopped and joined on every path.
     """
     policy = config.preprocessing.segmentation
     source, rate_hz = _source(config, adapters, work)
     with closing(source.blocks) as rest:
         n = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
         bounds = segment_bounds(n, rate_hz, policy)
-        # called through `ingest`, as decode_to_audio calls it, so one wrapper there sees both
+        # called through `ingest`, where perfbench's tracer wraps `resample` (ROADMAP D7)
         first = ingest.resample(source, rate_hz, stop=bounds[0][1] if bounds else 0)
         rest.detach()
         try:
@@ -304,7 +301,7 @@ def _speaker_prompt(
                     stage="segment",
                     source_id=source.source_id,
                 )
-            first = first.slice_samples(*bounds[0])
+            first = _passes(first, config, adapters)  # segment 0: resample stopped at its end
             fine = extract_codebooks(first, adapters[AdapterRole.CODEC])
             semantic = extract_semantic_tokens(
                 first,
@@ -381,10 +378,11 @@ def _lj_prep(
     The source streams through one window at a time (see `_windows`), so
     memory holds about one window plus a few blocks where the source has
     digital silence to cut at; a source without it (a noise floor above
-    about -80 dBFS) is one window, held whole. The adapters see each
-    window on its own: their timestamps are window-local, and so are the
-    diarizer's labels. Each candidate owns its samples, a copy of its slice
-    of the window, so the window is let go once its last slice is copied.
+    about -80 dBFS) is one window, held whole. Windows are cut on the
+    decoded audio, then passed (`_passes`). The adapters see each window on
+    its own: their timestamps are window-local, and so are the diarizer's
+    labels. Each candidate owns its samples, a copy of its slice of the
+    window, so the window is let go once its last slice is copied.
     `clips_in`, the multi-speaker warning and the "no speech" error come at
     the end of the stream.
     """
@@ -395,6 +393,7 @@ def _lj_prep(
         n_out = resampled_length(source.n_samples, source.sample_rate_hz, rate_hz)
         pieces = resampled_pieces(source, rate_hz)
         for window in _windows(pieces, n_out, rate_hz, source.source_id):
+            window = _passes(window, config, adapters)
             turns = diarize(window, adapters[AdapterRole.DIARIZATION])
             spoken = sum(turn.end_s - turn.start_s for turn in turns)
             spoken_s += spoken
@@ -576,6 +575,10 @@ _STAGE_JOBS = {
     ),
     "prompt": ((CLONE,), "the prompt stage applies to methodology: bark_prompt"),
     "synth": ((CLONE,), "the synth stage applies to methodology: bark_prompt"),
+    "train-config": (
+        (LJ_PREP,),
+        "train-config applies to methodology: rvc_convert without conversion.model_ref",
+    ),
     "convert": (
         (CONVERT,),
         "convert needs methodology: rvc_convert with conversion.model_ref, "
@@ -666,11 +669,12 @@ def prompt_stage(config: PipelineConfig, registry: AdapterRegistry | None = None
 
 
 def train_config_stage(config: PipelineConfig) -> Path:
-    """Emit the external trainer's config file under the output root.
+    """Emit the external trainer's config file under an LJ prep config's output root.
 
     The root is refused as a run refuses it: a symlink, or a root holding
     names no dataset tree has, raises `StageError` before anything is written.
     """
+    check_stage("train-config", config)
     root = Path(config.output.root)
     _check_root(root, "train-config", f"write {TRAINING_CONFIG_NAME} into")
     root.mkdir(parents=True, exist_ok=True)

@@ -88,7 +88,7 @@ def denoise(clip: AudioClip, strength: float, adapter: DenoiseAdapter) -> AudioC
 
 
 def separate_vocals(clip: AudioClip, stem_model: StemModel, adapter: StemAdapter) -> AudioClip:
-    """Vocal-isolation pass; the adapter decides the output length."""
+    """Vocal-isolation pass on one piece of a run; the adapter decides its length."""
     clip.require_non_empty("stem separation input")
     with backend_call("stem adapter failed", stage="stems", source_id=clip.source_id):
         out = adapter.separate_vocals(clip.samples, clip.sample_rate_hz, stem_model.value)

@@ -112,7 +112,15 @@ def test_default_registry_mocks_satisfy_protocols():
         (AdapterRole.TRANSCODE, "mock", TranscodeAdapter),
     ]
     for role, adapter_id, protocol in checks:
-        assert isinstance(registry.resolve(role, adapter_id), protocol)
+        adapter = registry.resolve(role, adapter_id)
+        # the protocol's methods and annotated attributes, as a runtime isinstance would check them
+        declared = vars(protocol)
+        members = {name for name in declared if not name.startswith("_")}
+        members |= set(declared.get("__annotations__", {}))
+        assert members, protocol
+        assert not {name for name in members if not hasattr(adapter, name)}, protocol
+        methods = [name for name in members if callable(declared.get(name))]
+        assert all(callable(getattr(adapter, name)) for name in methods), protocol
 
 
 class TestMockMedia:

@@ -248,7 +248,7 @@ class TestStageCommands:
         assert printed.endswith(".npz")
 
     def test_train_config_writes_file(self, tmp_path, capsys):
-        cfg = _m1_yaml(tmp_path)
+        cfg = _lj_prep_yaml(tmp_path)
         code = main(["train-config", "--config", cfg])
         assert code == EXIT_OK
         printed = capsys.readouterr().out.strip()
@@ -261,7 +261,7 @@ class TestStageCommands:
         target = tmp_path / "target"
         target.mkdir()
         (tmp_path / "out").symlink_to(target)
-        code = main(["train-config", "--config", _m1_yaml(tmp_path)])
+        code = main(["train-config", "--config", _lj_prep_yaml(tmp_path)])
         assert code == EXIT_STAGE
         assert capsys.readouterr().err == (
             f"error: [train-config] output root {tmp_path / 'out'} is a symlink or not a "
@@ -273,7 +273,7 @@ class TestStageCommands:
         root = tmp_path / "out"
         root.mkdir()
         (root / "notes.txt").write_text("my notes", encoding="utf-8")
-        code = main(["train-config", "--config", _m1_yaml(tmp_path)])
+        code = main(["train-config", "--config", _lj_prep_yaml(tmp_path)])
         assert code == EXIT_STAGE
         assert capsys.readouterr().err == (
             f"error: [train-config] output root {root} holds files voiceforge does not write "
@@ -292,7 +292,7 @@ class TestStageCommands:
             return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         before = tree()
-        assert main(["train-config", "--config", _m1_yaml(tmp_path)]) == EXIT_OK
+        assert main(["train-config", "--config", _lj_prep_yaml(tmp_path)]) == EXIT_OK
         after = tree()
         assert set(after) == set(before) | {"training_config.txt"}
         assert {name: after[name] for name in before} == before
@@ -326,14 +326,14 @@ class TestStageCommands:
         assert "model_ref" in capsys.readouterr().err
 
 
-def _lj_prep_yaml(tmp_path) -> str:
+def _lj_prep_yaml(tmp_path, **adapters) -> str:
     return _write_config(
         tmp_path,
         {
             "methodology": "rvc_convert",
             "source": {"uri": "mock://lecture?duration=60&rate=32000"},
             "output": {"root": str(tmp_path / "out")},
-            "adapters": {"downloader": "mock", "decoder": "mock"},
+            "adapters": {"downloader": "mock", "decoder": "mock", **adapters},
         },
     )
 
@@ -359,6 +359,13 @@ def _unregistered_tts_yaml(tmp_path) -> str:
     return _m1_yaml(tmp_path, adapters={"downloader": "mock", "decoder": "mock", "tts": "nope"})
 
 
+def _unregistered_asr_yaml(tmp_path) -> str:
+    return _lj_prep_yaml(tmp_path, asr="nope")
+
+
+TRAIN_CONFIG_REFUSAL = "train-config applies to methodology: rvc_convert without conversion.model_ref"
+
+
 @pytest.mark.parametrize(
     "command, config, refusal",
     [
@@ -367,9 +374,20 @@ def _unregistered_tts_yaml(tmp_path) -> str:
         ("synth", _conversion_yaml, "the synth stage applies to methodology: bark_prompt"),
         ("acquire", _conversion_yaml, "acquire applies to a job that reads a source"),
         ("acquire", _unregistered_tts_yaml, "no tts adapter registered under id 'nope'"),
-        ("train-config", _unregistered_tts_yaml, "no tts adapter registered under id 'nope'"),
+        ("train-config", _unregistered_asr_yaml, "no asr adapter registered under id 'nope'"),
+        ("train-config", _m1_yaml, TRAIN_CONFIG_REFUSAL),
+        ("train-config", _conversion_yaml, TRAIN_CONFIG_REFUSAL),
     ],
-    ids=["convert", "prompt", "synth", "acquire", "acquire-unregistered", "train-config-unregistered"],
+    ids=[
+        "convert",
+        "prompt",
+        "synth",
+        "acquire",
+        "acquire-unregistered",
+        "train-config-unregistered",
+        "train-config-clone",
+        "train-config-conversion",
+    ],
 )
 def test_dry_run_refuses_what_the_command_refuses(tmp_path, capsys, command, config, refusal):
     cfg = config(tmp_path)

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 import yaml
 
-from voiceforge import corpus, pipeline, synthesis
+from voiceforge import corpus, ingest, pipeline, synthesis
 from voiceforge.adapters import default_registry
 from voiceforge.adapters.base import AdapterDescriptor, AdapterRole
 from voiceforge.adapters.mocks import (
     MockAsrAdapter,
     MockCodecAdapter,
     MockDecoder,
+    MockDenoiseAdapter,
+    MockStemAdapter,
     MockTranscodeAdapter,
     MockTtsAdapter,
     MockVcAdapter,
@@ -44,9 +46,9 @@ from voiceforge.errors import (
     StageError,
     ValidationError,
 )
-from voiceforge.preprocess import AudioFormat, transcode
+from voiceforge.preprocess import AudioFormat, segment, transcode
 from voiceforge.quality import Severity
-from voiceforge.voiceprompt import load_prompt
+from voiceforge.voiceprompt import SpeakerPrompt, extract_codebooks, extract_semantic_tokens, load_prompt
 
 SENTENCES = [
     "नमस्ते, यह पहला परीक्षण वाक्य है।",
@@ -281,6 +283,65 @@ class TestPlanAndWiring:
             pipeline.run(config)
         assert not root.exists()
         assert not pipeline.work_dir_for(root).exists()
+
+
+class RecordingDenoise(MockDenoiseAdapter):
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def denoise(self, samples, rate, strength):
+        self.calls.append(("denoise", samples.size))
+        return super().denoise(samples, rate, strength)
+
+
+class RecordingStems(MockStemAdapter):
+    def __init__(self, calls: list):
+        super().__init__()
+        self.calls = calls
+
+    def separate_vocals(self, samples, rate, stem_model):
+        self.calls.append(("stems", samples.size))
+        return super().separate_vocals(samples, rate, stem_model)
+
+
+def _recording_passes(data):
+    """`data` with both passes on, through adapters that record the size of each piece they see."""
+    calls: list = []
+    registry = default_registry()
+    registry.register(AdapterDescriptor(role=AdapterRole.DENOISE, id="rec"), RecordingDenoise(calls))
+    registry.register(AdapterDescriptor(role=AdapterRole.STEMS, id="rec"), RecordingStems(calls))
+    data = _with_passes(data)
+    data["adapters"] = {**data["adapters"], "denoise": "rec", "stems": "rec"}
+    return parse_config(data), registry, calls
+
+
+class TestPasses:
+    """The optional passes run once on each piece a job keeps, never on the whole source."""
+
+    def test_the_prompt_passes_segment_0_alone(self, tmp_path):
+        config, registry, calls = _recording_passes(_m1_data(tmp_path / "out"))
+        pipeline.prompt_stage(config, registry)
+        segment_0 = 10 * MockCodecAdapter.native_rate_hz
+        assert calls == [("denoise", segment_0), ("stems", segment_0)]
+
+    def test_lj_prep_passes_each_window(self, tmp_path, monkeypatch):
+        windows = []
+        real = pipeline._windows
+        monkeypatch.setattr(
+            pipeline, "_windows", lambda *args: (windows.append(w.n_samples) or w for w in real(*args))
+        )
+        config, registry, calls = _recording_passes(_m2_prep_data(tmp_path / "out"))
+        pipeline.run(config, registry)
+        assert len(windows) > 1
+        assert calls == [(name, n) for n in windows for name in ("denoise", "stems")]
+
+    @pytest.mark.parametrize("data", [_m1_data, _m2_prep_data], ids=["clone", "lj-prep"])
+    def test_a_zero_strength_denoise_writes_the_tree_of_no_pass(self, tmp_path, data):
+        pipeline.run(parse_config(data(tmp_path / "plain")))
+        denoised = data(tmp_path / "denoised")
+        denoised["preprocessing"] = {"denoise": 0.0}
+        pipeline.run(parse_config(denoised))
+        assert _tree_bytes(tmp_path / "denoised") == _tree_bytes(tmp_path / "plain")
 
 
 class TestGenerationRun:
@@ -661,12 +722,23 @@ class FaultyDecoder(MockDecoder):
             yield previous
 
 
-def _prompt_with(tmp_path, decoder, **preprocessing):
+def _prompt_with(tmp_path, decoder):
     registry = default_registry()
     registry.register(AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), decoder)
     data = _m1_data(tmp_path / "out", adapters={"decoder": "faulty"})
-    data["preprocessing"] = preprocessing
     return pipeline.prompt_stage(parse_config(data), registry)
+
+
+def _decoded_whole(root, decoder, uri=None):
+    """The whole-decode reference: `_m1_data(root)`'s source, or `uri`, and its config.
+
+    The source is decoded whole by `ingest.decode_to_audio` at the codec's rate.
+    """
+    data = _m1_data(root)
+    data["source"]["uri"] = uri or data["source"]["uri"]
+    config = parse_config(data)
+    handle = ingest.RawMediaHandle(pipeline.acquire_stage(config))
+    return ingest.decode_to_audio(handle, MockCodecAdapter.native_rate_hz, decoder), config
 
 
 class TestPromptKeepsTheFirstSegment:
@@ -676,8 +748,15 @@ class TestPromptKeepsTheFirstSegment:
         decoder = FaultyDecoder()
         kept = _prompt_with(tmp_path / "kept", decoder)
         assert decoder.exhausted
-        # a denoise pass of strength 0 changes nothing but decodes the whole source
-        whole = _prompt_with(tmp_path / "whole", FaultyDecoder(), denoise=0.0)
+        source, config = _decoded_whole(tmp_path / "whole", FaultyDecoder())
+        adapters = pipeline.resolve_adapters(config, default_registry())
+        first = segment(source, config.preprocessing.segmentation)[0]
+        fine = extract_codebooks(first, adapters[AdapterRole.CODEC])
+        semantic = extract_semantic_tokens(
+            first, adapters[AdapterRole.SEMANTIC_ENCODER], adapters[AdapterRole.TOKEN_QUANTIZER]
+        )
+        prompt = SpeakerPrompt(semantic, fine, pipeline.PROMPT_N_COARSE, source.source_id)
+        whole = pipeline._save_prompt(prompt, tmp_path / "whole")
         assert kept.name == whole.name
         assert kept.read_bytes() == whole.read_bytes()
 
@@ -688,7 +767,7 @@ class TestPromptKeepsTheFirstSegment:
         with pytest.raises(error) as kept:
             _prompt_with(tmp_path, FaultyDecoder(fault))
         with pytest.raises(error) as whole:
-            _prompt_with(tmp_path, FaultyDecoder(fault), denoise=0.0)
+            _decoded_whole(tmp_path / "out", FaultyDecoder(fault))  # the same cached file
         assert str(kept.value) == str(whole.value)
 
     @pytest.mark.parametrize("rate", [24000, 44100])
@@ -783,16 +862,8 @@ class TestTailBesideSynthesis:
         root = tmp_path / "out"
         pipeline.run(_m1_config(root))
         old = _tree_bytes(root)
-        # denoise of strength 0 decodes the whole source before anything else
-        registry = default_registry()
-        registry.register(
-            AdapterDescriptor(role=AdapterRole.DECODER, id="faulty"), FaultyDecoder(fault)
-        )
-        data = _m1_data(tmp_path / "whole", adapters={"decoder": "faulty"})
-        data["source"]["uri"] = SOURCE_600S
-        data["preprocessing"] = {"denoise": 0.0}
         with pytest.raises(error) as whole:
-            pipeline.run(parse_config(data), registry)
+            _decoded_whole(tmp_path / "whole", FaultyDecoder(fault), SOURCE_600S)
 
         decoder = GatedDecoder(fault)
         reported_at = []
@@ -936,10 +1007,15 @@ class TestStreaming:
         assert summary.entries_written == 40
         assert peak - base < 4 * payload
 
-    @pytest.mark.parametrize("rate", [24000, 44100])
-    def test_prompt_stage_never_holds_the_whole_source(self, tmp_path, rate):
+    @pytest.mark.parametrize(
+        "rate,preprocessing",
+        [(24000, {}), (44100, {}), (24000, {"denoise": 0.5}), (24000, {"stems": "two_stems"})],
+        ids=["24000", "44100", "denoise", "stems"],
+    )
+    def test_prompt_stage_never_holds_the_whole_source(self, tmp_path, rate, preprocessing):
         data = _m1_data(tmp_path / "out")
         data["source"]["uri"] = f"mock://talk?duration=600&rate={rate}&seed=7"
+        data["preprocessing"] = preprocessing  # the passes see segment 0 alone
         config = parse_config(data)
         tracemalloc.start()
         try:
