@@ -6,7 +6,8 @@ weights or requires a GPU. The mock media container ("MOCKAV") is a 28-byte
 header from which the decoder synthesizes a speech-like waveform, so an
 entire acquisition-to-dataset run is reproducible from a URI string alone.
 WAV is not handled here: `MockDecoder` and `MockTranscodeAdapter` extend the
-builtin WAV adapters and add only the MOCKAV and mock MP3 formats.
+builtin WAV adapters and add only the MOCKAV and mock MP3 formats. The
+waveform mocks compute in chunks: only their float32 output is full length.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from ..audio import AudioClip, dequantize_pcm16, join_blocks, quantize_pcm16
+from ..audio import AudioClip, dequantize_pcm16, join_blocks, quantize_pcm16, resample
 from ..errors import ConfigurationError, FormatError
 from ..quality import SILENCE_EPS, SPEECH_GAP_S
 from .base import DownloadResult
@@ -59,48 +60,74 @@ def _hash64(*parts: bytes) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+# Samples per chunk of the waveform mocks, whose float64 scratch is a few chunks.
+MOCK_CHUNK = 1 << 14
+
+
+def _chunked(out: np.ndarray, fill: Callable[..., None], rate: int = 1) -> np.ndarray:
+    """Fill float32 `out` MOCK_CHUNK samples at a time, clipped to [-1, 1].
+
+    `fill(lo, hi, t, wave, tmp)` leaves out[lo:hi] in float64 `wave`, given `t` = (lo, ...,
+    hi - 1) / rate and free `tmp`, all made per call (the decoder runs on another thread).
+    """
+    bufs = np.empty((3, min(out.size, MOCK_CHUNK)))
+    for lo in range(0, out.size, MOCK_CHUNK):
+        hi = min(lo + MOCK_CHUNK, out.size)
+        t, wave, tmp = bufs[:, : hi - lo]
+        np.divide(np.arange(lo, hi, dtype=np.float64), rate, out=t)
+        fill(lo, hi, t, wave, tmp)
+        out[lo:hi] = np.clip(wave, -1.0, 1.0, out=wave)
+    return out
+
+
+def _partials(t, wave, tmp, f0: float, partials: list[tuple[int, float, float]]) -> None:
+    """wave = sum(amp * sin(2 pi f0 k t + phase)), adding (k, amp, phase) in order."""
+    wave.fill(0.0)
+    for k, amp, phase in partials:
+        np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
+        tmp += phase
+        np.sin(tmp, out=tmp)
+        tmp *= amp
+        wave += tmp
+
+
+def _fade(wave: np.ndarray, lo: int, n: int, ramp: np.ndarray) -> None:
+    """Fade samples lo.. of n, in `wave`, in by `ramp` and out by its reverse, which wins an overlap."""
+    hi, out_at = lo + wave.size, n - ramp.size
+    head = min(ramp.size, out_at, hi)
+    wave[: max(0, head - lo)] *= ramp[lo:head]
+    a = max(lo, out_at)
+    wave[a - lo :] *= ramp[::-1][a - out_at : max(a, hi) - out_at]
+
+
 def speechlike_blocks(n_samples: int, rate: int, seed: int) -> Iterator[np.ndarray]:
     """`speechlike_waveform` one utterance plus its following silence at a time."""
     rng = np.random.default_rng(seed)
-    # utterances are shorter than 6 s (the uniform draw below), so one time
-    # axis and two scratch buffers of that length serve every utterance
-    cap = min(n_samples, int(6.0 * rate))
-    t_axis = np.arange(cap, dtype=np.float64) / rate
-    wave_buf = np.empty(cap, dtype=np.float64)
-    tmp_buf = np.empty(cap, dtype=np.float64)
     pos = 0
     while pos < n_samples:
+        # every draw of the utterance, in order, before its chunks
         utter = int(rng.uniform(2.0, 6.0) * rate)
         gap = int(rng.uniform(0.4, 0.8) * rate)
         f0 = rng.uniform(90.0, 220.0)
+        partials = [(k, amp, rng.uniform(0, 2 * np.pi)) for k, amp in ((1, 0.5), (2, 0.25), (3, 0.12))]
+        vibrato = 2.0 * np.pi * rng.uniform(3.0, 6.0)
         seg = min(utter, n_samples - pos)  # at least 1: utter >= 2 for any rate >= 1
-        # same draws and the same float64 operations, in the same order, as
-        # 0.45 * sum(amp * sin(...)) * vibrato * env, so the output bytes hold
-        t, wave, tmp = t_axis[:seg], wave_buf[:seg], tmp_buf[:seg]
-        wave.fill(0.0)
-        for k, amp in ((1, 0.5), (2, 0.25), (3, 0.12)):
-            np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
-            tmp += rng.uniform(0, 2 * np.pi)
+        ramp = np.linspace(0.0, 1.0, min(max(1, int(0.02 * rate)), seg))
+
+        def fill(lo, hi, t, wave, tmp):
+            # 0.45 * sum(amp * sin(...)) * vibrato, then the fades
+            _partials(t, wave, tmp, f0, partials)
+            np.multiply(t, vibrato, out=tmp)
             np.sin(tmp, out=tmp)
-            tmp *= amp
-            wave += tmp
-        np.multiply(t, 2.0 * np.pi * rng.uniform(3.0, 6.0), out=tmp)
-        np.sin(tmp, out=tmp)
-        tmp *= 0.15
-        tmp += 1.0  # vibrato
-        wave *= 0.45
-        wave *= tmp
-        # fade in and out over `edge` samples; where the two ramps would
-        # overlap (a very short last utterance) the fade-out wins
-        edge = max(1, int(0.02 * rate))
-        ramp = np.linspace(0.0, 1.0, min(edge, seg))
-        head = min(ramp.size, seg - ramp.size)
-        wave[:head] *= ramp[:head]
-        wave[seg - ramp.size :] *= ramp[::-1]
-        block = np.empty(min(utter + gap, n_samples - pos), dtype=np.float32)
-        block[:seg] = wave
-        block[seg:] = 0.0
-        yield np.clip(block, -1.0, 1.0, out=block)
+            tmp *= 0.15
+            tmp += 1.0
+            wave *= 0.45
+            wave *= tmp
+            _fade(wave, lo, seg, ramp)
+
+        block = np.zeros(min(utter + gap, n_samples - pos), dtype=np.float32)
+        _chunked(block[:seg], fill, rate)
+        yield block
         pos += utter + gap
 
 
@@ -192,6 +219,26 @@ class MockDecoder(WavFileDecoder):
         return rate, n_samples, speechlike_blocks(n_samples, rate, seed)
 
 
+def _smoothing_pass(samples: np.ndarray, window: int, a: float, b: float) -> np.ndarray:
+    """a * x + b * np.convolve(x, ones(window) / window, "full")[h : h + x.size], h = window // 2.
+
+    That is "same" mode where x holds `window` samples or more. A chunk's sums come from a slice
+    with every sample they read and, where there are that many, `window` samples, on which
+    numpy sums as on the whole (it swaps the operands of a shorter one)."""
+    n, h = samples.size, window // 2
+    kernel = np.ones(window, dtype=np.float64) / window
+
+    def fill(lo, hi, t, wave, tmp):
+        s = max(0, min(lo - h, n - window))
+        e = min(n, max(hi + h, s + window))
+        smoothed = np.convolve(samples[s:e], kernel, "full")[lo + h - s : hi + h - s]
+        smoothed *= b
+        np.multiply(samples[lo:hi], a, out=wave, dtype=np.float64)
+        wave += smoothed
+
+    return _chunked(np.empty(n, dtype=np.float32), fill)
+
+
 class MockDenoiseAdapter:
     """Strength-weighted moving-average smoothing; strength 0 is the identity."""
 
@@ -200,10 +247,7 @@ class MockDenoiseAdapter:
     def denoise(self, samples: np.ndarray, rate: int, strength: float) -> np.ndarray:
         if strength == 0.0 or samples.size == 0:
             return samples
-        kernel = np.ones(self.window, dtype=np.float64) / self.window
-        smoothed = np.convolve(samples.astype(np.float64), kernel, mode="same")
-        out = (1.0 - strength) * samples.astype(np.float64) + strength * smoothed
-        return np.clip(out, -1.0, 1.0).astype(np.float32)
+        return _smoothing_pass(samples, self.window, 1.0 - strength, strength)
 
 
 class MockStemAdapter:
@@ -219,10 +263,8 @@ class MockStemAdapter:
             )
         if samples.size == 0:
             return samples
-        window = max(3, int(0.01 * rate) | 1)
-        kernel = np.ones(window, dtype=np.float64) / window
-        trend = np.convolve(samples.astype(np.float64), kernel, mode="same")
-        return np.clip(samples - trend, -1.0, 1.0).astype(np.float32)
+        # x - trend: negation and multiplying by 1 are exact
+        return _smoothing_pass(samples, max(3, int(0.01 * rate) | 1), 1.0, -1.0)
 
 
 class MockCodecAdapter:
@@ -328,33 +370,26 @@ class MockTtsAdapter:
         duration = min(14.0, 1.0 + self.seconds_per_char * len(text))
         n = int(round(duration * self.native_rate_hz))
         rng = np.random.default_rng(seed)
-        # the float64 operations of 0.6 * sum(amp * sin(...)) * (1 - modulation), in
-        # their order, in three buffers: the bytes equal the array expression's
-        t = np.arange(n, dtype=np.float64) / self.native_rate_hz
         f0 = rng.uniform(100.0, 200.0)
-        wave = np.zeros(n, dtype=np.float64)
-        tmp = np.empty(n, dtype=np.float64)
-        for k, amp in ((1, 0.5), (2, 0.22), (3, 0.1)):
-            np.multiply(t, 2.0 * np.pi * f0 * k, out=tmp)
-            tmp += rng.uniform(0, 2 * np.pi)
-            np.sin(tmp, out=tmp)
-            tmp *= amp
-            wave += tmp
+        partials = [(k, amp, rng.uniform(0, 2 * np.pi)) for k, amp in ((1, 0.5), (2, 0.22), (3, 0.1))]
         # temperature knobs perturb the modulation so params audibly matter
         mod_rate = 2.0 + 3.0 * params.text_temp
         depth = 0.2 + 0.3 * params.waveform_temp
-        np.multiply(t, 2.0 * np.pi * mod_rate, out=tmp)
-        np.sin(tmp, out=tmp)
-        tmp += 1.0
-        tmp *= depth * 0.5
-        np.subtract(1.0, tmp, out=tmp)
-        wave *= tmp
-        edge = max(1, int(0.02 * self.native_rate_hz))
-        ramp = np.linspace(0.0, 1.0, edge)
-        wave[:edge] *= ramp
-        wave[-edge:] *= ramp[::-1]
-        wave *= 0.6
-        return np.clip(wave, -1.0, 1.0, out=wave).astype(np.float32)
+        ramp = np.linspace(0.0, 1.0, max(1, int(0.02 * self.native_rate_hz)))
+
+        def fill(lo, hi, t, wave, tmp):
+            # 0.6 * (sum(amp * sin(...)) * (1 - modulation), faded)
+            _partials(t, wave, tmp, f0, partials)
+            np.multiply(t, 2.0 * np.pi * mod_rate, out=tmp)
+            np.sin(tmp, out=tmp)
+            tmp += 1.0
+            tmp *= depth * 0.5
+            np.subtract(1.0, tmp, out=tmp)
+            wave *= tmp
+            _fade(wave, lo, n, ramp)
+            wave *= 0.6
+
+        return _chunked(np.empty(n, dtype=np.float32), fill, self.native_rate_hz)
 
 
 class MockVcAdapter:
@@ -381,33 +416,34 @@ class MockVcAdapter:
         self._check_ref("index_ref", index_ref)
         clip = AudioClip(samples=np.asarray(samples, dtype=np.float32), sample_rate_hz=rate)
         if rate != self.native_rate_hz:
-            from ..audio import resample
-
             clip = resample(clip, self.native_rate_hz)
-        x = clip.samples.astype(np.float64)
-        del clip
         carrier_hz = 30.0 + (_hash64(model_ref.encode()) % 400) / 10.0
         depth = 0.5 * params.index_ratio
         mix = params.envelope_mix
-        # the float64 operations of (1 - mix) * x + mix * x * (1 - depth + depth * sin(...)),
-        # in their order, in two buffers: `*` and `+` commute and `abs` is exact, so the
-        # bytes equal the array expression's
-        out = np.arange(x.size, dtype=np.float64)
-        out /= self.native_rate_hz
-        out *= 2.0 * np.pi * carrier_hz
-        np.sin(out, out=out)
-        out *= depth
-        out += 1.0 - depth
-        out *= x
-        out *= mix
-        x_peak = max(x.max(), -x.min())
-        x *= 1.0 - mix
-        out += x
-        del x
-        peak = max(out.max(), -out.min())
-        if peak > 0:
-            out *= min(1.0, x_peak / peak)
-        return np.clip(out, -1.0, 1.0, out=out).astype(np.float32), self.native_rate_hz
+        peaks = [0.0, 0.0]  # of the input and of the output before `scale`
+        scale = 1.0
+
+        def fill(lo, hi, t, out, x):
+            # (1 - mix) * x + mix * x * (1 - depth + depth * sin(...)): `*` and `+`
+            # commute and `abs` is exact, so the bytes equal the array expression's
+            x[:] = clip.samples[lo:hi]
+            np.multiply(t, 2.0 * np.pi * carrier_hz, out=out)
+            np.sin(out, out=out)
+            out *= depth
+            out += 1.0 - depth
+            out *= x
+            out *= mix
+            peaks[0] = max(peaks[0], x.max(), -x.min())
+            x *= 1.0 - mix
+            out += x
+            peaks[1] = max(peaks[1], out.max(), -out.min())
+            out *= scale
+
+        out = _chunked(np.empty(clip.n_samples, dtype=np.float32), fill, self.native_rate_hz)
+        # rounding lifted the output's peak past the input's: scale each sample before its clip
+        if peaks[1] > 0 and (scale := min(1.0, peaks[0] / peaks[1])) < 1.0:
+            _chunked(out, fill, self.native_rate_hz)
+        return out, self.native_rate_hz
 
 
 class MockAsrAdapter:

@@ -142,17 +142,12 @@ def plan(config: PipelineConfig) -> list[str]:
     """Human-readable stage list for --dry-run output."""
     job = job_for(config)
     steps: list[str] = []
-    pp = config.preprocessing
     if AdapterRole.DECODER in job.roles:
         steps.append(f"source: {config.source.uri} ({'remote' if config.source.remote else 'local'})")
         steps.append(
             f"decode to {job.decode_at.value} native rate" if job.decode_at
             else f"decode to {config.training.target_sample_rate_hz} Hz"
         )
-        if pp.denoise_strength is not None:
-            steps.append(f"denoise at strength {pp.denoise_strength}")
-        if pp.stems is not None:
-            steps.append(f"isolate vocals ({pp.stems.value})")
     steps += job.steps(config)
     steps.append("quality-gate clips and write the quality report")
     steps.append(
@@ -258,6 +253,16 @@ def _source(config: PipelineConfig, adapters: Adapters, work: Path) -> tuple[Sam
     handle = acquire_source(config.source, downloader, cache_dir=_cache_dir(work))
     rate_hz = _rate_hz(job_for(config).decode_at, config, adapters)
     return ingest.open_source(handle, rate_hz, adapters[AdapterRole.DECODER]), rate_hz
+
+
+def _pass_steps(config: PipelineConfig, piece: str) -> list[str]:
+    """The `plan` lines of the passes `_passes` runs on each kept piece."""
+    pp, steps = config.preprocessing, []
+    if pp.denoise_strength is not None:
+        steps.append(f"denoise at strength {pp.denoise_strength} on {piece}")
+    if pp.stems is not None:
+        steps.append(f"isolate vocals ({pp.stems.value}) on {piece}")
+    return steps
 
 
 def _passes(clip: AudioClip, config: PipelineConfig, adapters: Adapters) -> AudioClip:
@@ -535,6 +540,7 @@ CLONE = Job(
     steps=lambda config: [
         f"segment into {config.preprocessing.segmentation.target_len_s} s clips "
         f"({config.preprocessing.segmentation.tail.value})",
+        *_pass_steps(config, "segment 0"),
         f"build speaker prompt ({PROMPT_N_COARSE} coarse codebooks)",
         f"synthesize {len(config.generation.sentences)} sentences",
     ],
@@ -547,6 +553,8 @@ LJ_PREP = Job(
     clip_at=None,
     fixed_format=None,
     steps=lambda config: [
+        f"cut into windows of at least {WINDOW_S} s at digital silences",
+        *_pass_steps(config, "each window"),
         f"diarize and transcribe ({config.asr.language}, {config.asr.task.value})",
         "slice into per-sentence clips",
         f"emit trainer config ({TRAINING_CONFIG_NAME})",

@@ -29,9 +29,11 @@ from voiceforge.adapters.mocks import (
     MockAsrAdapter,
     MockCodecAdapter,
     MockDecoder,
+    MockDenoiseAdapter,
     MockDiarizationAdapter,
     MockDownloader,
     MockSpeakerEmbeddingAdapter,
+    MockStemAdapter,
     MockTranscodeAdapter,
     MockTtsAdapter,
     MockVcAdapter,
@@ -388,11 +390,15 @@ def test_blockwise_voiced_spans_of_speech_match_loop_oracle(monkeypatch):
         assert _voiced_spans(samples, 16000) == expected, block
 
 
-@pytest.mark.parametrize(
-    "n_samples, rate, seed",
-    [(441000, 44100, 1), (240000, 24000, 7), (16001, 16000, 3), (5, 8000, 2), (0, 8000, 2)],
-)
+DECODER_CASES = [(441000, 44100, 1), (240000, 24000, 7), (16001, 16000, 3), (5, 8000, 2), (0, 8000, 2)]
+
+
+@pytest.mark.parametrize("n_samples, rate, seed", DECODER_CASES)
 def test_mock_decoder_blocks_concatenate_to_decode(tmp_path, n_samples, rate, seed):
+    _check_decoder_blocks(tmp_path, n_samples, rate, seed)
+
+
+def _check_decoder_blocks(tmp_path, n_samples, rate, seed):
     path = tmp_path / "src.mockav"
     path.write_bytes(mocks.MOCKAV_MAGIC + struct.pack("<IQQ", rate, n_samples, seed))
     block_rate, block_n, blocks = MockDecoder().decode_blocks(str(path))
@@ -443,14 +449,14 @@ def test_mock_asr_and_diarization_spans_are_pinned():
     ]
 
 
-@pytest.mark.parametrize(
-    "n_samples, rate, seed, sha256",
-    [
-        (441000, 44100, 1, "7a81ae092d23c065df8a64037c721f05911ddc5f03885b5e02b6930cbfb02fa0"),
-        (240000, 24000, 7, "65b6ea977916e96074d231ef3461c44fa19d9b6b501aade83335919126189fcd"),
-        (16001, 16000, 3, "5a28a909a788a909b921f139329bee3300f18186e49627e639cd78649035f393"),
-    ],
-)
+SPEECHLIKE_GOLDEN = [
+    (441000, 44100, 1, "7a81ae092d23c065df8a64037c721f05911ddc5f03885b5e02b6930cbfb02fa0"),
+    (240000, 24000, 7, "65b6ea977916e96074d231ef3461c44fa19d9b6b501aade83335919126189fcd"),
+    (16001, 16000, 3, "5a28a909a788a909b921f139329bee3300f18186e49627e639cd78649035f393"),
+]
+
+
+@pytest.mark.parametrize("n_samples, rate, seed, sha256", SPEECHLIKE_GOLDEN)
 def test_speechlike_waveform_golden_bytes(n_samples, rate, seed, sha256):
     wave = speechlike_waveform(n_samples, rate, seed)
     assert wave.dtype == np.float32 and wave.size == n_samples
@@ -496,14 +502,22 @@ def _vc_reference(x: np.ndarray, model_ref: str, params) -> np.ndarray:
 
 
 # 260 characters reach the 14 s cap; text_temp and waveform_temp must lie in (0, 2]
-@pytest.mark.parametrize("length", [0, 1, 60, 233, 260])
+TTS_LENGTHS = [0, 1, 60, 233, 260]
+TEMPS = (0.05, 0.7, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("length", TTS_LENGTHS)
 def test_mock_tts_matches_array_oracle(length):
+    _check_tts(length, TEMPS)
+
+
+def _check_tts(length, temps):
     tts = MockTtsAdapter()
     text = ("नमस्ते दुनिया " * 20)[:length]
     semantic = np.arange(length % 7 + 3, dtype=np.int64)
     fine = np.arange(8 * 5, dtype=np.int64).reshape(8, 5) * (length + 1)
-    for text_temp in (0.05, 0.7, 1.0, 2.0):
-        for waveform_temp in (0.05, 0.7, 1.0, 2.0):
+    for text_temp in temps:
+        for waveform_temp in temps:
             params = GenerationParams(text_temp=text_temp, waveform_temp=waveform_temp, seed=length)
             got = tts.synthesize(text, semantic, fine[:2], fine, params)
             want = _tts_reference(text, semantic, fine, params)
@@ -513,11 +527,15 @@ def test_mock_tts_matches_array_oracle(length):
 
 @pytest.mark.parametrize("rate", [24000, 32000])
 def test_mock_vc_matches_array_oracle(rate):
+    _check_vc(rate, 1.5, (0.0, 0.5, 1.0), (0.0, 0.75, 1.0))
+
+
+def _check_vc(rate, seconds, mixes, ratios):
     vc = MockVcAdapter(known_models={"voice.pth", "voice.index"})
-    samples = speechlike_waveform(int(1.5 * rate), rate, seed=rate)
+    samples = speechlike_waveform(int(seconds * rate), rate, seed=rate)
     x = samples if rate == 32000 else resample(AudioClip(samples, rate), 32000).samples
-    for envelope_mix in (0.0, 0.5, 1.0):
-        for index_ratio in (0.0, 0.75, 1.0):
+    for envelope_mix in mixes:
+        for index_ratio in ratios:
             params = ConversionParams(
                 envelope_mix=envelope_mix, filter_radius=3, index_ratio=index_ratio, protect=0.33
             )
@@ -542,3 +560,144 @@ def test_mock_vc_matches_array_oracle_on_silence_and_when_scaling():
     assert np.abs((1.0 - 0.1) * x + 0.1 * x).max() > np.abs(x).max()
     got, _ = vc.convert(samples, 32000, "voice.pth", "voice.index", params)
     assert got.tobytes() == _vc_reference(samples, "voice.pth", params).tobytes()
+
+
+# MOCK_CHUNK values that put a chunk edge after every sample (1), inside the TTS's
+# 480-sample fades (479) and at an odd place (997); the tests above run the default.
+# A chunk per sample is slow, so at 1 only the shorter cases run.
+SMALL_CHUNKS = [1, 479, 997]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_speechlike_blocks_are_the_same_in_any_chunk(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(mocks, "MOCK_CHUNK", chunk)
+    for n_samples, rate, seed, sha256 in SPEECHLIKE_GOLDEN:
+        if chunk > 1 or n_samples < 20000:
+            test_speechlike_waveform_golden_bytes(n_samples, rate, seed, sha256)
+    for n_samples, rate, seed in DECODER_CASES:
+        if chunk > 1 or n_samples < 20000:
+            _check_decoder_blocks(tmp_path, n_samples, rate, seed)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_mock_tts_matches_array_oracle_in_any_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(mocks, "MOCK_CHUNK", chunk)
+    for length in TTS_LENGTHS[:1] if chunk == 1 else TTS_LENGTHS:
+        _check_tts(length, TEMPS[1:2] if chunk == 1 else TEMPS)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_mock_vc_matches_array_oracle_in_any_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(mocks, "MOCK_CHUNK", chunk)
+    for rate in (24000, 32000):
+        if chunk == 1:
+            _check_vc(rate, 0.5, (0.5,), (0.75,))
+        else:
+            _check_vc(rate, 1.5, (0.0, 0.5, 1.0), (0.0, 0.75, 1.0))
+    # the scaling path makes every chunk twice
+    test_mock_vc_matches_array_oracle_on_silence_and_when_scaling()
+
+
+def _smoothed_reference(x: np.ndarray, window: int) -> np.ndarray:
+    """The moving average of x as long as x: "same" mode where x holds `window` samples or more."""
+    h = window // 2
+    return np.convolve(x.astype(np.float64), np.ones(window) / window, "full")[h : h + x.size]
+
+
+def _denoise_reference(x: np.ndarray, strength: float) -> np.ndarray:
+    """Reference: `MockDenoiseAdapter.denoise` as whole-array expressions."""
+    out = (1.0 - strength) * x.astype(np.float64) + strength * _smoothed_reference(x, 5)
+    return np.clip(out, -1.0, 1.0).astype(np.float32)
+
+
+def _stems_reference(x: np.ndarray, rate: int) -> np.ndarray:
+    """Reference: `MockStemAdapter.separate_vocals` as whole-array expressions."""
+    trend = _smoothed_reference(x, max(3, int(0.01 * rate) | 1))
+    return np.clip(x - trend, -1.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, mocks.MOCK_CHUNK])
+def test_mock_passes_match_whole_array_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(mocks, "MOCK_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for rate in (8000, 44100):
+        # loud enough that both passes clip somewhere, and longer than a default chunk
+        x = rng.uniform(-1.0, 1.0, 3000 if chunk == 1 else 40000).astype(np.float32)
+        x[100:400] = 0.0
+        for strength in (0.3, 1.0):
+            got = MockDenoiseAdapter().denoise(x, rate, strength)
+            assert got.tobytes() == _denoise_reference(x, strength).tobytes(), (rate, strength)
+        got = MockStemAdapter().separate_vocals(x, rate, "two_stems")
+        assert got.tobytes() == _stems_reference(x, rate).tobytes(), rate
+
+
+@pytest.mark.parametrize("rate", [8000, 44100])
+def test_mock_passes_keep_the_length_of_a_short_piece(rate):
+    """A piece shorter than a pass's kernel keeps its length, as a final LJ window may be short."""
+    rng = np.random.default_rng(rate)
+    stem_window = max(3, int(0.01 * rate) | 1)
+    for window, run, reference in (
+        (5, lambda x: MockDenoiseAdapter().denoise(x, rate, 0.5), lambda x: _denoise_reference(x, 0.5)),
+        (
+            stem_window,
+            lambda x: MockStemAdapter().separate_vocals(x, rate, "two_stems"),
+            lambda x: _stems_reference(x, rate),
+        ),
+    ):
+        for n in range(1, 2 * window + 2):
+            x = rng.uniform(-0.5, 0.5, n).astype(np.float32)
+            got = run(x)
+            assert got.dtype == np.float32 and got.size == n, (window, n)
+            assert got.tobytes() == reference(x).tobytes(), (window, n)
+            if n >= window:  # where "same" mode kept the length, the bytes are its bytes
+                same = np.convolve(x.astype(np.float64), np.ones(window) / window, "same")
+                assert _smoothed_reference(x, window).tobytes() == same.tobytes(), (window, n)
+
+
+def _traced_peak(call):
+    """The traced peak of `call()` in bytes, and what it returned."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_waveform_mocks_peak_at_their_output_plus_a_few_chunks():
+    """Beside its float32 output a mock holds at most 8 chunks of float64 at once."""
+    scratch = 8 * mocks.MOCK_CHUNK * 8
+    params = default_generation_params()
+    peak, wave = _traced_peak(
+        lambda: MockTtsAdapter().synthesize("क" * 260, np.arange(5), None, np.ones((8, 5)), params)
+    )
+    assert wave.size == 14 * 24000 and peak <= wave.nbytes + scratch
+
+    vc = MockVcAdapter(known_models={"m", "i"})
+    samples = speechlike_waveform(12 * 24000, 24000, seed=12)
+    vc.convert(samples, 24000, "m", "i", default_conversion_params())  # caches the filter outside the count
+    peak, (out, _) = _traced_peak(lambda: vc.convert(samples, 24000, "m", "i", default_conversion_params()))
+    # `audio.resample` makes the 32 kHz input, as long as the output, before the chunks
+    assert out.size == 12 * 32000 and peak <= 2 * out.nbytes + scratch
+
+    blocks = speechlike_blocks(60 * 44100, 44100, seed=3)
+    tracemalloc.start()
+    try:
+        while True:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block = next(blocks, None)
+            if block is None:
+                break
+            assert tracemalloc.get_traced_memory()[1] - held <= block.nbytes + scratch
+            del block
+    finally:
+        tracemalloc.stop()
+
+    window = speechlike_waveform(35 * 32000, 32000, seed=35)
+    for run in (
+        lambda: MockDenoiseAdapter().denoise(window, 32000, 0.5),
+        lambda: MockStemAdapter().separate_vocals(window, 32000, "two_stems"),
+    ):
+        peak, out = _traced_peak(run)
+        assert out.size == window.size and peak <= out.nbytes + scratch

@@ -225,9 +225,9 @@ class TestPlanAndWiring:
         assert pipeline.plan(config) == [
             "source: mock://talk?duration=45&rate=24000&seed=7 (remote)",
             "decode to codec native rate",
-            "denoise at strength 0.5",
-            "isolate vocals (two_stems)",
             "segment into 10.0 s clips (drop_last)",
+            "denoise at strength 0.5 on segment 0",
+            "isolate vocals (two_stems) on segment 0",
             "build speaker prompt (2 coarse codebooks)",
             "synthesize 3 sentences",
             "quality-gate clips and write the quality report",
@@ -238,6 +238,7 @@ class TestPlanAndWiring:
         assert pipeline.plan(_m2_prep_config(tmp_path / "out")) == [
             "source: mock://lecture?duration=600&rate=32000&seed=3 (remote)",
             "decode to 32000 Hz",
+            "cut into windows of at least 30 s at digital silences",
             "diarize and transcribe (hi, transcribe)",
             "slice into per-sentence clips",
             "emit trainer config (training_config.txt)",
@@ -250,8 +251,9 @@ class TestPlanAndWiring:
         assert pipeline.plan(config) == [
             "source: mock://lecture?duration=600&rate=32000&seed=3 (remote)",
             "decode to 32000 Hz",
-            "denoise at strength 0.5",
-            "isolate vocals (two_stems)",
+            "cut into windows of at least 30 s at digital silences",
+            "denoise at strength 0.5 on each window",
+            "isolate vocals (two_stems) on each window",
             "diarize and transcribe (hi, transcribe)",
             "slice into per-sentence clips",
             "emit trainer config (training_config.txt)",
