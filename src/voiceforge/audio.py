@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy  # noqa: F401  unused: kept until perfbench/child.py:104 stops reading its version (ROADMAP F4)
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, ValidationError
 
@@ -35,11 +34,12 @@ MAX_SAMPLE_RATE_HZ = 48000
 # 2^16 keeps its float64 input window and output buffer near 0.7 and 0.5 MiB (2^18 took
 # 2.8 and 2.0 at 44.1 -> 32 kHz); the exact fixed-point sums make the bytes independent of it.
 RESAMPLE_BLOCK = 1 << 16
-# The resampler's fixed point: taps are multiples of 1/TAP_SCALE, inputs of 1/INPUT_SCALE.
+# The resampler's fixed point: taps are multiples of 1/TAP_SCALE, inputs of 1/INPUT_SCALE
+# (`_upfirdn` takes the input counts and its bank's taps hold the 1/INPUT_SCALE).
 TAP_SCALE = 2.0**26
 INPUT_SCALE = 2.0**24
-# Consecutive phases per `matmul` in `_upfirdn`, and the most m*n*k of one call:
-# OpenBLAS runs a gemm of at most 2^18 on one thread.
+# The most consecutive outputs in one block of `_filter_bank` (its matrix's columns), and the
+# most m*n*k of one product in `_upfirdn`: OpenBLAS runs a gemm of at most 2^18 on one thread.
 PHASE_BLOCK = 16
 BLAS_MNK_CAP = 1 << 18
 # Samples per float64 block in `quantize_pcm16`.
@@ -204,18 +204,32 @@ class _FilterBank(NamedTuple):
     """`_kaiser_taps(up, down)` times `up`, as resample_poly scales it, in fixed point and phase blocks.
 
     Outputs come in groups of `up`, and group g reads the `span` inputs from
-    g*down + first on. Each `(r0, c, h)` of `blocks` makes the outputs
-    g*up + r0 to g*up + r0 + h.shape[1] - 1 of every group g: the h.shape[0]
-    inputs from g*down + first + c on, times `h`. A tap of `h` is a multiple
-    of 2^-26; a phase's taps sit in its column, and the zeros around them
-    band the matrix.
+    g*down + first on. A block holds the taps of at most PHASE_BLOCK
+    consecutive outputs: PHASE_BLOCK phases of one group when `up` is at
+    least PHASE_BLOCK, otherwise every phase of `groups` = PHASE_BLOCK // up
+    consecutive groups. For a block row from group g on (g a multiple of
+    `groups`), its `(r0, c, h, one, m, n)` makes the outputs g*up + r0 + i,
+    i < h.shape[1]: the h.shape[0] inputs from g*down + first + c on, times
+    `h`. `one` is the top left of `h` that makes group g alone. A tap is a
+    multiple of 2^-26 times 2^-24, so that it meets an input as an integer
+    count of 2^-24; an output's taps sit in its column, and the zeros around
+    them band the matrix.
+
+    Consecutive block rows start `groups`*down inputs apart. Where that is
+    less than h.shape[0], the rows overlap, and BLAS cannot read overlapping
+    rows in place. Rows m apart do not overlap, m the least count for which
+    m*groups*down is at least h.shape[0]. So `_upfirdn` takes m consecutive
+    block rows as one merged row (m is 1 where rows do not overlap), and the
+    k-th block rows of the merged rows as the k-th product of a stack. `n`
+    is the most merged rows of one stack within BLAS_MNK_CAP.
     """
 
     up: int
     down: int
     first: int
     span: int
-    blocks: tuple[tuple[int, int, np.ndarray], ...]
+    groups: int
+    blocks: tuple[tuple[int, int, np.ndarray, np.ndarray, int, int], ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,59 +237,71 @@ def _filter_bank(up: int, down: int) -> _FilterBank:
     taps = _kaiser_taps(up, down)
     per = (taps.size - 1) // up + 1  # the most taps that one output meets
     h = np.zeros(per * up)
-    h[: taps.size] = np.rint(taps * (up * TAP_SCALE)) / TAP_SCALE
-    v = np.arange(up) * down + taps.size // 2  # output r of group 0, on the upsampled grid
+    h[: taps.size] = np.rint(taps * (up * TAP_SCALE))  # counts of 2^-26
+    groups = max(1, PHASE_BLOCK // up)
+    v = np.arange(groups * up) * down + taps.size // 2  # output r from group 0 on, on the upsampled grid
     # row r holds the taps that output r meets, in the order of its inputs
     phases = h[v[:, None] % up + up * np.arange(per)][:, ::-1]
-    # an output is a sum of integers times 2^-50; below 2^53 every partial sum is exact
-    assert np.abs(phases).sum(axis=1).max() * TAP_SCALE * INPUT_SCALE < 2.0**53, (up, down)
-    starts = v // up - v[0] // up  # where each phase's inputs start, from phase 0's
+    # an output sums these counts times input counts of at most 2^24; below 2^53 every partial sum is exact
+    assert np.abs(phases).sum(axis=1).max() * INPUT_SCALE < 2.0**53, (up, down)
+    phases /= TAP_SCALE * INPUT_SCALE  # so a tap times an input count is an integer times 2^-50
+    starts = v // up - v[0] // up  # where each output's inputs start, from output 0's
     blocks = []
-    for r0 in range(0, up, PHASE_BLOCK):
+    for r0 in range(0, groups * up, PHASE_BLOCK):
         rows = starts[r0 : r0 + PHASE_BLOCK] - starts[r0] + np.arange(per)[:, None]
         block = np.zeros((rows[-1, -1] + 1, rows.shape[1]))
         block[rows, np.arange(rows.shape[1])] = phases[r0 : r0 + PHASE_BLOCK].T
         block.flags.writeable = False
-        blocks.append((r0, int(starts[r0]), block))
+        one = block[: block.shape[0] - (groups - 1) * down, : block.shape[1] // groups]
+        m = -(-block.shape[0] // (groups * down))
+        blocks.append((r0, int(starts[r0]), block, one, m, max(1, BLAS_MNK_CAP // block.size)))
     first = int(v[0] // up) - (per - 1)
-    return _FilterBank(up, down, first, int(starts[-1]) + per, tuple(blocks))
+    return _FilterBank(up, down, first, int(starts[up - 1]) + per, groups, tuple(blocks))
 
 
 def _upfirdn(x: np.ndarray, lo: int, j0: int, j1: int, bank: _FilterBank, acc: np.ndarray) -> np.ndarray:
     """Outputs [j0, j1) of the polyphase filter `bank`, as resample_poly computes them up to rounding.
 
-    `x` is the float64 input from sample `lo` on, in multiples of 2^-24,
-    with zeros where it lies before the input's start or after its end. It
-    must hold every sample that those outputs read, or this raises
-    ValueError. The outputs are clipped to [-1, 1] in `acc`, a float64
-    buffer that holds their groups (j0 is a multiple of `up`, or `acc` holds
-    one group more), and returned as a view of it.
+    `x` is the contiguous float64 input from sample `lo` on, in integer
+    counts of 2^-24, with zeros where it lies before the input's start or
+    after its end. It must hold every sample that those outputs read, or
+    this raises ValueError. The outputs are clipped to [-1, 1] in `acc`, a
+    float64 buffer that holds their groups (j0 is a multiple of `up`, or
+    `acc` holds one group more), and returned as a view of it.
 
     Each product of a tap and an input is an integer times 2^-50, and
     `_filter_bank` checks that every sum of them stays below 2^53 such
     units. So every sum is exact in any order, and BLAS may add them as it
     likes: an output is the integer sum times 2^-50 on any machine. Each
-    block of phases is one `matmul` per BLAS_MNK_CAP of work, of its matrix
-    with the rows of inputs that the groups read.
+    block is one `matmul` per BLAS_MNK_CAP of work: a stack of m products,
+    the k-th of the block's matrix with the k-th block rows of the merged
+    rows (see `_FilterBank`). The rows of each product do not overlap, so
+    BLAS reads the input where it lies, with no copy. The groups after the
+    last whole merged row are one more `matmul`, a stack of one-group
+    products, so no product reads an input that its outputs do not.
     """
-    up, down = bank.up, bank.down
+    up, down, q = bank.up, bank.down, bank.groups
     g0, g1 = j0 // up, -(-j1 // up)
     start = g0 * down + bank.first - lo
     stop = start + (g1 - g0 - 1) * down + bank.span
-    if start < 0 or stop > x.size:  # as_strided would read outside x
+    if start < 0 or stop > x.size:  # before any view of x is made, naming both ranges
         raise ValueError(f"outputs [{j0}, {j1}) read inputs [{start}, {stop}) of {x.size}")
     out = acc[: (g1 - g0) * up].reshape(g1 - g0, up)
     size = x.itemsize
-    for r0, c, h in bank.blocks:
-        # row m holds the inputs that group g0 + m reads
-        inputs = as_strided(x[start + c :], (g1 - g0, h.shape[0]), (down * size, size), writeable=False)
-        n = max(1, BLAS_MNK_CAP // h.size)
-        for m in range(0, g1 - g0, n):
-            rows = inputs[m : m + n]
-            # overlapping rows reach BLAS only as a copy, which one column does not repay
-            if down < h.shape[0] and h.shape[1] > 1:
-                rows = rows.copy()
-            np.matmul(rows, h, out=out[m : m + rows.shape[0], r0 : r0 + h.shape[1]])
+
+    def product(r0: int, c: int, g: int, rows: int, k: int, e: int, h: np.ndarray) -> None:
+        """Stack entry i of row r: the `e` groups from g + (r*k + i)*e on, times `h`."""
+        strides = (e * down * size, k * e * down * size, size)
+        inputs = np.ndarray((k, rows, h.shape[0]), x.dtype, x, (start + c + g * down) * size, strides)
+        dest = out[g : g + rows * k * e].reshape(rows, k, e * up)[:, :, r0 : r0 + h.shape[1]]
+        np.matmul(inputs, h, out=dest.transpose(1, 0, 2))
+
+    for r0, c, h, one, m, n in bank.blocks:
+        whole = (g1 - g0) // (m * q) * (m * q)  # the groups of whole merged rows
+        for g in range(0, whole, n * m * q):
+            product(r0, c, g, min(n, (whole - g) // (m * q)), m, q, h)
+        if whole < g1 - g0:
+            product(r0, c, whole, 1, g1 - g0 - whole, 1, one)
     # anti-alias filter ringing can overshoot; clip to keep the amplitude invariant.
     # BLAS may sum to -0.0 where the integers sum to 0; adding 0.0 makes it +0.0
     np.clip(out, -1.0, 1.0, out=out)
@@ -369,13 +395,11 @@ def _polyphase(
         for piece in pieces:
             a, b = max(lo, start), min(hi, start + piece.size)
             if a < b:
-                x[a - lo : b - lo] = piece[a - start : b - start]
+                np.multiply(piece[a - start : b - start], INPUT_SCALE, out=x[a - lo : b - lo])
             start += piece.size
         x[: max(0, -lo)] = 0.0  # the samples before the input's start
         x[max(0, n_in - lo) :] = 0.0  # and after its end (or past n_in in a faulty stream)
-        x *= INPUT_SCALE  # to multiples of 2^-24, which `_upfirdn` sums exactly
-        np.rint(x, out=x)
-        x /= INPUT_SCALE
+        np.rint(x, out=x)  # to counts of 2^-24, which `_upfirdn` sums exactly
         return _upfirdn(x, lo, j0, j1, bank, acc)
 
     got = 0  # input samples received so far

@@ -14,7 +14,7 @@ import hashlib
 import os
 import shutil
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -177,8 +177,15 @@ class CorpusWriter:
     def _manifest_entry(self, entry: CorpusEntry, path: str) -> CorpusEntry:
         return replace(entry, relative_audio_path=path)
 
-    def finish(self, split: SplitSpec) -> None:
-        parts = split_train_valid(self.entries, split) if self.entries else ([], [])
+    def finish(self, split: SplitSpec | Set[str]) -> None:
+        """Write the manifests, split by `split`, or with the clip ids of a set in the valid part."""
+        if isinstance(split, SplitSpec):
+            parts = split_train_valid(self.entries, split) if self.entries else ([], [])
+        else:
+            parts = (
+                [e for e in self.entries if e.clip_id not in split],
+                [e for e in self.entries if e.clip_id in split],
+            )
         for name, part in zip(self.names[1:3], parts):
             (self.root / name).write_text("".join(self._lines(part)), encoding="utf-8")
 
@@ -227,7 +234,7 @@ class CommonVoiceWriter(CorpusWriter):
         if repeated:
             raise ValidationError(f"clip {entry.clip_id!r}: extra column {repeated[0]!r} repeats a standard column")
 
-    def finish(self, split: SplitSpec) -> None:
+    def finish(self, split: SplitSpec | Set[str]) -> None:
         super().finish(split)
         (self.root / "README.md").write_text(CV_README, encoding="utf-8")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Set
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,11 +43,13 @@ from .corpus import (
     CorpusEntry,
     CorpusWriter,
     LjWriter,
+    SplitSpec,
     _check_root,
     client_id_for,
     make_clip_id,
     publishing,
     read_common_voice,
+    read_common_voice_split,
     read_lj,
     work_dir_for,
 )
@@ -93,7 +95,8 @@ class Job:
     candidates one at a time, and `run` closes them however packaging ends;
     `finish` adds the job's metrics, files and messages to staging. Both look
     each stage up in this module's globals when they run, so a stage patched
-    on the module (as perfbench's tracer does) is the one called.
+    on the module (as perfbench's tracer does) is the one called. `split`
+    gives the manifests' train/valid rule, as `CorpusWriter.finish` takes it.
     """
 
     roles: tuple[AdapterRole, ...]  # a job reads a source exactly when they hold DECODER
@@ -103,6 +106,7 @@ class Job:
     steps: Callable[[PipelineConfig], list[str]]  # its own --dry-run steps
     produce: Callable[[PipelineConfig, Adapters, RunSummary, bool], Candidates]
     finish: Callable[[PipelineConfig, RunSummary, list[float], Path], None] = lambda *_: None
+    split: Callable[[PipelineConfig], SplitSpec | Set[str]] = lambda config: config.output.split
 
     def dataset_format(self, config: PipelineConfig) -> OutputFormat:
         return self.fixed_format or config.output.format
@@ -221,7 +225,7 @@ def _package(
     summary.quality.metrics.update(
         {"clips_in": float(summary.clips_in), "entries_written": float(len(entries))}
     )
-    writer.finish(config.output.split)
+    writer.finish(job.split(config))
     by_id = lambda e: e.clip_id
     if sorted(entries, key=by_id) != sorted(read(staging), key=by_id):
         raise StageError(
@@ -526,6 +530,12 @@ def _convert(
     return converted()
 
 
+def _input_dev_ids(config: PipelineConfig) -> frozenset[str]:
+    """A conversion keeps each clip in its input corpus's split: the input's dev clip ids."""
+    _, dev = read_common_voice_split(config.conversion.input_corpus)
+    return frozenset(entry.clip_id for entry in dev)
+
+
 CLONE = Job(
     roles=(
         AdapterRole.DECODER,
@@ -572,6 +582,7 @@ CONVERT = Job(
         f"convert every clip with model {config.conversion.model_ref}",
     ],
     produce=_convert,
+    split=_input_dev_ids,
 )
 
 

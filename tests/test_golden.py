@@ -26,6 +26,7 @@ import pytest
 
 from voiceforge import pipeline
 from voiceforge.config import parse_config
+from voiceforge.corpus import read_common_voice_split
 
 GOLDEN = {
     "m1_common_voice": "8200c580a2a5643747ed3e0450b65c6fa22652b4bf0476f9d9501ee147174d8b",
@@ -121,16 +122,39 @@ def _cpu_dispatch() -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory) -> dict[str, str]:
+def golden(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """The directory that holds the four trees, and their digests."""
     with pytest.MonkeyPatch.context() as mp:
         for name in UNSET:
             mp.delenv(name, raising=False)
-        return build_all(tmp_path_factory.mktemp("golden"))
+        base = tmp_path_factory.mktemp("golden")
+        return base, build_all(base)
+
+
+@pytest.fixture(scope="module")
+def digests(golden) -> dict[str, str]:
+    return golden[1]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_output_tree_matches_its_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_conversion_keeps_each_clip_in_its_input_split(golden, monkeypatch, tmp_path):
+    """Converted under another split seed, the clone tree's dev clips stay in dev and the rest in train."""
+    base, _ = golden
+    data = _configs(base)["m2_conversion"]
+    data["output"] = {"root": str(tmp_path / "converted"), "split": {**SPLIT, "seed": 6}}
+    for name in UNSET:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(base)  # the model refs are relative to it
+    pipeline.run(parse_config(data))
+    ids = lambda entries: {entry.clip_id for entry in entries}
+    train, dev = read_common_voice_split(base / "m1_common_voice")
+    converted_train, converted_dev = read_common_voice_split(tmp_path / "converted")
+    assert dev and ids(converted_dev) == ids(dev)
+    assert ids(converted_train) == ids(train)
 
 
 def test_baseline_simd_dispatch_gives_the_same_bytes(tmp_path):

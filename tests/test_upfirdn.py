@@ -24,6 +24,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,7 @@ def _lengths(up: int, down: int) -> list[int]:
 
 
 def _kernel(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """One `_upfirdn` call over the whole input, rounded to 2^-24 as `resampled_pieces` rounds it.
+    """One `_upfirdn` call over the whole input, in counts of 2^-24 as `resampled_pieces` rounds it.
 
     The input is padded with zeros: the -first that the first outputs read
     before it, and `span` after it, at least as many as the last ones read.
@@ -91,7 +92,7 @@ def _kernel(x: np.ndarray, up: int, down: int) -> np.ndarray:
     n_out = -(-x.size * up // down)
     acc = np.empty(-(-n_out // up) * up)
     bank = audio._filter_bank(up, down)
-    padded = np.concatenate([np.zeros(-bank.first), np.rint(x * 2.0**24) / 2.0**24, np.zeros(bank.span)])
+    padded = np.concatenate([np.zeros(-bank.first), np.rint(x * 2.0**24), np.zeros(bank.span)])
     return audio._upfirdn(padded, bank.first, 0, n_out, bank, acc)
 
 
@@ -152,7 +153,7 @@ def test_windowed_resample_is_the_bytes_of_resample_poly(monkeypatch, up, down):
         assert got.tobytes() == integer_resample(x, up, down).tobytes(), f"{n} samples"
 
 
-@pytest.mark.parametrize("up,down", [(4, 3), (320, 441)])
+@pytest.mark.parametrize("up,down", [(4, 3), (320, 441), (2, 3), (1, 2)])
 def test_kernel_refuses_an_input_short_of_what_its_outputs_read(up, down):
     """`_upfirdn` strides over `x` unchecked by numpy, so it checks the bounds itself."""
     bank = audio._filter_bank(up, down)
@@ -168,11 +169,15 @@ def test_kernel_refuses_an_input_short_of_what_its_outputs_read(up, down):
 
 @pytest.mark.parametrize("up,down", RATIOS)
 def test_filter_bank_sums_are_exact(up, down):
-    """Every tap is a multiple of 2^-26, and an output's integer terms sum to below 2^53 in any order."""
-    for _, _, h in audio._filter_bank(up, down).blocks:
-        counts = h * 2.0**26
+    """Every tap is a multiple of 2^-26, held times the 2^-24 of an input count, and an output's
+    integer terms sum to below 2^53 in any order. Each block's merged rows are the fewest that
+    do not overlap."""
+    bank = audio._filter_bank(up, down)
+    for _, _, h, _, m, _ in bank.blocks:
+        counts = h * 2.0**26 * 2.0**24
         assert np.array_equal(counts, np.rint(counts))
         assert np.abs(counts).sum(axis=0).max() * 2.0**24 < 2.0**53
+        assert (m - 1) * bank.groups * down < h.shape[0] <= m * bank.groups * down
 
 
 def test_filter_bank_refuses_taps_too_fine_for_exact_sums(monkeypatch):
@@ -185,14 +190,18 @@ def test_filter_bank_refuses_taps_too_fine_for_exact_sums(monkeypatch):
         audio._filter_bank.cache_clear()
 
 
-@pytest.mark.parametrize("rate_hz,target_rate_hz,seconds", [(44100, 32000, 60), (24000, 32000, 12)])
+@pytest.mark.parametrize(
+    "rate_hz,target_rate_hz,seconds",
+    [(44100, 32000, 60), (24000, 32000, 12), (48000, 32000, 12), (48000, 24000, 12), (8000, 48000, 12)],
+)
 def test_every_matmul_stays_under_the_single_thread_cap(monkeypatch, rate_hz, target_rate_hz, seconds):
-    """No call's m*n*k passes BLAS_MNK_CAP, so OpenBLAS runs each one on the calling thread."""
+    """No product's m*n*k passes BLAS_MNK_CAP, so OpenBLAS runs each one on the calling thread.
+    A call with a stack of products hands BLAS each product on its own."""
     sizes = []
     real = np.matmul
 
     def counting_matmul(a, b, **kwargs):
-        sizes.append(a.shape[0] * b.shape[1] * a.shape[1])
+        sizes.append(a.shape[-2] * b.shape[-1] * a.shape[-1])
         return real(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
@@ -200,6 +209,34 @@ def test_every_matmul_stays_under_the_single_thread_cap(monkeypatch, rate_hz, ta
     clip = AudioClip(samples=(0.5 * np.sin(2 * np.pi * 440 * t)).astype(np.float32), sample_rate_hz=rate_hz)
     resample(clip, target_rate_hz)
     assert sizes and max(sizes) <= audio.BLAS_MNK_CAP == 1 << 18
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("up,down", [(4, 3), (2, 3), (1, 2)])
+def test_a_kernel_call_copies_no_input(monkeypatch, up, down, block):
+    """Each `_upfirdn` call of a windowed resample allocates under 64 KiB: BLAS reads the rows
+    of every product where they lie, with no copy of the window's input."""
+    monkeypatch.setattr(audio, "RESAMPLE_BLOCK", block)
+    peaks = []
+    real = audio._upfirdn
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(audio, "_upfirdn", measured)
+    n = 2 * block * down // up + 999  # two whole windows and a part
+    stream = SampleBlocks(down * 1000, n, [_signal(n, seed=up + down).astype(np.float32)])
+    tracemalloc.start()
+    try:
+        for _ in resampled_pieces(stream, up * 1000):
+            pass
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3 and max(peaks) < 64 * 1024
 
 
 def _run_script(**env_vars: str) -> subprocess.CompletedProcess:
